@@ -251,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.add_argument("--suite", action="append", choices=verify.SUITES, default=None,
                    help="restrict to one or more named suites")
-    p.add_argument("--inject-fault", choices=("lemma-sign",), default=None,
-                   dest="inject_fault", help=argparse.SUPPRESS)
     return parser
 
 
@@ -270,9 +268,7 @@ def run(argv=None) -> int:
     started = time.monotonic()
 
     if args.command == "verify":
-        summary = verify.run_all(
-            args.budget, inject_fault=args.inject_fault, only=args.suite
-        )
+        summary = verify.run_all(args.budget, only=args.suite)
         text = json.dumps(summary, indent=2) + "\n"
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:

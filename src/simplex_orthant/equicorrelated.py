@@ -28,14 +28,18 @@ class EquicorrelatedSpec:
     rho: float
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError("dimension n must be a positive integer")
-        lo = -1.0 / (self.n - 1) if self.n > 1 else -math.inf
-        if not (lo < self.rho < 1.0):
-            raise ValueError(
-                f"rho={self.rho} outside ({lo}, 1) for n={self.n}; "
-                "A would not be positive definite"
-            )
+        check_domain(self.n, self.rho)
+
+
+def check_domain(n: int, rho: float) -> None:
+    """Raise unless n is a positive integer and -1/(n-1) < rho < 1."""
+    if int(n) != n or n < 1:
+        raise ValueError("dimension n must be a positive integer")
+    lo = -1.0 / (n - 1) if n > 1 else -math.inf
+    if not (lo < rho < 1.0):
+        raise ValueError(
+            f"rho={rho} outside ({lo}, 1) for n={n}; A would not be positive definite"
+        )
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,30 @@ def chunk_generator(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(chunk))
 
 
+def _chunk_sizes(trials: int, chunk_size: int) -> list[int]:
+    """Sizes of the chunks a run of `trials` draws splits into, in chunk order."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    n_chunks = (trials + chunk_size - 1) // chunk_size
+    return [min(chunk_size, trials - c * chunk_size) for c in range(n_chunks)]
+
+
+def _map_ordered(fn, n_chunks: int, threads: int) -> list:
+    """[fn(0), ..., fn(n_chunks - 1)], evaluated on up to `threads` threads."""
+    if threads <= 1 or n_chunks <= 1:
+        return [fn(c) for c in range(n_chunks)]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, range(n_chunks)))
+
+
+def hit_rate(hits: int, trials: int) -> tuple[float, float]:
+    """Binomial estimate hits/trials and its standard error."""
+    p_hat = hits / trials
+    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials)
+
+
 def sample_equicorrelated(
     spec: EquicorrelatedSpec,
     count: int,
@@ -117,11 +145,9 @@ def sample_equicorrelated(
             "sample_equicorrelated supports rho >= 0 only "
             "(common-factor construction)"
         )
-    if count < 1:
-        raise ValueError("count must be positive")
     chunks = [
-        sample_chunk(spec, chunk, min(chunk_size, count - chunk * chunk_size), seed)
-        for chunk in range((count + chunk_size - 1) // chunk_size)
+        sample_chunk(spec, chunk, size, seed)
+        for chunk, size in enumerate(_chunk_sizes(count, chunk_size))
     ]
     return np.concatenate(chunks, axis=0)
 

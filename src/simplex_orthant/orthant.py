@@ -28,7 +28,14 @@ from scipy import integrate
 from scipy.special import log_ndtr, logsumexp, ndtri, roots_hermite
 
 from . import normal
-from .equicorrelated import EquicorrelatedSpec, sample_chunk
+from .equicorrelated import (
+    EquicorrelatedSpec,
+    _chunk_sizes,
+    _map_ordered,
+    check_domain,
+    hit_rate,
+    sample_chunk,
+)
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -37,13 +44,10 @@ LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 class QuadratureSpec:
     """Node count / tolerance configuration for the deterministic methods."""
 
-    method: str = "gauss_hermite"
     nodes: int = 200
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.method not in ("gauss_hermite", "transformed_adaptive"):
-            raise ValueError(f"unknown quadrature method {self.method!r}")
         if self.nodes < 2:
             raise ValueError("nodes must be >= 2")
         if self.rel_tol < 1e-14:
@@ -89,21 +93,13 @@ class BoundReport:
     upper_asymptotic: bool
 
 
-def _validate(n: int, rho: float) -> None:
-    if int(n) != n or n < 1:
-        raise ValueError("n must be a positive integer")
-    lo = -1.0 / (n - 1) if n > 1 else -math.inf
-    if not (lo < rho < 1.0):
-        raise ValueError(f"rho={rho} outside ({lo}, 1) for n={n}")
-
-
 def closed_form(n: int, rho: float) -> Optional[OrthantEstimate]:
     """Exact f(n, rho) where a closed form exists, else None.
 
     Covered: n = 1; independence rho = 0; rho = 1/2 (f = 1/(n+1));
     Sheppard's n = 2 arcsine formula; David's n = 3 formula at equal rho.
     """
-    _validate(n, rho)
+    check_domain(n, rho)
     if n == 1:
         value = 0.5
     elif rho == 0.0:
@@ -178,7 +174,7 @@ def steck_quadrature(
     scaled by the local curvature.  Nodes are doubled until two successive
     values agree to rel_tol.
     """
-    _validate(n, rho)
+    check_domain(n, rho)
     if not (0.0 < rho < 1.0):
         raise ValueError("steck identity requires 0 < rho < 1")
     quad = quad or QuadratureSpec()
@@ -207,10 +203,10 @@ def density_integral(
     an integrable algebraic singularity at x = 1; the substitution
     1 - x = tau^s absorbs it exactly, leaving a bounded integrand.
     """
-    _validate(n, rho)
+    check_domain(n, rho)
     if not (0.0 < rho < 1.0):
         raise ValueError("density integral requires 0 < rho < 1")
-    quad = quad or QuadratureSpec(method="transformed_adaptive")
+    quad = quad or QuadratureSpec()
     s = rho / (1.0 - rho)
     e = 1.0 / s - 1.0
     # (sqrt(2 pi))^(1/s - 1) / sqrt(s)
@@ -264,36 +260,17 @@ def monte_carlo(
     Chunked and deterministic per (seed, chunk index); the thread count never
     changes the result, only how chunks are scheduled.
     """
-    _validate(n, rho)
+    spec = EquicorrelatedSpec(n=n, rho=rho)
     if rho < 0.0:
         raise ValueError("monte_carlo requires rho >= 0 (sampler constraint)")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    spec = EquicorrelatedSpec(n=n, rho=rho)
     sizes = _chunk_sizes(trials, chunk_size)
 
     def count_hits(chunk):
         draws = sample_chunk(spec, chunk, sizes[chunk], seed)
         return int(np.count_nonzero(np.all(draws > 0.0, axis=1)))
 
-    hits = sum(_map_ordered(count_hits, len(sizes), threads))
-    p_hat = hits / trials
-    se = math.sqrt(p_hat * (1.0 - p_hat) / trials)
+    p_hat, se = hit_rate(sum(_map_ordered(count_hits, len(sizes), threads)), trials)
     return OrthantEstimate(value=p_hat, std_error=se, method="monte_carlo", count=trials)
-
-
-def _chunk_sizes(total: int, chunk_size: int) -> list[int]:
-    n_chunks = (total + chunk_size - 1) // chunk_size
-    return [min(chunk_size, total - c * chunk_size) for c in range(n_chunks)]
-
-
-def _map_ordered(fn, n_chunks: int, threads: int) -> list:
-    if threads <= 1 or n_chunks <= 1:
-        return [fn(c) for c in range(n_chunks)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_chunks)))
 
 
 def bound_high_rho_lower(n: int, rho: float) -> Optional[float]:
@@ -303,7 +280,7 @@ def bound_high_rho_lower(n: int, rho: float) -> Optional[float]:
     n^(1-1/rho) * 2/sqrt(2 pi) * (1 - 1/(2 sqrt(4 pi log 2)))^2
     / (sqrt(4 + 2(1/rho-1) log n) + sqrt(2(1/rho-1) log n)).
     """
-    _validate(n, rho)
+    check_domain(n, rho)
     if rho <= 0.5 or n < 2:
         return None
     ell = (1.0 / rho - 1.0) * math.log(n)
@@ -318,7 +295,7 @@ def bound_high_rho_lower(n: int, rho: float) -> Optional[float]:
 
 def bound_high_rho_upper(n: int, rho: float) -> Optional[float]:
     """Upper bound n^(1-1/rho) 2^(1/rho-2) sqrt((1-rho)/rho) (1 + B(2, 1/rho-1))."""
-    _validate(n, rho)
+    check_domain(n, rho)
     if rho <= 0.5 or n < 2:
         return None
     log_b = normal.log_beta(2.0, 1.0 / rho - 1.0)
@@ -341,7 +318,7 @@ def bound_low_rho_lower(n: int, rho: float) -> Optional[float]:
     Valid only under low_rho_gate; returns None otherwise.  May be negative
     for rho close to 1/2 (Gamma(1/rho-1) < 1), which is still a valid bound.
     """
-    _validate(n, rho)
+    check_domain(n, rho)
     if rho >= 0.5 or rho <= 0.0 or not low_rho_gate(n, rho):
         return None
     gamma = math.exp(normal.log_gamma(1.0 / rho - 1.0))
@@ -360,7 +337,7 @@ def bound_low_rho_upper(n: int, rho: float) -> Optional[float]:
     a trend envelope, not a certified bound.  Computed in the log domain:
     the bracket raised to 1/rho - 2 overflows quickly for small rho.
     """
-    _validate(n, rho)
+    check_domain(n, rho)
     if rho >= 0.5 or rho <= 0.0 or n < 2:
         return None
     log_val = (
@@ -380,32 +357,18 @@ def scaled_ratio(n: int, rho: float, f: float) -> float:
 
 def theorem_bounds(n: int, rho: float) -> BoundReport:
     """All applicable rate bounds at (n, rho) in one report."""
-    _validate(n, rho)
-    scale = n ** (1.0 - 1.0 / rho) if rho > 0 else math.nan
+    check_domain(n, rho)
+    lower = upper = None
     if rho > 0.5:
-        lower = bound_high_rho_lower(n, rho)
-        upper = bound_high_rho_upper(n, rho)
-        return BoundReport(
-            n=n, rho=rho, scale=scale,
-            lower=lower, upper=upper,
-            lower_applicable=lower is not None,
-            upper_applicable=upper is not None,
-            upper_asymptotic=False,
-        )
-    if 0.0 < rho < 0.5:
-        lower = bound_low_rho_lower(n, rho)
-        upper = bound_low_rho_upper(n, rho)
-        return BoundReport(
-            n=n, rho=rho, scale=scale,
-            lower=lower, upper=upper,
-            lower_applicable=lower is not None,
-            upper_applicable=False,
-            upper_asymptotic=upper is not None,
-        )
+        lower, upper = bound_high_rho_lower(n, rho), bound_high_rho_upper(n, rho)
+    elif 0.0 < rho < 0.5:
+        lower, upper = bound_low_rho_lower(n, rho), bound_low_rho_upper(n, rho)
     return BoundReport(
-        n=n, rho=rho, scale=scale,
-        lower=None, upper=None,
-        lower_applicable=False, upper_applicable=False, upper_asymptotic=False,
+        n=n, rho=rho, scale=n ** (1.0 - 1.0 / rho) if rho > 0 else math.nan,
+        lower=lower, upper=upper,
+        lower_applicable=lower is not None,
+        upper_applicable=rho > 0.5 and upper is not None,
+        upper_asymptotic=rho < 0.5 and upper is not None,
     )
 
 

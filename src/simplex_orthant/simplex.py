@@ -31,7 +31,10 @@ from .equicorrelated import (
     CrossBlockBound,
     EquicorrelatedSpec,
     TvBound,
+    _chunk_sizes,
+    _map_ordered,
     chunk_generator,
+    hit_rate,
     inverse_diag_offdiag,
     tv_bound_frobenius,
 )
@@ -224,12 +227,13 @@ def coefficient_count(n: int, k: int) -> int:
     return math.comb(n + k - 1, k)
 
 
-def _check_budget(n: int, k: int) -> int:
+def _check_budget(n: int, k: int, rows: int = 1) -> int:
+    """Raise unless a rows x d float64 table over the coefficients fits the budget."""
     d = coefficient_count(n, k)
-    if d * 8 > MEMORY_BUDGET_BYTES:
+    if rows * d * 8 > MEMORY_BUDGET_BYTES:
         raise ResourceBudgetError(
-            f"coefficient table for (n={n}, k={k}) has d={d} entries "
-            f"({d * 8} bytes), exceeding the {MEMORY_BUDGET_BYTES}-byte budget"
+            f"{rows} x d={d} coefficient table for (n={n}, k={k}) "
+            f"({rows * d * 8} bytes) exceeds the {MEMORY_BUDGET_BYTES}-byte budget"
         )
     return d
 
@@ -275,23 +279,31 @@ def _derivative_row(exponents: np.ndarray, point: np.ndarray, direction: np.ndar
     return out
 
 
+def _design_rows(geom: SimplexGeometry, k: int, vertices) -> np.ndarray:
+    """Derivative-functional rows for each edge direction at the given vertices.
+
+    Row order: the first vertex's edges 0..n-1, then the next vertex's, ...
+    """
+    exponents = multi_index_table(geom.n, k)
+    return np.array(
+        [
+            _derivative_row(exponents, geom.embedded[vertex], direction)
+            for vertex in vertices
+            for direction in edge_frame(geom, vertex).directions
+        ]
+    )
+
+
 @lru_cache(maxsize=16)
 def _design_matrix(n: int, k: int) -> np.ndarray:
     """Rows of derivative functionals for every (vertex, edge direction) pair.
 
-    Row order: vertex 0 edges 0..n-1, vertex 1 edges 0..n-1, ...  Multiplying
-    a coefficient vector by this matrix evaluates all (n+1)*n unnormalized
-    edge derivatives at once.
+    Multiplying a coefficient vector by this matrix evaluates all (n+1)*n
+    unnormalized edge derivatives at once.  The n(n+1) x d table is checked
+    against the memory budget before any row is built.
     """
-    geom = build_geometry(n)
-    exponents = multi_index_table(n, k)
-    rows = []
-    for vertex in range(n + 1):
-        frame = edge_frame(geom, vertex)
-        point = geom.embedded[vertex]
-        for direction in frame.directions:
-            rows.append(_derivative_row(exponents, point, direction))
-    out = np.array(rows)
+    _check_budget(n, k, rows=n * (n + 1))
+    out = _design_rows(build_geometry(n), k, range(n + 1))
     out.setflags(write=False)
     return out
 
@@ -318,28 +330,9 @@ def is_vertex_max(P: BombieriPolynomial, geom: SimplexGeometry, vertex: int) -> 
     )
 
 
-def _chunk_sizes(total: int, chunk_size: int) -> list[int]:
-    n_chunks = (total + chunk_size - 1) // chunk_size
-    return [min(chunk_size, total - c * chunk_size) for c in range(n_chunks)]
-
-
-def _map_ordered(fn, n_chunks: int, threads: int) -> list:
-    if threads <= 1 or n_chunks <= 1:
-        return [fn(c) for c in range(n_chunks)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_chunks)))
-
-
-def _derivative_chunks(
-    n: int,
-    k: int,
-    seed: int,
-    design: np.ndarray | None = None,
-):
+def _derivative_chunks(n: int, k: int, seed: int):
     """Chunk sampler mapping (chunk, size) to a size x rows derivative matrix."""
-    design = _design_matrix(n, k) if design is None else design
+    design = _design_matrix(n, k)
     sigma = np.sqrt(coefficient_variances(n, k))
 
     def sample(chunk: int, size: int) -> np.ndarray:
@@ -362,35 +355,19 @@ def estimate_vertex_probability(
     seed: int,
     chunk_size: int = 50_000,
     threads: int = 1,
-    rotation: np.ndarray | None = None,
 ) -> ExperimentReport:
     """Empirical frequency of a relative maximum at vertex 0."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    _check_budget(n, k)
-    design = None
-    if rotation is not None:
-        geom = build_geometry(n, rotation=rotation)
-        exponents = multi_index_table(n, k)
-        frame = edge_frame(geom, 0)
-        design = np.array(
-            [
-                _derivative_row(exponents, geom.embedded[0], direction)
-                for direction in frame.directions
-            ]
-        )
-    sample = _derivative_chunks(n, k, seed, design=design)
     sizes = _chunk_sizes(trials, chunk_size)
+    sample = _derivative_chunks(n, k, seed)
 
     def count_hits(chunk: int) -> int:
         derivs = sample(chunk, sizes[chunk])
         return int(np.count_nonzero(np.all(derivs[:, :n] > 0.0, axis=1)))
 
-    hits = sum(_map_ordered(count_hits, len(sizes), threads))
-    p_hat = hits / trials
+    p_hat, se = hit_rate(sum(_map_ordered(count_hits, len(sizes), threads)), trials)
     return ExperimentReport(
         estimate=p_hat,
-        std_error=math.sqrt(p_hat * (1.0 - p_hat) / trials),
+        std_error=se,
         trials=trials,
         seed=seed,
         analytic_f=analytic_vertex_probability(n, k),
@@ -406,26 +383,22 @@ def estimate_union_probability(
     threads: int = 1,
 ) -> ExperimentReport:
     """Empirical probability of a relative maximum at some vertex."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    _check_budget(n, k)
-    sample = _derivative_chunks(n, k, seed)
     sizes = _chunk_sizes(trials, chunk_size)
+    sample = _derivative_chunks(n, k, seed)
 
     def count_hits(chunk: int) -> int:
         derivs = sample(chunk, sizes[chunk]).reshape(sizes[chunk], n + 1, n)
         vertex_max = np.all(derivs > 0.0, axis=2)
         return int(np.count_nonzero(np.any(vertex_max, axis=1)))
 
-    hits = sum(_map_ordered(count_hits, len(sizes), threads))
-    p_hat = hits / trials
+    p_hat, se = hit_rate(sum(_map_ordered(count_hits, len(sizes), threads)), trials)
     f = analytic_vertex_probability(n, k)
     # the cross-vertex dependence pipeline needs at least two off-diagonal
     # blocks; for the segment (n = 1) only the independence numbers apply
     tv = tv_pipeline(n, k) if n >= 2 else None
     return ExperimentReport(
         estimate=p_hat,
-        std_error=math.sqrt(p_hat * (1.0 - p_hat) / trials),
+        std_error=se,
         trials=trials,
         seed=seed,
         analytic_f=f,
@@ -445,11 +418,8 @@ def gradient_correlations(
     threads: int = 1,
 ) -> np.ndarray:
     """Empirical correlation matrix of all (n+1)*n edge derivatives."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    _check_budget(n, k)
-    sample = _derivative_chunks(n, k, seed)
     sizes = _chunk_sizes(trials, chunk_size)
+    sample = _derivative_chunks(n, k, seed)
 
     def moments(chunk: int):
         derivs = sample(chunk, sizes[chunk])

@@ -4,10 +4,13 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from simplex_orthant import cli
+from simplex_orthant import cli, equicorrelated, simplex, verify
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(args, capsys):
@@ -151,6 +154,43 @@ class TestSimplexCommand:
         )
         assert code == 2 and "budget" in err
 
+    def test_design_budget_checked_before_any_row(self, capsys, monkeypatch):
+        # at (30, 6) one coefficient vector fits the budget but the
+        # 930 x 1623160 design matrix (12 GB) does not
+        def no_rows(*args):
+            raise AssertionError("a design row was built")
+
+        monkeypatch.setattr(simplex, "_derivative_row", no_rows)
+        code, _, err = run_cli(
+            ["simplex", "--n", "30", "--k", "6", "--trials", "10", "--seed", "1"],
+            capsys,
+        )
+        assert code == 2 and "budget" in err and "d=1623160" in err
+
+
+class TestGoldenStdout:
+    """Stdout of the criterion-9 configs, byte for byte.
+
+    The files under tests/data/ pin the random streams and the number
+    formatting.  Only a deliberate stream change, recorded in CHANGES.md,
+    may regenerate them.
+    """
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("criterion09_compute_mc.csv",
+             ["compute", "--n", "3", "--rho", "0.4", "--method", "mc",
+              "--trials", "300000", "--seed", "90"]),
+            ("criterion09_simplex.csv",
+             ["simplex", "--n", "4", "--k", "4", "--trials", "150000", "--seed", "90"]),
+        ],
+    )
+    def test_stdout_matches_golden(self, name, args, capsys):
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert out.encode() == (DATA / name).read_bytes()
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -228,11 +268,17 @@ class TestVerifyCommand:
         assert code == 0 and doc["all_passed"] and doc["failures"] == []
         assert set(doc["suites"]) == {"special_functions", "lemma_inverse"}
 
-    def test_injected_fault_exit_3(self, capsys):
-        code, out, _ = run_cli(
-            ["verify", "--suite", "lemma_inverse", "--inject-fault", "lemma-sign"],
-            capsys,
-        )
+    def test_injected_fault_exit_3(self, capsys, monkeypatch):
+        # a sign-flipped beta in the closed-form inverse must fail the suite
+        original = equicorrelated.inverse_diag_offdiag
+
+        def flipped(spec):
+            pair = original(spec)
+            return equicorrelated.InverseDiagonalPair(alpha=pair.alpha, beta=-pair.beta)
+
+        monkeypatch.setattr(equicorrelated, "inverse_diag_offdiag", flipped)
+        monkeypatch.setattr(verify, "inverse_diag_offdiag", flipped)
+        code, out, _ = run_cli(["verify", "--suite", "lemma_inverse"], capsys)
         doc = json.loads(out)
         assert code == 3
         assert any(name.startswith("lemma_inverse:") for name in doc["failures"])

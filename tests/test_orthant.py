@@ -49,8 +49,6 @@ class TestSpecs:
             QuadratureSpec(nodes=1)
         with pytest.raises(ValueError):
             QuadratureSpec(rel_tol=1e-15)
-        with pytest.raises(ValueError):
-            QuadratureSpec(method="simpson")
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
