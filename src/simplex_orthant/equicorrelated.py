@@ -19,6 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+CHUNK_SIZE = 100_000
+
 
 @dataclass(frozen=True)
 class EquicorrelatedSpec:
@@ -129,12 +131,7 @@ def hit_rate(hits: int, trials: int) -> tuple[float, float]:
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials)
 
 
-def sample_equicorrelated(
-    spec: EquicorrelatedSpec,
-    count: int,
-    seed: int,
-    chunk_size: int = 100_000,
-) -> np.ndarray:
+def sample_equicorrelated(spec: EquicorrelatedSpec, count: int, seed: int) -> np.ndarray:
     """count x n draws with N(0,1) marginals and pairwise correlation rho.
 
     Requires rho >= 0: the common-factor construction has no real square
@@ -147,7 +144,7 @@ def sample_equicorrelated(
         )
     chunks = [
         sample_chunk(spec, chunk, size, seed)
-        for chunk, size in enumerate(_chunk_sizes(count, chunk_size))
+        for chunk, size in enumerate(_chunk_sizes(count, CHUNK_SIZE))
     ]
     return np.concatenate(chunks, axis=0)
 

@@ -29,6 +29,7 @@ from scipy.special import log_ndtr, logsumexp, ndtri, roots_hermite
 
 from . import normal
 from .equicorrelated import (
+    CHUNK_SIZE,
     EquicorrelatedSpec,
     _chunk_sizes,
     _map_ordered,
@@ -91,6 +92,17 @@ class BoundReport:
     lower_applicable: bool
     upper_applicable: bool
     upper_asymptotic: bool
+
+    def contains(self, value: float) -> Optional[bool]:
+        """Whether value lies within the certified bounds; None if none applies.
+
+        The asymptotic low-rho upper bound is never checked.
+        """
+        if not (self.lower_applicable or self.upper_applicable):
+            return None
+        return (not self.lower_applicable or self.lower <= value) and (
+            not self.upper_applicable or value <= self.upper
+        )
 
 
 def closed_form(n: int, rho: float) -> Optional[OrthantEstimate]:
@@ -248,12 +260,7 @@ def density_integral(
 
 
 def monte_carlo(
-    n: int,
-    rho: float,
-    trials: int,
-    seed: int,
-    chunk_size: int = 100_000,
-    threads: int = 1,
+    n: int, rho: float, trials: int, seed: int, threads: int = 1
 ) -> OrthantEstimate:
     """Fraction of common-factor draws with all coordinates positive.
 
@@ -263,7 +270,7 @@ def monte_carlo(
     spec = EquicorrelatedSpec(n=n, rho=rho)
     if rho < 0.0:
         raise ValueError("monte_carlo requires rho >= 0 (sampler constraint)")
-    sizes = _chunk_sizes(trials, chunk_size)
+    sizes = _chunk_sizes(trials, CHUNK_SIZE)
 
     def count_hits(chunk):
         draws = sample_chunk(spec, chunk, sizes[chunk], seed)
@@ -352,6 +359,8 @@ def scaled_ratio(n: int, rho: float, f: float) -> float:
     """f / n^(1 - 1/rho), evaluated in the log domain."""
     if not (0.0 < f < 1.0):
         raise ValueError("f must lie in (0, 1)")
+    if rho == 0.0:
+        raise ValueError("scaled_ratio needs rho != 0: the scale n^(1 - 1/rho) is undefined")
     return math.exp(math.log(f) - (1.0 - 1.0 / rho) * math.log(n))
 
 

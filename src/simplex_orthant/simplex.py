@@ -40,6 +40,7 @@ from .equicorrelated import (
 )
 
 MEMORY_BUDGET_BYTES = 256 * 2**20
+CHUNK_SIZE = 50_000
 
 
 class ResourceBudgetError(Exception):
@@ -102,6 +103,8 @@ class ExperimentReport:
     trials: int
     seed: int
     analytic_f: float
+    vertex_estimate: Optional[float] = None
+    vertex_std_error: Optional[float] = None
     independence_approx: Optional[float] = None
     tv_paper_literal: Optional[float] = None
     tv_corrected: Optional[float] = None
@@ -348,23 +351,23 @@ def analytic_vertex_probability(n: int, k: int) -> float:
     return orthant.best_estimate(n, rho_n(n, k)).value
 
 
+def _derivative_map(n: int, k: int, trials: int, seed: int, threads: int, reduce) -> list:
+    """reduce(size x n(n+1) edge derivatives) for each CHUNK_SIZE chunk, in chunk order."""
+    sizes = _chunk_sizes(trials, CHUNK_SIZE)
+    sample = _derivative_chunks(n, k, seed)
+    return _map_ordered(lambda c: reduce(sample(c, sizes[c])), len(sizes), threads)
+
+
 def estimate_vertex_probability(
-    n: int,
-    k: int,
-    trials: int,
-    seed: int,
-    chunk_size: int = 50_000,
-    threads: int = 1,
+    n: int, k: int, trials: int, seed: int, threads: int = 1
 ) -> ExperimentReport:
     """Empirical frequency of a relative maximum at vertex 0."""
-    sizes = _chunk_sizes(trials, chunk_size)
-    sample = _derivative_chunks(n, k, seed)
 
-    def count_hits(chunk: int) -> int:
-        derivs = sample(chunk, sizes[chunk])
+    def count_hits(derivs: np.ndarray) -> int:
         return int(np.count_nonzero(np.all(derivs[:, :n] > 0.0, axis=1)))
 
-    p_hat, se = hit_rate(sum(_map_ordered(count_hits, len(sizes), threads)), trials)
+    hits = _derivative_map(n, k, trials, seed, threads, count_hits)
+    p_hat, se = hit_rate(sum(hits), trials)
     return ExperimentReport(
         estimate=p_hat,
         std_error=se,
@@ -375,23 +378,19 @@ def estimate_vertex_probability(
 
 
 def estimate_union_probability(
-    n: int,
-    k: int,
-    trials: int,
-    seed: int,
-    chunk_size: int = 50_000,
-    threads: int = 1,
+    n: int, k: int, trials: int, seed: int, threads: int = 1
 ) -> ExperimentReport:
-    """Empirical probability of a relative maximum at some vertex."""
-    sizes = _chunk_sizes(trials, chunk_size)
-    sample = _derivative_chunks(n, k, seed)
+    """Empirical probability of a relative maximum at some vertex, and at vertex 0."""
 
-    def count_hits(chunk: int) -> int:
-        derivs = sample(chunk, sizes[chunk]).reshape(sizes[chunk], n + 1, n)
-        vertex_max = np.all(derivs > 0.0, axis=2)
-        return int(np.count_nonzero(np.any(vertex_max, axis=1)))
+    def count_hits(derivs: np.ndarray) -> tuple[int, int]:
+        vertex_max = np.all(derivs.reshape(len(derivs), n + 1, n) > 0.0, axis=2)
+        either = np.any(vertex_max, axis=1)
+        return int(np.count_nonzero(either)), int(np.count_nonzero(vertex_max[:, 0]))
 
-    p_hat, se = hit_rate(sum(_map_ordered(count_hits, len(sizes), threads)), trials)
+    counts = _derivative_map(n, k, trials, seed, threads, count_hits)
+    union_hits, vertex_hits = (sum(c) for c in zip(*counts))
+    p_hat, se = hit_rate(union_hits, trials)
+    vertex_hat, vertex_se = hit_rate(vertex_hits, trials)
     f = analytic_vertex_probability(n, k)
     # the cross-vertex dependence pipeline needs at least two off-diagonal
     # blocks; for the segment (n = 1) only the independence numbers apply
@@ -402,6 +401,8 @@ def estimate_union_probability(
         trials=trials,
         seed=seed,
         analytic_f=f,
+        vertex_estimate=vertex_hat,
+        vertex_std_error=vertex_se,
         independence_approx=independent_union_approx(n, k, f),
         tv_paper_literal=tv.paper_literal if tv else None,
         tv_corrected=tv.corrected if tv else None,
@@ -410,24 +411,13 @@ def estimate_union_probability(
 
 
 def gradient_correlations(
-    n: int,
-    k: int,
-    trials: int,
-    seed: int,
-    chunk_size: int = 50_000,
-    threads: int = 1,
+    n: int, k: int, trials: int, seed: int, threads: int = 1
 ) -> np.ndarray:
     """Empirical correlation matrix of all (n+1)*n edge derivatives."""
-    sizes = _chunk_sizes(trials, chunk_size)
-    sample = _derivative_chunks(n, k, seed)
-
-    def moments(chunk: int):
-        derivs = sample(chunk, sizes[chunk])
-        return derivs.sum(axis=0), derivs.T @ derivs
-
-    parts = _map_ordered(moments, len(sizes), threads)
-    total = sum(p[0] for p in parts)
-    cross = sum(p[1] for p in parts)
+    parts = _derivative_map(
+        n, k, trials, seed, threads, lambda derivs: (derivs.sum(axis=0), derivs.T @ derivs)
+    )
+    total, cross = (sum(p) for p in zip(*parts))
     mean = total / trials
     cov = cross / trials - np.outer(mean, mean)
     scale = np.sqrt(np.diag(cov))

@@ -174,18 +174,12 @@ def suite_orthant(budget: str) -> list[dict]:
     checks.append(_check("monotone_in_n", ok))
 
     ok = True
-    for rho in (0.6, 0.75, 0.9):
-        for n in (2, 10, 100, 1000):
+    for rho in (0.6, 0.75, 0.9, 0.2, 0.3, 0.4):
+        for n in (2, 10, 100, 1000) if rho > 0.5 else (10, 50, 200, 1000):
             f = orthant.steck_quadrature(n, rho).value
-            lo = orthant.bound_high_rho_lower(n, rho)
-            hi = orthant.bound_high_rho_upper(n, rho)
-            ok &= lo <= f <= hi
-    for rho in (0.2, 0.3, 0.4):
-        for n in (10, 50, 200, 1000):
-            lo = orthant.bound_low_rho_lower(n, rho)
-            if lo is None:
-                continue
-            ok &= lo <= orthant.steck_quadrature(n, rho).value
+            verdict = orthant.theorem_bounds(n, rho).contains(f)
+            # the low-rho lower bound applies only past its growth gate
+            ok &= verdict is True or (verdict is None and rho < 0.5)
     checks.append(_check("theorem_sandwich", ok))
 
     ratios = []

@@ -117,6 +117,16 @@ class TestBoundsCommand:
         assert row["lower"] == "NA" and row["upper"] == "NA"
         assert row["sandwich_ok"] == "NA"
 
+    def test_rho_zero_prints_rows(self, capsys):
+        # independence: f = 2^-n, and no scale, bound or ratio is defined
+        code, out, _ = run_cli(["bounds", "--n", "2,3", "--rho=0"], capsys)
+        header, rows = parse_csv(out)
+        assert code == 0 and len(rows) == 2
+        for row, f in zip(rows, ("0.25", "0.125")):
+            row = dict(zip(header, row))
+            assert row["f"] == f
+            assert row["scale"] == row["scaled_ratio"] == row["sandwich_ok"] == "NA"
+
 
 class TestSimplexCommand:
     def test_vertex_against_david(self, capsys):
@@ -169,7 +179,7 @@ class TestSimplexCommand:
 
 
 class TestGoldenStdout:
-    """Stdout of the criterion-9 configs, byte for byte.
+    """Stdout of the criterion-9 configs and a multi-n simplex run, byte for byte.
 
     The files under tests/data/ pin the random streams and the number
     formatting.  Only a deliberate stream change, recorded in CHANGES.md,
@@ -184,6 +194,12 @@ class TestGoldenStdout:
               "--trials", "300000", "--seed", "90"]),
             ("criterion09_simplex.csv",
              ["simplex", "--n", "4", "--k", "4", "--trials", "150000", "--seed", "90"]),
+            ("simplex_n2-3_k5.json",
+             ["simplex", "--n", "2,3", "--k", "5", "--trials", "60000", "--seed", "91",
+              "--format", "json"]),
+            ("simplex_n2-3_k5_plotdata.csv",
+             ["simplex", "--n", "2,3", "--k", "5", "--trials", "60000", "--seed", "91",
+              "--format", "plotdata"]),
         ],
     )
     def test_stdout_matches_golden(self, name, args, capsys):
@@ -259,14 +275,10 @@ class TestEncodings:
 
 class TestVerifyCommand:
     def test_quick_suite_passes(self, capsys):
-        code, out, _ = run_cli(
-            ["verify", "--budget", "quick", "--suite", "special_functions",
-             "--suite", "lemma_inverse"],
-            capsys,
-        )
+        code, out, _ = run_cli(["verify", "--budget", "quick"], capsys)
         doc = json.loads(out)
         assert code == 0 and doc["all_passed"] and doc["failures"] == []
-        assert set(doc["suites"]) == {"special_functions", "lemma_inverse"}
+        assert set(doc["suites"]) == set(verify.SUITES) and len(verify.SUITES) == 5
 
     def test_injected_fault_exit_3(self, capsys, monkeypatch):
         # a sign-flipped beta in the closed-form inverse must fail the suite

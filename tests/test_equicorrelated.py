@@ -143,8 +143,8 @@ class TestSampler:
 
     def test_chunked_determinism(self):
         spec = EquicorrelatedSpec(n=3, rho=0.4)
-        a = sample_equicorrelated(spec, 250_000, seed=7, chunk_size=100_000)
-        b = sample_equicorrelated(spec, 250_000, seed=7, chunk_size=100_000)
+        a = sample_equicorrelated(spec, 250_000, seed=7)
+        b = sample_equicorrelated(spec, 250_000, seed=7)
         assert np.array_equal(a, b)
         # chunks are independent of how many trials follow them
         first = sample_chunk(spec, 0, 100_000, seed=7)

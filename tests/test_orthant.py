@@ -303,6 +303,11 @@ class TestScaledRatio:
         with pytest.raises(ValueError):
             scaled_ratio(10, 0.5, 1.0)
 
+    def test_rho_zero_named(self):
+        # n^(1 - 1/rho) is undefined at rho = 0; the error must say so
+        with pytest.raises(ValueError, match="rho"):
+            scaled_ratio(2, 0.0, 0.25)
+
 
 class TestRateEnvelope:
     def test_ratio_band_bounded_up_to_logs(self):
@@ -336,6 +341,31 @@ class TestTheoremBounds:
     def test_nonpositive_rho(self):
         rep = theorem_bounds(5, 0.0)
         assert not (rep.lower_applicable or rep.upper_applicable)
+
+
+class TestBoundContains:
+    def test_high_rho_checks_both_sides(self):
+        rep = theorem_bounds(100, 0.75)
+        f = steck_quadrature(100, 0.75).value
+        assert rep.contains(f) is True
+        assert rep.contains(0.5 * rep.lower) is False
+        assert rep.contains(2.0 * rep.upper) is False
+
+    def test_low_rho_inside_gate_ignores_asymptotic_upper(self):
+        rep = theorem_bounds(1000, 0.3)
+        assert low_rho_gate(1000, 0.3) and rep.upper_asymptotic
+        assert rep.contains(steck_quadrature(1000, 0.3).value) is True
+        # above the asymptotic upper bound, which is never asserted
+        assert rep.upper < 0.5 and rep.contains(0.5) is True
+        assert rep.lower > 0.0 and rep.contains(0.5 * rep.lower) is False
+
+    def test_low_rho_outside_gate(self):
+        assert not low_rho_gate(2, 0.05)
+        assert theorem_bounds(2, 0.05).contains(0.25) is None
+
+    @pytest.mark.parametrize("n, rho", [(9, 0.5), (5, 0.0), (2, -0.05), (3, -0.3)])
+    def test_no_certified_bound(self, n, rho):
+        assert theorem_bounds(n, rho).contains(0.1) is None
 
 
 class TestMonotonicity:

@@ -423,6 +423,15 @@ class TestUnionProbability:
         vertex = estimate_vertex_probability(4, 5, 60_000, seed=7)
         assert union.estimate >= vertex.estimate
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_vertex_fields_match_vertex_estimator(self, threads):
+        # three 50k chunks; the vertex-0 count comes from the union's own draws
+        union = estimate_union_probability(4, 5, 120_000, seed=7, threads=threads)
+        vertex = estimate_vertex_probability(4, 5, 120_000, seed=7, threads=threads)
+        assert union.vertex_estimate == vertex.estimate
+        assert union.vertex_std_error == vertex.std_error
+        assert union.estimate >= union.vertex_estimate
+
     def test_trend_k5(self):
         prev, prev_se = -1.0, 0.0
         for n in (2, 4, 6, 8, 10):
