@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import integrate
-from scipy.special import log_ndtr, logsumexp, ndtri, roots_hermite
+from scipy.special import log_ndtr, ndtri, roots_hermite
 
 from . import normal
 from .equicorrelated import (
@@ -147,11 +147,26 @@ def _hermite_rule(nodes: int):
         return t, np.log(w)
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) for a 1-d float array, bit for bit as scipy's logsumexp.
+
+    Same algorithm as scipy 1.17 without its array-API dispatch: the peak
+    entries are masked to -inf in place, not dropped, so numpy sums in the
+    same pairwise order.
+    """
+    peak = a.max()
+    if not math.isfinite(peak):
+        # all -inf gives -inf; +inf and nan pass through, as in scipy
+        return peak
+    m = np.count_nonzero(a == peak)
+    total = np.exp(np.where(a == peak, -np.inf, a) - peak).sum() / m
+    return np.log1p(total) + np.log(m) + peak
+
+
 def _steck_log_peak(n: int, sqrt_s: float):
     """Maximizer and curvature of L(z) = n log Phi(z sqrt(s)) - z^2/2."""
     s = sqrt_s * sqrt_s
     z = 0.0
-    h = -1.0
     for _ in range(200):
         # r = phi/Phi at z*sqrt(s); L' = n sqrt(s) r - z
         r = math.exp(-0.5 * (z * sqrt_s) ** 2 - LOG_SQRT_2PI - log_ndtr(z * sqrt_s))
@@ -163,17 +178,21 @@ def _steck_log_peak(n: int, sqrt_s: float):
             z = z_new
             break
         z = z_new
+    else:
+        raise ArithmeticError(
+            f"steck peak search did not converge in 200 Newton steps "
+            f"at (n={n}, sqrt_s={sqrt_s}); last z={z}"
+        )
     return z, 1.0 / math.sqrt(-h)
 
 
-def _steck_fixed_nodes(n: int, rho: float, nodes: int) -> float:
-    s = rho / (1.0 - rho)
-    sqrt_s = math.sqrt(s)
-    center, sigma = _steck_log_peak(n, sqrt_s)
+def _steck_fixed_nodes(n: int, rho: float, nodes: int, center: float, sigma: float) -> float:
+    """The recentred rule with a given node count, around the peak (center, sigma)."""
+    sqrt_s = math.sqrt(rho / (1.0 - rho))
     t, log_w = _hermite_rule(nodes)
     z = center + math.sqrt(2.0) * sigma * t
     log_terms = n * log_ndtr(z * sqrt_s) - 0.5 * z * z + t * t + log_w
-    return math.sqrt(2.0) * sigma * math.exp(logsumexp(log_terms) - LOG_SQRT_2PI)
+    return math.sqrt(2.0) * sigma * math.exp(_logsumexp(log_terms) - LOG_SQRT_2PI)
 
 
 def steck_quadrature(
@@ -190,12 +209,17 @@ def steck_quadrature(
     if not (0.0 < rho < 1.0):
         raise ValueError("steck identity requires 0 < rho < 1")
     quad = quad or QuadratureSpec()
+    peak = _steck_log_peak(n, math.sqrt(rho / (1.0 - rho)))
     nodes = quad.nodes
-    value = _steck_fixed_nodes(n, rho, nodes)
+    value = _steck_fixed_nodes(n, rho, nodes, *peak)
     for _ in range(4):
         nodes *= 2
-        refined = _steck_fixed_nodes(n, rho, nodes)
+        refined = _steck_fixed_nodes(n, rho, nodes, *peak)
         if abs(refined - value) <= quad.rel_tol * max(abs(refined), 1e-300):
+            if refined == 0.0:
+                raise ArithmeticError(
+                    f"steck quadrature underflowed to 0 at (n={n}, rho={rho})"
+                )
             return OrthantEstimate(
                 value=refined, std_error=0.0, method="steck_quadrature", count=nodes
             )
@@ -254,6 +278,11 @@ def density_integral(
             integrand_plain, 0.5, 1.0, epsabs=1e-300, epsrel=eps, limit=500
         )
     value = math.exp(log_pref) * (lower + upper)
+    if value == 0.0:
+        raise ArithmeticError(
+            f"density integral underflowed to 0 at (n={n}, rho={rho}); "
+            "quad found no mass near x = 1"
+        )
     return OrthantEstimate(
         value=value, std_error=0.0, method="density_integral", count=quad.nodes
     )

@@ -72,6 +72,13 @@ class TestComputeCommand:
         assert code == 1
         assert "rho" in err and "error" in err
 
+    def test_steck_underflow_exit_1(self, capsys):
+        code, out, err = run_cli(
+            ["compute", "--n", "1000000", "--rho", "0.01", "--method", "steck"], capsys
+        )
+        assert code == 1 and out == ""
+        assert "underflow" in err and "n=1000000, rho=0.01" in err
+
     def test_mc_requires_seed(self, capsys):
         code, _, err = run_cli(
             ["compute", "--n", "2", "--rho", "0.3", "--method", "mc"], capsys
@@ -179,7 +186,8 @@ class TestSimplexCommand:
 
 
 class TestGoldenStdout:
-    """Stdout of the criterion-9 configs and a multi-n simplex run, byte for byte.
+    """Stdout of the criterion-9 configs, a multi-n simplex run and the Steck
+    and bounds grids, byte for byte.
 
     The files under tests/data/ pin the random streams and the number
     formatting.  Only a deliberate stream change, recorded in CHANGES.md,
@@ -200,6 +208,12 @@ class TestGoldenStdout:
             ("simplex_n2-3_k5_plotdata.csv",
              ["simplex", "--n", "2,3", "--k", "5", "--trials", "60000", "--seed", "91",
               "--format", "plotdata"]),
+            ("compute_steck.csv",
+             ["compute", "--n", "2,5,10,100,1000,10000", "--rho", "0.1:0.9:0.1",
+              "--method", "steck"]),
+            ("bounds_grid.csv",
+             ["bounds", "--n", "10,100,1000,10000,100000",
+              "--rho", "0.2,0.3,0.4,0.6,0.75,0.9"]),
         ],
     )
     def test_stdout_matches_golden(self, name, args, capsys):

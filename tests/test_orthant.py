@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from simplex_orthant import orthant
 from simplex_orthant.orthant import (
@@ -139,6 +140,76 @@ class TestSteckQuadrature:
         with pytest.raises(ValueError):
             steck_quadrature(5, 1.0)
 
+    def test_underflow_raises(self):
+        # f(1e6, 0.01) is about n^(1 - 1/rho) = 1e-594, below the smallest double
+        with pytest.raises(ArithmeticError, match=r"underflow.*n=1000000, rho=0.01"):
+            steck_quadrature(10**6, 0.01)
+
+    def test_unconverged_peak_search_raises(self, monkeypatch):
+        monkeypatch.setattr(orthant, "log_ndtr", lambda x: math.nan)
+        with pytest.raises(ArithmeticError, match="peak search did not converge"):
+            steck_quadrature(10, 0.5)
+
+    def test_one_peak_search_per_call(self, monkeypatch):
+        # (1000, 0.99) doubles the nodes four times, from 200 to 3200
+        calls = {"peak": 0, "fixed": 0}
+        peak, fixed = orthant._steck_log_peak, orthant._steck_fixed_nodes
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(orthant, "_steck_log_peak", counted("peak", peak))
+        monkeypatch.setattr(orthant, "_steck_fixed_nodes", counted("fixed", fixed))
+        est = steck_quadrature(1000, 0.99)
+        assert est.count == 3200
+        assert calls == {"peak": 1, "fixed": 5}
+
+
+GRID_N = [2, 3, 5, 10, 30, 100, 10**3, 10**4, 10**5, 10**6, 10**7, 10**8]
+GRID_RHO = [0.01, 0.05, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 0.99]
+
+
+class TestLogSumExp:
+    """The private max-shift must equal scipy.special.logsumexp bit for bit."""
+
+    def test_random_arrays_bitwise(self):
+        rng = np.random.default_rng(20_201)
+        arrays = [np.array([-np.inf]), np.full(7, -np.inf), np.array([3.5])]
+        for _ in range(3000):
+            size = int(rng.integers(1, 60))
+            if rng.random() < 0.5:
+                a = rng.normal(0.0, 50.0, size)
+            else:
+                # integer-valued entries tie at the peak often
+                a = rng.integers(-4, 3, size).astype(float)
+            a[rng.random(size) < 0.2] = -np.inf
+            if rng.random() < 0.3:
+                a[rng.integers(0, size, 3)] = a.max()
+            arrays.append(a)
+        for a in arrays:
+            assert orthant._logsumexp(a) == scipy.special.logsumexp(a), a
+
+    def test_steck_terms_bitwise(self, monkeypatch):
+        seen = []
+        lse = orthant._logsumexp
+
+        def recording(a):
+            seen.append(a)
+            return lse(a)
+
+        monkeypatch.setattr(orthant, "_logsumexp", recording)
+        for n in GRID_N:
+            for rho in GRID_RHO:
+                peak = orthant._steck_log_peak(n, math.sqrt(rho / (1.0 - rho)))
+                for nodes in (200, 400, 800):
+                    orthant._steck_fixed_nodes(n, rho, nodes, *peak)
+        assert len(seen) == len(GRID_N) * len(GRID_RHO) * 3
+        for a in seen:
+            assert lse(a) == scipy.special.logsumexp(a)
+
 
 def scaled_ratio_inverse(n, rho, f):
     """Identity helper: f recovered from its own scaled ratio."""
@@ -163,6 +234,12 @@ class TestDensityIntegral:
                 b = density_integral(n, float(rho)).value
                 worst = max(worst, abs(a - b) / a)
         assert worst <= 1e-8
+
+    @pytest.mark.parametrize("n,rho", [(10**6, 0.01), (10**8, 0.5)])
+    def test_zero_raises(self, n, rho):
+        # the exact value at (1e8, 1/2) is 1/(n+1); quad misses its mass
+        with pytest.raises(ArithmeticError, match=rf"underflow.*n={n}, rho={rho}"):
+            density_integral(n, rho)
 
     def test_endpoint_singularity_regime(self):
         # rho > 1/2 puts an algebraic singularity at x = 1; the substitution
