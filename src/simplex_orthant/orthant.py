@@ -19,13 +19,15 @@ up to log(n) factors.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 from scipy import integrate
-from scipy.special import log_ndtr, ndtri, roots_hermite
+from scipy.special import log_ndtr, roots_hermite
+from scipy.special.cython_special import ndtri, ndtri_exp
 
 from . import normal
 from .equicorrelated import (
@@ -59,8 +61,10 @@ class QuadratureSpec:
 class OrthantEstimate:
     """A value of f(n, rho) with its provenance.
 
-    std_error is zero exactly for the deterministic methods; count is the
-    node count or trial count actually used.
+    std_error is zero exactly for the deterministic methods.  count is the
+    node count Steck quadrature converged at, or the Monte Carlo trial count;
+    for density_integral it is the configured QuadratureSpec.nodes, which
+    adaptive quad never reads.
     """
 
     value: float
@@ -248,12 +252,19 @@ def density_integral(
     # (sqrt(2 pi))^(1/s - 1) / sqrt(s)
     log_pref = e * LOG_SQRT_2PI - 0.5 * math.log(s)
     eps = max(quad.rel_tol * 1e-2, 1e-14)
+    # quad calls the integrands hundreds of times: bind every name they use
+    # locally.  The scalar cython ndtri is the ufunc's kernel without its
+    # dispatch.  Each expression keeps its evaluation order, so quad sees the
+    # same floats and takes the same adaptive path.
+    exp, log, log1p = math.exp, math.log, math.log1p
+    log_sqrt_2pi, log_s = LOG_SQRT_2PI, math.log(s)
+    smallest_normal = sys.float_info.min
 
     def integrand_plain(x):
         if x <= 0.0 or x >= 1.0:
             return 0.0
         q = ndtri(x)
-        return math.exp(n * math.log(x) + e * (-0.5 * q * q - LOG_SQRT_2PI))
+        return exp(n * log(x) + e * (-0.5 * q * q - log_sqrt_2pi))
 
     lower, _ = integrate.quad(
         integrand_plain, 0.0, 0.5, epsabs=1e-300, epsrel=eps, limit=500
@@ -264,11 +275,16 @@ def density_integral(
             if tau <= 0.0:
                 return 0.0
             one_minus_x = tau**s
-            q = -ndtri(one_minus_x)
+            s_log_tau = s * log(tau)
+            if one_minus_x < smallest_normal:
+                # tau^s underflows (rho -> 1, small tau): invert in the log
+                q = -ndtri_exp(s_log_tau)
+            else:
+                q = -ndtri(one_minus_x)
             # log of phi(Phi^{-1}(x)) / (1-x); the (1-x)^e factor cancels
             # against the Jacobian s * tau^(s-1)
-            log_ratio = -0.5 * q * q - LOG_SQRT_2PI - s * math.log(tau)
-            return math.exp(n * math.log1p(-one_minus_x) + e * log_ratio + math.log(s))
+            log_ratio = -0.5 * q * q - log_sqrt_2pi - s_log_tau
+            return exp(n * log1p(-one_minus_x) + e * log_ratio + log_s)
 
         upper, _ = integrate.quad(
             integrand_upper, 0.0, 0.5 ** (1.0 / s), epsabs=1e-300, epsrel=eps, limit=500
@@ -278,6 +294,10 @@ def density_integral(
             integrand_plain, 0.5, 1.0, epsabs=1e-300, epsrel=eps, limit=500
         )
     value = math.exp(log_pref) * (lower + upper)
+    if not math.isfinite(value) or value > 1.0:
+        raise ArithmeticError(
+            f"density integral gave {value!r}, outside [0, 1], at (n={n}, rho={rho})"
+        )
     if value == 0.0:
         raise ArithmeticError(
             f"density integral underflowed to 0 at (n={n}, rho={rho}); "

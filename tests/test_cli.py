@@ -186,8 +186,8 @@ class TestSimplexCommand:
 
 
 class TestGoldenStdout:
-    """Stdout of the criterion-9 configs, a multi-n simplex run and the Steck
-    and bounds grids, byte for byte.
+    """Stdout of the criterion-9 configs, a multi-n simplex run and the Steck,
+    density and bounds grids, byte for byte.
 
     The files under tests/data/ pin the random streams and the number
     formatting.  Only a deliberate stream change, recorded in CHANGES.md,
@@ -214,6 +214,9 @@ class TestGoldenStdout:
             ("bounds_grid.csv",
              ["bounds", "--n", "10,100,1000,10000,100000",
               "--rho", "0.2,0.3,0.4,0.6,0.75,0.9"]),
+            ("compute_density.csv",
+             ["compute", "--n", "2,5,10,100,1000,10000", "--rho", "0.1:0.9:0.1",
+              "--method", "density"]),
         ],
     )
     def test_stdout_matches_golden(self, name, args, capsys):

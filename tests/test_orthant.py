@@ -6,10 +6,12 @@ the scipy-based implementation under test.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.special
+from scipy.special import cython_special
 
 from simplex_orthant import orthant
 from simplex_orthant.orthant import (
@@ -247,6 +249,56 @@ class TestDensityIntegral:
         assert density_integral(3, 0.75).value == pytest.approx(
             steck_quadrature(3, 0.75).value, rel=1e-10
         )
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rho_near_one_exact(self, n):
+        # at rho = 0.99, tau^s underflows for tau below about 1e-3.2
+        assert density_integral(n, 0.99).value == pytest.approx(
+            closed_form(n, 0.99).value, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [5, 10, 100, 1000])
+    def test_rho_near_one_matches_steck(self, n):
+        assert density_integral(n, 0.99).value == pytest.approx(
+            steck_quadrature(n, 0.99).value, rel=1e-12
+        )
+
+    # mpmath, dps=40, rho = mpf(0.99) (the binary double): quad of
+    # npdf(z) ncdf(z sqrt(s))^n over [-inf, c - 64 sig, c - 32 sig, ..., c - sig,
+    # c, c + r, c + 2r, ..., c + 64r, inf], with (c, sig) from
+    # orthant._steck_log_peak(n, sqrt(s)) and r = max(sig, 1); the same
+    # digits come out at dps=50.  Steck raises at these points.
+    @pytest.mark.parametrize(
+        "n, reference",
+        [
+            (10**4, 0.3494085374978352400472079),
+            (10**6, 0.3125674079175695215999259),
+            (10**8, 0.2831657200966272335284421),
+        ],
+    )
+    def test_rho_near_one_large_n(self, n, reference):
+        assert density_integral(n, 0.99).value == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [2.0, math.nan, math.inf])
+    def test_out_of_range_raises(self, bad, monkeypatch):
+        broken = SimpleNamespace(quad=lambda *args, **kwargs: (bad, 0.0))
+        monkeypatch.setattr(orthant, "integrate", broken)
+        with pytest.raises(ArithmeticError, match=r"outside \[0, 1\].*n=10, rho=0.3"):
+            density_integral(10, 0.3)
+
+
+class TestScalarNdtri:
+    """The density integrands call cython_special.ndtri; it must equal the ufunc."""
+
+    def test_bitwise_equal_to_ufunc(self):
+        rng = np.random.default_rng(60_601)
+        edges = [
+            5e-324, 1e-300, 2.2250738585072014e-308, 0.5,
+            math.nextafter(0.5, 0.0), 1.0 - 2.0**-53,
+        ]
+        points = edges + rng.random(20_000).tolist() + (rng.random(2_000) ** 40).tolist()
+        for x in points:
+            assert cython_special.ndtri(x) == scipy.special.ndtri(x), x
 
 
 class TestMonteCarlo:
