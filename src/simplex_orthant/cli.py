@@ -47,6 +47,13 @@ def _float_grid(text: str):
     return _parse_grid(text, float)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _fmt(value):
     if value is None:
         return NA
@@ -211,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("csv", "json", "plotdata"), default="csv")
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_positive_int, default=1)
 
     p = sub.add_parser("compute", help="f(n, rho) over a grid")
     common(p)

@@ -333,14 +333,19 @@ def is_vertex_max(P: BombieriPolynomial, geom: SimplexGeometry, vertex: int) -> 
     )
 
 
-def _derivative_chunks(n: int, k: int, seed: int):
-    """Chunk sampler mapping (chunk, size) to a size x rows derivative matrix."""
-    design = _design_matrix(n, k)
+def _derivative_chunks(n: int, k: int, seed: int, rows: Optional[int] = None):
+    """Chunk sampler mapping (chunk, size) to a size x rows derivative matrix.
+
+    It projects onto the first `rows` design rows (vertex 0's edges are the
+    first n), or onto all n(n+1) when `rows` is None.
+    """
+    design = _design_matrix(n, k)[:rows]
     sigma = np.sqrt(coefficient_variances(n, k))
 
     def sample(chunk: int, size: int) -> np.ndarray:
         rng = chunk_generator(seed, chunk)
-        coeffs = rng.standard_normal((size, len(sigma))) * sigma
+        coeffs = rng.standard_normal((size, len(sigma)))
+        coeffs *= sigma
         return coeffs @ design.T
 
     return sample
@@ -351,10 +356,12 @@ def analytic_vertex_probability(n: int, k: int) -> float:
     return orthant.best_estimate(n, rho_n(n, k)).value
 
 
-def _derivative_map(n: int, k: int, trials: int, seed: int, threads: int, reduce) -> list:
-    """reduce(size x n(n+1) edge derivatives) for each CHUNK_SIZE chunk, in chunk order."""
+def _derivative_map(
+    n: int, k: int, trials: int, seed: int, threads: int, reduce, rows: Optional[int] = None
+) -> list:
+    """reduce(size x rows edge derivatives) for each CHUNK_SIZE chunk, in chunk order."""
     sizes = _chunk_sizes(trials, CHUNK_SIZE)
-    sample = _derivative_chunks(n, k, seed)
+    sample = _derivative_chunks(n, k, seed, rows=rows)
     return _map_ordered(lambda c: reduce(sample(c, sizes[c])), len(sizes), threads)
 
 
@@ -364,9 +371,9 @@ def estimate_vertex_probability(
     """Empirical frequency of a relative maximum at vertex 0."""
 
     def count_hits(derivs: np.ndarray) -> int:
-        return int(np.count_nonzero(np.all(derivs[:, :n] > 0.0, axis=1)))
+        return int(np.count_nonzero(np.all(derivs > 0.0, axis=1)))
 
-    hits = _derivative_map(n, k, trials, seed, threads, count_hits)
+    hits = _derivative_map(n, k, trials, seed, threads, count_hits, rows=n)
     p_hat, se = hit_rate(sum(hits), trials)
     return ExperimentReport(
         estimate=p_hat,

@@ -79,6 +79,16 @@ class TestComputeCommand:
         assert code == 1 and out == ""
         assert "underflow" in err and "n=1000000, rho=0.01" in err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_exit_2(self, threads, capsys):
+        code, out, err = run_cli(
+            ["compute", "--n", "2", "--rho", "0.3", "--method", "mc",
+             "--trials", "1000", "--seed", "1", "--threads", threads],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "usage:" in err and "--threads: must be a positive integer" in err
+
     def test_mc_requires_seed(self, capsys):
         code, _, err = run_cli(
             ["compute", "--n", "2", "--rho", "0.3", "--method", "mc"], capsys

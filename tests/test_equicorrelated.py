@@ -1,10 +1,12 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simplex_orthant import equicorrelated
 from simplex_orthant.equicorrelated import (
     CrossBlockBound,
     EquicorrelatedSpec,
@@ -150,10 +152,91 @@ class TestSampler:
         first = sample_chunk(spec, 0, 100_000, seed=7)
         assert np.array_equal(a[:100_000], first)
 
+    def test_chunk_is_common_factor_formula(self):
+        spec = EquicorrelatedSpec(n=10, rho=0.3)
+        rng = chunk_generator(5, 2)
+        z0 = rng.standard_normal((1000, 1))
+        z = rng.standard_normal((1000, 10))
+        expected = math.sqrt(0.3) * z0 + math.sqrt(0.7) * z
+        assert np.array_equal(sample_chunk(spec, 2, 1000, seed=5), expected)
+
     def test_distinct_chunks_differ(self):
         g0 = chunk_generator(3, 0).standard_normal(4)
         g1 = chunk_generator(3, 1).standard_normal(4)
         assert not np.array_equal(g0, g1)
+
+
+@pytest.fixture
+def openblas_at_two():
+    """OpenBLAS's (get, set) pair, set to 2 threads and restored afterwards."""
+    blas = equicorrelated._openblas()
+    if blas is None:
+        pytest.skip("numpy does not use a scipy-openblas build")
+    get, set_ = blas
+    before = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(before)
+
+
+class TestChunkMap:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_blas_thread_inside_restored_after(self, openblas_at_two, threads):
+        seen = equicorrelated._map_ordered(lambda c: openblas_at_two(), 4, threads)
+        assert seen == [1, 1, 1, 1]
+        assert openblas_at_two() == 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_restored_when_a_chunk_raises(self, openblas_at_two, threads):
+        def chunk(c):
+            if c == 2:
+                raise RuntimeError("chunk failed")
+            return c
+
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            equicorrelated._map_ordered(chunk, 4, threads)
+        assert openblas_at_two() == 2
+
+    def test_overlapping_maps_in_two_threads(self, openblas_at_two):
+        # map b starts inside map a and ends after it: a's exit must neither
+        # restore the count under b nor leave b to restore a's setting
+        a_in, b_in, a_done = threading.Event(), threading.Event(), threading.Event()
+        results = {}
+
+        def chunk_a(c):
+            a_in.set()
+            b_in.wait(10)
+            return openblas_at_two()
+
+        def chunk_b(c):
+            b_in.set()
+            a_done.wait(10)
+            return openblas_at_two()
+
+        def run_a():
+            results["a"] = equicorrelated._map_ordered(chunk_a, 1, 1)
+            a_done.set()
+
+        def run_b():
+            results["b"] = equicorrelated._map_ordered(chunk_b, 1, 1)
+
+        thread_a = threading.Thread(target=run_a)
+        thread_a.start()
+        a_in.wait(10)
+        thread_b = threading.Thread(target=run_b)
+        thread_b.start()
+        thread_a.join(10)
+        thread_b.join(10)
+        assert not thread_a.is_alive() and not thread_b.is_alive()
+        assert results == {"a": [1], "b": [1]}
+        assert openblas_at_two() == 2
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_nonpositive_threads_raise(self, threads):
+        with pytest.raises(ValueError, match="threads must be positive"):
+            equicorrelated._map_ordered(lambda c: c, 2, threads)
 
 
 class TestTvBound:

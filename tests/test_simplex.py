@@ -1,13 +1,17 @@
 """Simplex geometry, the polynomial ensemble, and the vertex-maximum experiments."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplex_orthant import normal, orthant
+from simplex_orthant import equicorrelated, normal, orthant
 from simplex_orthant import simplex as sx
 from simplex_orthant.simplex import (
     BombieriPolynomial,
@@ -491,6 +495,62 @@ class TestGradientCorrelations:
         assert m == 5500 and z_m >= 5.0
         assert r_max == pytest.approx(abs(shared_edge), rel=1e-9)
         assert np.max(cross_vertex_corr(miswired)) > band
+
+
+# gradient_correlations(10, 5, 6000, seed=11) in 2000-trial chunks on 2 threads,
+# saved to argv[1]; K = 2002 makes the projection's rounding depend on how
+# many threads BLAS splits it over
+_CORRELATIONS_CHILD = """
+import sys
+import numpy as np
+from simplex_orthant import simplex
+simplex.CHUNK_SIZE = 2000
+np.save(sys.argv[1], simplex.gradient_correlations(10, 5, 6000, seed=11, threads=2))
+"""
+
+
+class TestBlasThreadInvariance:
+    def test_blas_thread_count_changes_no_byte(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(sx.__file__).parents[1]))
+        paths = []
+        for blas_threads in ("1", "2"):
+            path = tmp_path / f"corr_{blas_threads}.npy"
+            subprocess.run(
+                [sys.executable, "-c", _CORRELATIONS_CHILD, str(path)],
+                env=dict(env, OPENBLAS_NUM_THREADS=blas_threads),
+                check=True,
+                timeout=300,
+            )
+            paths.append(path)
+        assert np.array_equal(np.load(paths[0]), np.load(paths[1]))
+
+    def test_library_thread_count_changes_no_byte(self, monkeypatch):
+        monkeypatch.setattr(sx, "CHUNK_SIZE", 2000)
+        one, two, four = (
+            gradient_correlations(10, 5, 6000, seed=11, threads=t) for t in (1, 2, 4)
+        )
+        assert np.array_equal(one, two) and np.array_equal(one, four)
+
+    def test_same_results_without_openblas(self, monkeypatch):
+        def run():
+            return (
+                estimate_vertex_probability(3, 3, 120_000, seed=8, threads=2),
+                estimate_union_probability(3, 3, 120_000, seed=8, threads=2),
+                gradient_correlations(3, 3, 120_000, seed=8, threads=2),
+            )
+
+        vertex, union, corr = run()
+        monkeypatch.setattr(equicorrelated, "_openblas", lambda: None)
+        vertex_plain, union_plain, corr_plain = run()
+        assert vertex == vertex_plain and union == union_plain
+        assert np.array_equal(corr, corr_plain)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_nonpositive_threads_raise(self, threads):
+        with pytest.raises(ValueError, match="threads must be positive"):
+            estimate_vertex_probability(3, 3, 1000, seed=0, threads=threads)
+        with pytest.raises(ValueError, match="threads must be positive"):
+            orthant.monte_carlo(3, 0.5, 1000, seed=0, threads=threads)
 
 
 class TestIndependentUnionApprox:
