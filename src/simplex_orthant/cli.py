@@ -188,6 +188,7 @@ def cmd_simplex(args) -> list[dict]:
                 "independence_approx": union.independence_approx,
                 "tv_paper_literal": union.tv_paper_literal,
                 "tv_corrected": union.tv_corrected,
+                "tv_exact": union.tv_exact,
                 "envelope": union.envelope,
                 "_plot": [
                     (n, union.vertex_estimate, "vertex"),
@@ -204,7 +205,7 @@ SIMPLEX_COLUMNS = [
     "vertex_estimate", "vertex_std_error",
     "union_estimate", "union_std_error",
     "analytic_f", "independence_approx",
-    "tv_paper_literal", "tv_corrected", "envelope",
+    "tv_paper_literal", "tv_corrected", "tv_exact", "envelope",
 ]
 
 

@@ -14,6 +14,11 @@ its barycenter, identified with R^n through a fixed Helmert-style orthonormal
 basis of the hyperplane sum(x) = 0.  A polynomial has a relative maximum at a
 vertex iff all n edge directional derivatives there are strictly positive,
 which turns vertex-maximum frequencies into orthant probabilities.
+
+The union experiment samples those n(n+1) edge derivatives directly from
+their closed-form covariance instead of drawing all C(n+k-1, k)
+coefficients; `gradient_correlations` keeps the coefficient draws, so it
+stays an empirical test of that law.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .equicorrelated import (
     TvBound,
     _chunk_sizes,
     _map_ordered,
+    _one_blas_thread,
     chunk_generator,
     hit_rate,
     inverse_diag_offdiag,
@@ -41,10 +47,13 @@ from .equicorrelated import (
 
 MEMORY_BUDGET_BYTES = 256 * 2**20
 CHUNK_SIZE = 50_000
+# bytes that the normals, derivatives and signs of one union block may take;
+# a chunk runs in as many row blocks as that needs
+BLOCK_BYTES = MEMORY_BUDGET_BYTES // 8
 
 
 class ResourceBudgetError(Exception):
-    """Raised when a coefficient table would exceed the memory budget."""
+    """Raised when a coefficient table or covariance would exceed the memory budget."""
 
 
 @dataclass(frozen=True)
@@ -108,6 +117,7 @@ class ExperimentReport:
     independence_approx: Optional[float] = None
     tv_paper_literal: Optional[float] = None
     tv_corrected: Optional[float] = None
+    tv_exact: Optional[float] = None
     envelope: Optional[float] = None
 
 
@@ -241,6 +251,16 @@ def _check_budget(n: int, k: int, rows: int = 1) -> int:
     return d
 
 
+def _check_covariance_budget(n: int, k: int, size: int, arrays: int) -> None:
+    """Raise unless `arrays` float64 size x size edge-covariance arrays fit the budget."""
+    need = arrays * size * size * 8
+    if need > MEMORY_BUDGET_BYTES:
+        raise ResourceBudgetError(
+            f"{arrays} x {size} x {size} edge-covariance arrays for (n={n}, k={k}) "
+            f"({need} bytes) exceed the {MEMORY_BUDGET_BYTES}-byte budget"
+        )
+
+
 def sample_polynomial(n: int, k: int, seed: int) -> BombieriPolynomial:
     """One draw from the Gaussian polynomial ensemble, c_a ~ N(0, k!/a!)."""
     if n < 1 or k < 2:
@@ -311,6 +331,83 @@ def _design_matrix(n: int, k: int) -> np.ndarray:
     return out
 
 
+def edge_covariance(n: int, k: int, vertices=None) -> np.ndarray:
+    """Covariance of the edge derivatives at the given vertices (default: all).
+
+    Row order is that of `_design_rows`.  Entry ((a, v), (b, w)) is the dual
+    inner product k <v,w><a,b>^(k-1) + (k^2-k) <v,b><a,w><a,b>^(k-2),
+    evaluated at once over the Gram matrices of the embedded vertices and
+    their edge frames; no design row is built, and the cost does not depend
+    on the coefficient count.
+    """
+    if n < 1 or k < 2:
+        raise ValueError("need n >= 1 and k >= 2")
+    geom = build_geometry(n)
+    vertices = list(range(n + 1) if vertices is None else vertices)
+    count = len(vertices)
+    # the covariance and the cross term alive at once
+    _check_covariance_budget(n, k, count * n, arrays=2)
+    base = geom.embedded[vertices]
+    frames = np.array([edge_frame(geom, v).directions for v in vertices])
+    with _one_blas_thread():
+        ab = base @ base.T
+        vb = frames @ base.T  # <v, b>; its transpose (2, 0, 1) is <a, w>
+        vw = frames.reshape(-1, n) @ frames.reshape(-1, n).T
+    cov = vw.reshape(count, n, count, n)
+    cov *= (k * ab ** (k - 1))[:, None, :, None]
+    cross = vb[:, :, :, None] * (vb.transpose(2, 0, 1) * ab[:, :, None] ** (k - 2))[:, None]
+    cross *= k * k - k
+    cov += cross
+    return cov.reshape(count * n, count * n)
+
+
+@lru_cache(maxsize=2)
+def _edge_factor(n: int, k: int) -> np.ndarray:
+    """Read-only m x r factor F with F F^T = edge_covariance(n, k), m = n(n+1).
+
+    The cache is small because a factor takes up to a fifth of the budget;
+    one union call uses its factor twice (sampling and `tv_exact`).
+
+    It keeps the eigenvalues above m * eps * w_max, so r is the covariance's
+    numerical rank: below m whenever d = C(n+k-1, k) < m, where the
+    covariance is singular and a Cholesky factor would not exist.  The
+    budget check covers every m x m array before any is built, and eigh
+    runs on one BLAS thread, so the host's thread count changes no byte.
+    """
+    m = n * (n + 1)
+    # alive at once: the covariance, eigh's copy of it, the eigenvectors,
+    # and LAPACK syevd's workspace of about two more
+    _check_covariance_budget(n, k, m, arrays=5)
+    with _one_blas_thread():
+        w, vecs = np.linalg.eigh(edge_covariance(n, k))
+    keep = w > m * np.finfo(float).eps * w[-1]
+    factor = vecs[:, keep] * np.sqrt(w[keep])
+    factor.setflags(write=False)
+    return factor
+
+
+def _edge_chunks(n: int, k: int, seed: int):
+    """Chunk sampler mapping (chunk, size) to row blocks of size x n(n+1) derivatives.
+
+    A chunk splits evenly into the fewest blocks whose normals, derivatives
+    and signs fit BLOCK_BYTES.  The blocks draw the chunk's stream in turn,
+    so the split changes no normal, and no block has a single row (BLAS
+    rounds a one-row product differently) unless the chunk has one.
+    """
+    factor = _edge_factor(n, k)
+    m, r = factor.shape
+    block = max(1, BLOCK_BYTES // (8 * (r + m) + m))
+
+    def sample(chunk: int, size: int):
+        rng = chunk_generator(seed, chunk)
+        blocks = -(-size // block)
+        for b in range(blocks):
+            rows = size // blocks + (b < size % blocks)
+            yield rng.standard_normal((rows, r)) @ factor.T
+
+    return sample
+
+
 def derivative_norm_squared(n: int, k: int) -> float:
     """Analytic ||d/dv_i(a)||^2 = k ||a||^(2k-4) (||a||^2 + (k-1)/2)."""
     a_sq = n / (n + 1)
@@ -333,13 +430,9 @@ def is_vertex_max(P: BombieriPolynomial, geom: SimplexGeometry, vertex: int) -> 
     )
 
 
-def _derivative_chunks(n: int, k: int, seed: int, rows: Optional[int] = None):
-    """Chunk sampler mapping (chunk, size) to a size x rows derivative matrix.
-
-    It projects onto the first `rows` design rows (vertex 0's edges are the
-    first n), or onto all n(n+1) when `rows` is None.
-    """
-    design = _design_matrix(n, k)[:rows]
+def _derivative_chunks(n: int, k: int, seed: int):
+    """Chunk sampler mapping (chunk, size) to size x n(n+1) derivatives of drawn polynomials."""
+    design = _design_matrix(n, k)
     sigma = np.sqrt(coefficient_variances(n, k))
 
     def sample(chunk: int, size: int) -> np.ndarray:
@@ -356,28 +449,18 @@ def analytic_vertex_probability(n: int, k: int) -> float:
     return orthant.best_estimate(n, rho_n(n, k)).value
 
 
-def _derivative_map(
-    n: int, k: int, trials: int, seed: int, threads: int, reduce, rows: Optional[int] = None
-) -> list:
-    """reduce(size x rows edge derivatives) for each CHUNK_SIZE chunk, in chunk order."""
-    sizes = _chunk_sizes(trials, CHUNK_SIZE)
-    sample = _derivative_chunks(n, k, seed, rows=rows)
-    return _map_ordered(lambda c: reduce(sample(c, sizes[c])), len(sizes), threads)
-
-
 def estimate_vertex_probability(
     n: int, k: int, trials: int, seed: int, threads: int = 1
 ) -> ExperimentReport:
-    """Empirical frequency of a relative maximum at vertex 0."""
+    """Empirical frequency of a relative maximum at vertex 0.
 
-    def count_hits(derivs: np.ndarray) -> int:
-        return int(np.count_nonzero(np.all(derivs > 0.0, axis=1)))
-
-    hits = _derivative_map(n, k, trials, seed, threads, count_hits, rows=n)
-    p_hat, se = hit_rate(sum(hits), trials)
+    Vertex 0's n edge derivatives are equicorrelated with rho_n, so this is
+    the orthant Monte Carlo at (n, rho_n).
+    """
+    est = orthant.monte_carlo(n, rho_n(n, k), trials, seed, threads=threads)
     return ExperimentReport(
-        estimate=p_hat,
-        std_error=se,
+        estimate=est.value,
+        std_error=est.std_error,
         trials=trials,
         seed=seed,
         analytic_f=analytic_vertex_probability(n, k),
@@ -388,13 +471,21 @@ def estimate_union_probability(
     n: int, k: int, trials: int, seed: int, threads: int = 1
 ) -> ExperimentReport:
     """Empirical probability of a relative maximum at some vertex, and at vertex 0."""
+    sizes = _chunk_sizes(trials, CHUNK_SIZE)
+    sample = _edge_chunks(n, k, seed)
 
-    def count_hits(derivs: np.ndarray) -> tuple[int, int]:
-        vertex_max = np.all(derivs.reshape(len(derivs), n + 1, n) > 0.0, axis=2)
-        either = np.any(vertex_max, axis=1)
-        return int(np.count_nonzero(either)), int(np.count_nonzero(vertex_max[:, 0]))
+    def count_hits(chunk: int) -> tuple[int, int]:
+        union_hits = vertex_hits = 0
+        for derivs in sample(chunk, sizes[chunk]):
+            positive = (derivs > 0.0).reshape(len(derivs), n + 1, n)
+            vertex_max = positive[:, :, 0].copy()
+            for edge in range(1, n):
+                vertex_max &= positive[:, :, edge]
+            union_hits += int(np.count_nonzero(vertex_max.any(axis=1)))
+            vertex_hits += int(np.count_nonzero(vertex_max[:, 0]))
+        return union_hits, vertex_hits
 
-    counts = _derivative_map(n, k, trials, seed, threads, count_hits)
+    counts = _map_ordered(count_hits, len(sizes), threads)
     union_hits, vertex_hits = (sum(c) for c in zip(*counts))
     p_hat, se = hit_rate(union_hits, trials)
     vertex_hat, vertex_se = hit_rate(vertex_hits, trials)
@@ -413,6 +504,7 @@ def estimate_union_probability(
         independence_approx=independent_union_approx(n, k, f),
         tv_paper_literal=tv.paper_literal if tv else None,
         tv_corrected=tv.corrected if tv else None,
+        tv_exact=tv_exact(n, k) if tv else None,
         envelope=tv.envelope if tv else None,
     )
 
@@ -420,10 +512,19 @@ def estimate_union_probability(
 def gradient_correlations(
     n: int, k: int, trials: int, seed: int, threads: int = 1
 ) -> np.ndarray:
-    """Empirical correlation matrix of all (n+1)*n edge derivatives."""
-    parts = _derivative_map(
-        n, k, trials, seed, threads, lambda derivs: (derivs.sum(axis=0), derivs.T @ derivs)
-    )
+    """Empirical correlation matrix of all (n+1)*n edge derivatives.
+
+    It draws polynomial coefficients, not edge derivatives, so it tests the
+    closed-form law that the union experiment samples from.
+    """
+    sizes = _chunk_sizes(trials, CHUNK_SIZE)
+    sample = _derivative_chunks(n, k, seed)
+
+    def moments(chunk: int):
+        derivs = sample(chunk, sizes[chunk])
+        return derivs.sum(axis=0), derivs.T @ derivs
+
+    parts = _map_ordered(moments, len(sizes), threads)
     total, cross = (sum(p) for p in zip(*parts))
     mean = total / trials
     cov = cross / trials - np.outer(mean, mean)
@@ -453,7 +554,8 @@ def tv_pipeline(n: int, k: int) -> TvReport:
     """Cross-vertex dependence bound: epsilon, Lemma inverse, Frobenius chain.
 
     It feeds ``epsilon_n`` to ``CrossBlockBound`` as the entrywise bound on
-    the cross-vertex blocks, although the shared-edge entries exceed it.
+    the cross-vertex blocks, although the shared-edge entries exceed it;
+    ``tv_exact`` evaluates the same bound on the exact blocks.
     """
     if n < 2 or k < 2:
         raise ValueError("need n >= 2 and k >= 2")
@@ -471,3 +573,28 @@ def tv_pipeline(n: int, k: int) -> TvReport:
         corrected=tv.corrected,
         envelope=envelope,
     )
+
+
+def tv_exact(n: int, k: int) -> Optional[float]:
+    """Devroye-Mehrabian-Reddad bound 1.5 ||R0^-1/2 (R - R0) R0^-1/2||_F, exactly.
+
+    R is the correlation matrix of all n(n+1) edge derivatives and R0 its
+    block diagonal.  Every cross-vertex block has the same whitened
+    Frobenius norm, so the bound is 1.5 sqrt(n(n+1)) ||W B01 W||_F, with B01
+    the vertex-0/vertex-1 block and W = pI + qJ the inverse square root of
+    the equicorrelated block.  None where R is singular (the edge factor's
+    rank is below n(n+1)), since the bound needs R positive definite.
+    """
+    if n < 2 or k < 2:
+        raise ValueError("need n >= 2 and k >= 2")
+    if _edge_factor(n, k).shape[1] < n * (n + 1):
+        return None
+    rho = rho_n(n, k)
+    p = 1.0 / math.sqrt(1.0 - rho)
+    q = (1.0 / math.sqrt(1.0 + (n - 1) * rho) - p) / n
+    whiten = np.full((n, n), q)
+    whiten[np.diag_indices(n)] += p
+    block = edge_covariance(n, k, (0, 1))[:n, n:] / derivative_norm_squared(n, k)
+    with _one_blas_thread():
+        whitened = whiten @ block @ whiten
+    return 1.5 * math.sqrt(n * (n + 1)) * float(np.linalg.norm(whitened))

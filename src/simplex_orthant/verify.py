@@ -212,15 +212,22 @@ def suite_simplex(budget: str) -> list[dict]:
         detail.append(f"(n={n},k={k}): same-vertex dev {worst:.2e}, cross max {cross:.2e}")
     checks.append(_check("gradient_law", ok, "; ".join(detail)))
 
-    # analytic norm of the derivative functional vs empirical variance
+    # analytic norm of the derivative functional, and the closed-form edge
+    # covariance the union samples from, vs the law of the coefficient draws
     ok = True
+    worst = 0.0
     for n, k in ((3, 3), (5, 4)):
         design = simplex._design_matrix(n, k)
         var = simplex.coefficient_variances(n, k)
         empirical = float(np.sum(var * design[0] ** 2))
         analytic = simplex.derivative_norm_squared(n, k)
         ok &= abs(empirical - analytic) <= 1e-10 * analytic
+        implied = (design * var) @ design.T
+        dev = np.max(np.abs(simplex.edge_covariance(n, k) - implied)) / np.max(np.abs(implied))
+        worst = max(worst, float(dev))
     checks.append(_check("derivative_norm_formula", ok))
+    checks.append(_check("edge_covariance_law", worst <= 1e-12,
+                         f"max |C - R var R^T| / max |R var R^T| = {worst:.3e}"))
 
     # the vertex-0 derivative law (R var R^T) is the same in a rotated frame
     rng = np.random.Generator(np.random.Philox(key=99))

@@ -182,17 +182,29 @@ class TestSimplexCommand:
         assert code == 2 and "budget" in err
 
     def test_design_budget_checked_before_any_row(self, capsys, monkeypatch):
-        # at (30, 6) one coefficient vector fits the budget but the
-        # 930 x 1623160 design matrix (12 GB) does not
+        # at (30, 6) the 930 x 1623160 design matrix (12 GB) would not fit the
+        # budget, but the union samples the 930 edge derivatives from their
+        # covariance and builds no design row
         def no_rows(*args):
             raise AssertionError("a design row was built")
 
+        def no_eigh(*args):
+            raise AssertionError("eigh ran")
+
         monkeypatch.setattr(simplex, "_derivative_row", no_rows)
-        code, _, err = run_cli(
+        code, out, _ = run_cli(
             ["simplex", "--n", "30", "--k", "6", "--trials", "10", "--seed", "1"],
             capsys,
         )
-        assert code == 2 and "budget" in err and "d=1623160" in err
+        assert code == 0 and len(parse_csv(out)[1]) == 1
+        # at (60, 3) five 3660 x 3660 factor arrays (536 MB) do not fit: the
+        # budget is checked before eigh runs
+        monkeypatch.setattr(simplex.np.linalg, "eigh", no_eigh)
+        code, _, err = run_cli(
+            ["simplex", "--n", "60", "--k", "3", "--trials", "10", "--seed", "1"],
+            capsys,
+        )
+        assert code == 2 and "budget" in err and "3660 x 3660" in err
 
 
 class TestGoldenStdout:

@@ -23,6 +23,7 @@ from simplex_orthant.simplex import (
     derivative_inner_product,
     derivative_norm_squared,
     directional_derivative,
+    edge_covariance,
     edge_frame,
     epsilon_n,
     estimate_union_probability,
@@ -33,8 +34,10 @@ from simplex_orthant.simplex import (
     multi_index_table,
     rho_n,
     sample_polynomial,
+    tv_exact,
     tv_pipeline,
 )
+from simplex_orthant.equicorrelated import CrossBlockBound, tv_bound_frobenius
 
 INDEP_UNION_7 = 0.65639108419418335  # 1 - (7/8)^8
 
@@ -156,6 +159,45 @@ class TestDerivativeInnerProduct:
     def test_domain(self):
         with pytest.raises(ValueError):
             derivative_inner_product([1.0], [1.0], [1.0], [1.0], 1)
+
+
+class TestEdgeCovariance:
+    @pytest.mark.parametrize("n,k", [(2, 2), (3, 3), (4, 4), (4, 5), (10, 5)])
+    def test_matches_coefficient_law(self, n, k):
+        # the closed form is the covariance the coefficient draws induce
+        design = sx._design_matrix(n, k)
+        implied = (design * coefficient_variances(n, k)) @ design.T
+        cov = edge_covariance(n, k)
+        assert cov.shape == implied.shape == (n * (n + 1), n * (n + 1))
+        assert np.max(np.abs(cov - implied)) <= 1e-12 * np.max(np.abs(implied))
+
+    @pytest.mark.parametrize("n,k", [(1, 3), (2, 2), (3, 3), (4, 4), (4, 5), (10, 5)])
+    def test_factor_reproduces_covariance(self, n, k):
+        cov = edge_covariance(n, k)
+        factor = sx._edge_factor(n, k)
+        assert not factor.flags.writeable
+        assert np.max(np.abs(factor @ factor.T - cov)) <= 1e-12 * np.max(np.abs(cov))
+        # singular whenever d < n(n+1), e.g. rank 10 of 12 at (3, 3)
+        assert factor.shape[1] == np.linalg.matrix_rank(sx._design_matrix(n, k))
+        assert factor.shape[1] == min(coefficient_count(n, k), n * (n + 1))
+
+    def test_vertex_subset_is_a_block(self):
+        full = edge_covariance(5, 4)
+        pair = edge_covariance(5, 4, (0, 1))
+        assert np.max(np.abs(pair - full[:10, :10])) <= 1e-14 * np.max(np.abs(full))
+        # the same-vertex block is equicorrelated with rho_n
+        block = full[:5, :5] / derivative_norm_squared(5, 4)
+        assert np.allclose(block[~np.eye(5, dtype=bool)], rho_n(5, 4), rtol=1e-13)
+
+    def test_budget_checked_before_eigh(self, monkeypatch):
+        def no_eigh(*args):
+            raise AssertionError("eigh ran")
+
+        monkeypatch.setattr(sx.np.linalg, "eigh", no_eigh)
+        with pytest.raises(ResourceBudgetError, match=r"5 x 3660 x 3660"):
+            sx._edge_factor(60, 3)
+        with pytest.raises(ResourceBudgetError, match=r"budget"):
+            edge_covariance(200, 3)
 
 
 class TestRhoEpsilon:
@@ -429,12 +471,50 @@ class TestUnionProbability:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_vertex_fields_match_vertex_estimator(self, threads):
-        # three 50k chunks; the vertex-0 count comes from the union's own draws
-        union = estimate_union_probability(4, 5, 120_000, seed=7, threads=threads)
-        vertex = estimate_vertex_probability(4, 5, 120_000, seed=7, threads=threads)
-        assert union.vertex_estimate == vertex.estimate
-        assert union.vertex_std_error == vertex.std_error
+        # three 50k chunks; the union counts vertex 0 from its own edge
+        # derivatives, while the vertex estimator samples vertex 0's
+        # equicorrelated block on its own streams
+        n, k, trials, seed = 4, 5, 120_000, 7
+        union = estimate_union_probability(n, k, trials, seed=seed, threads=threads)
+        vertex = estimate_vertex_probability(n, k, trials, seed=seed, threads=threads)
+        sample = sx._edge_chunks(n, k, seed)
+        hits = sum(
+            int(np.count_nonzero(np.all(derivs[:, :n] > 0.0, axis=1)))
+            for chunk, size in enumerate(equicorrelated._chunk_sizes(trials, sx.CHUNK_SIZE))
+            for derivs in sample(chunk, size)
+        )
+        assert union.vertex_estimate == hits / trials
+        combined = math.hypot(union.vertex_std_error, vertex.std_error)
+        assert abs(union.vertex_estimate - vertex.estimate) <= 4.0 * combined
+        assert union == estimate_union_probability(n, k, trials, seed=seed, threads=1)
+        assert vertex == estimate_vertex_probability(n, k, trials, seed=seed, threads=1)
         assert union.estimate >= union.vertex_estimate
+
+    def test_row_blocks_change_no_draw(self, monkeypatch):
+        # at (4, 5) a row takes 8 (20 + 20) + 20 bytes; 7000 rows' worth
+        # splits each 50k chunk into 8 blocks of 6250
+        n, k, seed = 4, 5, 7
+        whole = estimate_union_probability(n, k, 120_000, seed=seed, threads=2)
+        (one_block,) = sx._edge_chunks(n, k, seed)(0, sx.CHUNK_SIZE)
+        monkeypatch.setattr(sx, "BLOCK_BYTES", 340 * 7000)
+        blocks = list(sx._edge_chunks(n, k, seed)(0, sx.CHUNK_SIZE))
+        assert [len(b) for b in blocks] == [6250] * 8
+        assert np.array_equal(np.concatenate(blocks), one_block)
+        assert estimate_union_probability(n, k, 120_000, seed=seed, threads=2) == whole
+
+    def test_matches_coefficient_space_reference(self):
+        # the derivative-space sampler against edge derivatives of drawn
+        # polynomials, through the design matrix, on another seed
+        n, k, trials = 4, 5, 100_000
+        union = estimate_union_probability(n, k, trials, seed=45)
+        sample = sx._derivative_chunks(n, k, 4545)
+        hits = 0
+        for chunk, size in enumerate(equicorrelated._chunk_sizes(trials, sx.CHUNK_SIZE)):
+            positive = sample(chunk, size).reshape(size, n + 1, n) > 0.0
+            hits += int(np.count_nonzero(np.any(np.all(positive, axis=2), axis=1)))
+        ref = hits / trials
+        ref_se = math.sqrt(ref * (1.0 - ref) / trials)
+        assert abs(union.estimate - ref) <= 4.0 * math.hypot(union.std_error, ref_se)
 
     def test_trend_k5(self):
         prev, prev_se = -1.0, 0.0
@@ -497,6 +577,15 @@ class TestGradientCorrelations:
         assert np.max(cross_vertex_corr(miswired)) > band
 
 
+# estimate_union_probability(10, 5, 6000, seed=11) in 2000-trial chunks on 2
+# threads, printed; the eigh of the 110 x 110 edge covariance and the K = 110
+# projection would round with the BLAS thread count
+_UNION_CHILD = """
+from simplex_orthant import simplex
+simplex.CHUNK_SIZE = 2000
+print(repr(simplex.estimate_union_probability(10, 5, 6000, seed=11, threads=2)))
+"""
+
 # gradient_correlations(10, 5, 6000, seed=11) in 2000-trial chunks on 2 threads,
 # saved to argv[1]; K = 2002 makes the projection's rounding depend on how
 # many threads BLAS splits it over
@@ -523,6 +612,21 @@ class TestBlasThreadInvariance:
             )
             paths.append(path)
         assert np.array_equal(np.load(paths[0]), np.load(paths[1]))
+
+    def test_blas_thread_count_changes_no_union_byte(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(sx.__file__).parents[1]))
+        reports = [
+            subprocess.run(
+                [sys.executable, "-c", _UNION_CHILD],
+                env=dict(env, OPENBLAS_NUM_THREADS=blas_threads),
+                check=True,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            ).stdout
+            for blas_threads in ("1", "2")
+        ]
+        assert reports[0].startswith("ExperimentReport(") and reports[0] == reports[1]
 
     def test_library_thread_count_changes_no_byte(self, monkeypatch):
         monkeypatch.setattr(sx, "CHUNK_SIZE", 2000)
@@ -591,6 +695,49 @@ class TestBetaSequence:
             beta_n_sequence(1, 3, 1.0)
         with pytest.raises(ValueError):
             beta_n_sequence(10, 3, 0.0)
+
+
+class TestTvExact:
+    def test_reference_values(self):
+        assert tv_exact(10, 5) == pytest.approx(0.0625, rel=1e-4)
+        assert tv_exact(30, 5) == pytest.approx(0.006776, rel=1e-3)
+        assert tv_exact(4, 4) == pytest.approx(1.198, rel=1e-3)
+        assert tv_exact(2, 5) == pytest.approx(1.416, rel=1e-3)
+
+    @pytest.mark.parametrize("n,k", [(3, 3), (2, 2), (10, 2), (2, 4)])
+    def test_singular_is_none(self, n, k):
+        # R is singular when d = C(n+k-1, k) < n(n+1); the bound needs R > 0
+        assert coefficient_count(n, k) < n * (n + 1)
+        assert tv_exact(n, k) is None
+
+    def test_matches_full_whitening(self):
+        # 1.5 ||R0^-1/2 (R - R0) R0^-1/2||_F over all n(n+1) x n(n+1)
+        n, k = 5, 4
+        corr = edge_covariance(n, k) / derivative_norm_squared(n, k)
+        vertex = np.arange(len(corr)) // n
+        same = vertex[:, None] == vertex[None, :]
+        w, v = np.linalg.eigh(np.where(same, corr, 0.0))
+        whiten = (v / np.sqrt(w)) @ v.T
+        full = 1.5 * np.linalg.norm(whiten @ np.where(same, 0.0, corr) @ whiten)
+        assert tv_exact(n, k) == pytest.approx(full, rel=1e-10)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [4, 6, 10, 20])
+    def test_below_frobenius_chain_with_exact_cross_max(self, n, k):
+        cross = edge_covariance(n, k, (0, 1))[:n, n:] / derivative_norm_squared(n, k)
+        r_max = float(np.max(np.abs(cross)))
+        pair = equicorrelated.inverse_diag_offdiag(
+            equicorrelated.EquicorrelatedSpec(n=n, rho=rho_n(n, k))
+        )
+        chain = tv_bound_frobenius(n, n + 1, CrossBlockBound(epsilon=r_max), pair)
+        exact = tv_exact(n, k)
+        assert exact is not None and 0.0 < exact <= chain.corrected
+
+    def test_in_union_report(self):
+        rep = estimate_union_probability(4, 4, 1000, seed=1)
+        assert rep.tv_exact == tv_exact(4, 4)
+        assert estimate_union_probability(3, 3, 1000, seed=1).tv_exact is None
+        assert estimate_union_probability(1, 3, 1000, seed=1).tv_exact is None
 
 
 class TestTvPipeline:
