@@ -33,6 +33,11 @@ def _parse_grid(text: str, cast):
     """Accept 'a,b,c' lists and 'start:stop:step' ranges (stop inclusive)."""
     if ":" in text:
         start, stop, step = (float(p) for p in text.split(":"))
+        # also rejects nan; with these bounds the grid holds at least start
+        if not (step > 0.0 and -math.inf < start <= stop < math.inf):
+            raise argparse.ArgumentTypeError(
+                f"range {text!r} needs finite start <= stop and step > 0"
+            )
         count = int(round((stop - start) / step)) + 1
         vals = [start + i * step for i in range(count) if start + i * step <= stop + 1e-12]
         return [cast(round(v, 12)) for v in vals]

@@ -25,7 +25,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 from scipy.special import log_ndtr, roots_hermite
 from scipy.special.cython_special import ndtri, ndtri_exp
 
@@ -41,6 +40,26 @@ from .equicorrelated import (
 )
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+class _DeferredIntegrate:
+    """Stands in for `scipy.integrate` until `density_integral` first calls quad.
+
+    Importing scipy.integrate (with the scipy.optimize and scipy.sparse.linalg
+    it loads) is about a third of a fresh process's import, and only the
+    density route needs it.  A plain import statement takes the import lock,
+    so threads that make the first call together each get the full module.
+    """
+
+    @staticmethod
+    def quad(*args, **kwargs):
+        from scipy import integrate
+
+        return integrate.quad(*args, **kwargs)
+
+
+# module attribute so that callers may substitute quad (tests, perfbench)
+integrate = _DeferredIntegrate()
 
 
 @dataclass(frozen=True)

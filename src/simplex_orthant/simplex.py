@@ -47,8 +47,9 @@ from .equicorrelated import (
 
 MEMORY_BUDGET_BYTES = 256 * 2**20
 CHUNK_SIZE = 50_000
-# bytes that the normals, derivatives and signs of one union block may take;
-# a chunk runs in as many row blocks as that needs
+# bytes that one row block of a Monte Carlo chunk may take (the union's
+# normals, derivatives and signs, or the coefficients gradient_correlations
+# draws); a chunk runs in as many row blocks as that needs
 BLOCK_BYTES = MEMORY_BUDGET_BYTES // 8
 
 
@@ -386,23 +387,29 @@ def _edge_factor(n: int, k: int) -> np.ndarray:
     return factor
 
 
+def _block_rows(size: int, row_bytes: int) -> list[int]:
+    """Row counts of the fewest even blocks of a size-row chunk within BLOCK_BYTES.
+
+    The blocks draw the chunk's stream in turn, so the split changes no
+    normal, and no block has a single row (BLAS rounds a one-row product
+    differently) unless the chunk has one.
+    """
+    block = max(1, BLOCK_BYTES // row_bytes)
+    blocks = -(-size // block)
+    return [size // blocks + (b < size % blocks) for b in range(blocks)]
+
+
 def _edge_chunks(n: int, k: int, seed: int):
     """Chunk sampler mapping (chunk, size) to row blocks of size x n(n+1) derivatives.
 
-    A chunk splits evenly into the fewest blocks whose normals, derivatives
-    and signs fit BLOCK_BYTES.  The blocks draw the chunk's stream in turn,
-    so the split changes no normal, and no block has a single row (BLAS
-    rounds a one-row product differently) unless the chunk has one.
+    A block's normals, derivatives and signs fit BLOCK_BYTES.
     """
     factor = _edge_factor(n, k)
     m, r = factor.shape
-    block = max(1, BLOCK_BYTES // (8 * (r + m) + m))
 
     def sample(chunk: int, size: int):
         rng = chunk_generator(seed, chunk)
-        blocks = -(-size // block)
-        for b in range(blocks):
-            rows = size // blocks + (b < size % blocks)
+        for rows in _block_rows(size, 8 * (r + m) + m):
             yield rng.standard_normal((rows, r)) @ factor.T
 
     return sample
@@ -431,15 +438,25 @@ def is_vertex_max(P: BombieriPolynomial, geom: SimplexGeometry, vertex: int) -> 
 
 
 def _derivative_chunks(n: int, k: int, seed: int):
-    """Chunk sampler mapping (chunk, size) to size x n(n+1) derivatives of drawn polynomials."""
+    """Chunk sampler mapping (chunk, size) to size x n(n+1) derivatives of drawn polynomials.
+
+    The coefficients are drawn and projected in row blocks whose
+    coefficients fit BLOCK_BYTES, each into its rows of the result.
+    """
     design = _design_matrix(n, k)
     sigma = np.sqrt(coefficient_variances(n, k))
+    m, d = design.shape
 
     def sample(chunk: int, size: int) -> np.ndarray:
         rng = chunk_generator(seed, chunk)
-        coeffs = rng.standard_normal((size, len(sigma)))
-        coeffs *= sigma
-        return coeffs @ design.T
+        derivs = np.empty((size, m))
+        start = 0
+        for rows in _block_rows(size, 8 * d):
+            coeffs = rng.standard_normal((rows, d))
+            coeffs *= sigma
+            np.matmul(coeffs, design.T, out=derivs[start : start + rows])
+            start += rows
+        return derivs
 
     return sample
 

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,6 +41,25 @@ class TestGridParsing:
 
     def test_single_value(self):
         assert cli._int_grid("7") == [7]
+
+    def test_golden_ranges_unchanged(self):
+        assert cli._float_grid("0.1:0.9:0.1") == [
+            0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9
+        ]
+        assert cli._float_grid("0.3:0.3:0.1") == [0.3]
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [("--rho", "0.9:0.1:0.1"), ("--rho", "0.1:0.9:0"), ("--rho", "0.1:0.9:-0.1"),
+         ("--rho", "nan:0.9:0.1"), ("--rho", "0.1:inf:0.1"),
+         ("--n", "10:5:1"), ("--n", "5:10:0"), ("--n", "5:10:-1")],
+    )
+    def test_bad_range_exit_2(self, flag, text, capsys):
+        argv = ["compute", "--n", "5", "--rho", "0.5", "--method", "closed"]
+        argv[argv.index(flag) + 1] = text
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert "usage:" in err and f"argument {flag}: range '{text}' needs" in err
 
 
 class TestComputeCommand:
@@ -245,6 +267,30 @@ class TestGoldenStdout:
         code, out, _ = run_cli(args, capsys)
         assert code == 0
         assert out.encode() == (DATA / name).read_bytes()
+
+
+class TestColdStart:
+    """A fresh CLI process loads scipy.integrate only when the density route runs."""
+
+    def fresh(self, args):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, *args], env=env, check=True, capture_output=True, timeout=300
+        ).stdout
+
+    def test_cli_import_loads_no_scipy_integrate(self):
+        out = self.fresh(
+            ["-c", "import sys, simplex_orthant.cli; "
+                   "print([m for m in sys.modules if m.startswith('scipy.integrate')])"]
+        )
+        assert out.decode().strip() == "[]"
+
+    def test_density_golden_in_fresh_process(self):
+        out = self.fresh(
+            ["-m", "simplex_orthant.cli", "compute", "--n", "2,5,10,100,1000,10000",
+             "--rho", "0.1:0.9:0.1", "--method", "density"]
+        )
+        assert out == (DATA / "compute_density.csv").read_bytes()
 
 
 class TestDeterminism:

@@ -5,7 +5,12 @@ integrates Phi^n(z sqrt(s)) phi(z) directly with mp.quad, independently of
 the scipy-based implementation under test.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -285,6 +290,49 @@ class TestDensityIntegral:
         monkeypatch.setattr(orthant, "integrate", broken)
         with pytest.raises(ArithmeticError, match=r"outside \[0, 1\].*n=10, rho=0.3"):
             density_integral(10, 0.3)
+
+
+# two threads make a fresh process's first density_integral call at once,
+# so both race to import scipy.integrate, whose quad module the package import
+# must not have loaded; prints each thread's value or error.  A lazy module
+# (importlib.util.LazyLoader) fails here: one thread finds no attribute quad.
+_FIRST_QUAD_CHILD = """
+import json, sys, threading
+from simplex_orthant.orthant import density_integral
+assert "scipy.integrate._quadpack_py" not in sys.modules
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(2, timeout=60)
+results = [None, None]
+
+def first_call(i):
+    barrier.wait()
+    try:
+        results[i] = repr(density_integral(50, 0.3).value)
+    except Exception as exc:
+        results[i] = repr(exc)
+
+threads = [threading.Thread(target=first_call, args=(i,)) for i in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=120)
+assert not any(t.is_alive() for t in threads)
+print(json.dumps(results))
+"""
+
+
+class TestDeferredIntegrate:
+    """scipy.integrate is imported at the first quad call, not with the package."""
+
+    def test_concurrent_first_calls_get_serial_value(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(orthant.__file__).parents[1]))
+        serial = repr(density_integral(50, 0.3).value)
+        for _ in range(3):
+            out = subprocess.run(
+                [sys.executable, "-c", _FIRST_QUAD_CHILD],
+                env=env, check=True, capture_output=True, text=True, timeout=300,
+            ).stdout
+            assert json.loads(out) == [serial, serial]
 
 
 class TestScalarNdtri:

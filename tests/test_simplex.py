@@ -543,6 +543,20 @@ class TestGradientCorrelations:
         # for k <= 5, and at (3, 3) it is 1.531
         assert cross <= 1.75 * epsilon_n(n, k) + 3.5 / math.sqrt(trials)
 
+    def test_row_blocks_change_no_byte(self, monkeypatch):
+        # at (4, 5) a row of d = 56 coefficients takes 448 bytes; 7000 rows'
+        # worth splits each 50k chunk into 8 blocks of 6250 and the last 20k
+        # chunk into 3
+        n, k, seed, trials = 4, 5, 7, 120_000
+        whole = gradient_correlations(n, k, trials, seed=seed, threads=2)
+        with equicorrelated._one_blas_thread():
+            one_block = sx._derivative_chunks(n, k, seed)(0, sx.CHUNK_SIZE)
+            monkeypatch.setattr(sx, "BLOCK_BYTES", 448 * 7000)
+            assert sx._block_rows(sx.CHUNK_SIZE, 448) == [6250] * 8
+            split = sx._derivative_chunks(n, k, seed)(0, sx.CHUNK_SIZE)
+        assert np.array_equal(split, one_block)
+        assert np.array_equal(gradient_correlations(n, k, trials, seed=seed, threads=2), whole)
+
     def test_familywise_band_rejects_miswired_design(self):
         # criterion 7's band at (10, 5) and 1e5 trials, r_max + z_M/sqrt(trials)
         # over the M = 5500 cross-vertex entries, must reject the exact law of
