@@ -2,7 +2,6 @@
 random homogeneous polynomials on the zero-centered simplex."""
 
 from .equicorrelated import (
-    CrossBlockBound,
     EquicorrelatedSpec,
     InverseDiagonalPair,
     TvBound,
@@ -25,7 +24,6 @@ from .normal import (
 from .orthant import (
     BoundReport,
     OrthantEstimate,
-    QuadratureSpec,
     best_estimate,
     bound_high_rho_lower,
     bound_high_rho_upper,

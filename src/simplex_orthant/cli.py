@@ -27,6 +27,7 @@ from . import orthant, simplex, verify
 from .simplex import ResourceBudgetError
 
 NA = "NA"
+MAX_GRID_POINTS = 10**6
 
 
 def _parse_grid(text: str, cast):
@@ -38,7 +39,14 @@ def _parse_grid(text: str, cast):
             raise argparse.ArgumentTypeError(
                 f"range {text!r} needs finite start <= stop and step > 0"
             )
-        count = int(round((stop - start) / step)) + 1
+        # size the range before building it: a tiny step overflows the
+        # quotient or asks for more points than memory holds
+        quotient = (stop - start) / step
+        if not (math.isfinite(quotient) and round(quotient) < MAX_GRID_POINTS):
+            raise argparse.ArgumentTypeError(
+                f"range {text!r} needs at most {MAX_GRID_POINTS} points"
+            )
+        count = int(round(quotient)) + 1
         vals = [start + i * step for i in range(count) if start + i * step <= stop + 1e-12]
         return [cast(round(v, 12)) for v in vals]
     return [cast(p) for p in text.split(",")]
@@ -95,7 +103,6 @@ def _emit(rows, columns, fmt, out, command, config):
 
 
 def cmd_compute(args) -> list[dict]:
-    quad = orthant.QuadratureSpec(nodes=args.nodes, rel_tol=args.rel_tol)
     rows = []
     for n in args.n:
         for rho in args.rho:
@@ -104,9 +111,9 @@ def cmd_compute(args) -> list[dict]:
                 if est is None:
                     raise ValueError(f"no closed form for (n={n}, rho={rho})")
             elif args.method == "steck":
-                est = orthant.steck_quadrature(n, rho, quad)
+                est = orthant.steck_quadrature(n, rho)
             elif args.method == "density":
-                est = orthant.density_integral(n, rho, quad)
+                est = orthant.density_integral(n, rho)
             else:
                 if args.seed is None:
                     raise ValueError("--seed is required for --method mc")
@@ -131,11 +138,10 @@ COMPUTE_COLUMNS = ["n", "rho", "method", "value", "std_error", "count"]
 
 
 def cmd_bounds(args) -> list[dict]:
-    quad = orthant.QuadratureSpec(nodes=args.nodes, rel_tol=args.rel_tol)
     rows = []
     for n in args.n:
         for rho in args.rho:
-            est = orthant.best_estimate(n, rho, quad)
+            est = orthant.best_estimate(n, rho)
             report = orthant.theorem_bounds(n, rho)
             # n^(1 - 1/rho) has no meaning at rho = 0, so neither has the ratio
             ratio = orthant.scaled_ratio(n, rho, est.value) if 0 < est.value < 1 and rho else None
@@ -231,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_grid, required=True)
     p.add_argument("--rho", type=_float_grid, required=True)
     p.add_argument("--method", choices=("closed", "steck", "density", "mc"), default="steck")
-    p.add_argument("--nodes", type=int, default=200)
-    p.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol")
     p.add_argument("--trials", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=None)
 
@@ -240,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--n", type=_int_grid, required=True)
     p.add_argument("--rho", type=_float_grid, required=True)
-    p.add_argument("--nodes", type=int, default=200)
-    p.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol")
 
     p = sub.add_parser("simplex", help="vertex / union maximum experiments")
     common(p)

@@ -58,17 +58,6 @@ class InverseDiagonalPair:
     beta: float
 
 
-@dataclass(frozen=True)
-class CrossBlockBound:
-    """Uniform entrywise bound on the cross-vertex covariance block."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be nonnegative")
-
-
 class TvBound(NamedTuple):
     """Both readings of the Devroye-Mehrabian-Reddad Frobenius bound."""
 
@@ -225,10 +214,8 @@ def sample_chunk(
     return z
 
 
-def tv_bound_frobenius(
-    n: int, m: int, entry_bound: CrossBlockBound, inv: InverseDiagonalPair
-) -> TvBound:
-    """Bound on TV(G_eps, G_0) from the entrywise cross-block bound.
+def tv_bound_frobenius(n: int, m: int, epsilon: float, inv: InverseDiagonalPair) -> TvBound:
+    """Bound on TV(G_eps, G_0) from an entrywise bound epsilon on the cross blocks.
 
     Each entry of a nonzero block of Sigma_eps Sigma_0^{-1} - I is bounded by
     epsilon * (|alpha| + (n-1)|beta|).  ``paper_literal`` is the displayed
@@ -238,27 +225,9 @@ def tv_bound_frobenius(
     """
     if n < 1 or m < 2:
         raise ValueError("need block dimension n >= 1 and m >= 2 blocks")
-    eps = entry_bound.epsilon
+    if epsilon < 0.0:
+        raise ValueError("epsilon must be nonnegative")
     row_l1 = abs(inv.alpha) + (n - 1) * abs(inv.beta)
-    literal = 1.5 * (m * m - m) * n * n * eps * eps * row_l1 * row_l1
-    corrected = 1.5 * math.sqrt(m * m - m) * n * eps * row_l1
+    literal = 1.5 * (m * m - m) * n * n * epsilon * epsilon * row_l1 * row_l1
+    corrected = 1.5 * math.sqrt(m * m - m) * n * epsilon * row_l1
     return TvBound(paper_literal=literal, corrected=corrected)
-
-
-def assemble_block_operator(
-    n: int, m: int, cross_block: np.ndarray, spec: EquicorrelatedSpec
-) -> np.ndarray:
-    """Exact Sigma_eps Sigma_0^{-1} - I for a given cross block M.
-
-    Used to validate tv_bound_frobenius against the exactly assembled
-    (m*n) x (m*n) matrix at desk scale.
-    """
-    if cross_block.shape != (n, n):
-        raise ValueError("cross block must be n x n")
-    mb = cross_block @ inverse_matrix(spec)
-    out = np.zeros((m * n, m * n))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                out[i * n : (i + 1) * n, j * n : (j + 1) * n] = mb
-    return out

@@ -41,6 +41,17 @@ from .equicorrelated import (
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
+# Steck doubles its Gauss-Hermite rule from STECK_NODES nodes at most
+# STECK_DOUBLINGS times (200 -> 6400) until two successive values agree to
+# STECK_REL_TOL.  Past 6400 nodes that agreement stops meaning accuracy: at
+# 12800 nodes (1e8, 0.995) stops 4.0e-10 off the true value, at 51200
+# (1e8, 0.999) stops 5.6e-9 off, so such points raise instead.
+STECK_NODES = 200
+STECK_DOUBLINGS = 5
+STECK_REL_TOL = 1e-10
+# density_integral asks quad for a hundredth of Steck's tolerance
+DENSITY_EPSREL = 1e-12
+
 
 class _DeferredIntegrate:
     """Stands in for `scipy.integrate` until `density_integral` first calls quad.
@@ -63,27 +74,12 @@ integrate = _DeferredIntegrate()
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """Node count / tolerance configuration for the deterministic methods."""
-
-    nodes: int = 200
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.nodes < 2:
-            raise ValueError("nodes must be >= 2")
-        if self.rel_tol < 1e-14:
-            raise ValueError("rel_tol must be >= 1e-14")
-
-
-@dataclass(frozen=True)
 class OrthantEstimate:
     """A value of f(n, rho) with its provenance.
 
     std_error is zero exactly for the deterministic methods.  count is the
     node count Steck quadrature converged at, or the Monte Carlo trial count;
-    for density_integral it is the configured QuadratureSpec.nodes, which
-    adaptive quad never reads.
+    for density_integral it is STECK_NODES, which adaptive quad never reads.
     """
 
     value: float
@@ -218,27 +214,24 @@ def _steck_fixed_nodes(n: int, rho: float, nodes: int, center: float, sigma: flo
     return math.sqrt(2.0) * sigma * math.exp(_logsumexp(log_terms) - LOG_SQRT_2PI)
 
 
-def steck_quadrature(
-    n: int, rho: float, quad: QuadratureSpec | None = None
-) -> OrthantEstimate:
+def steck_quadrature(n: int, rho: float) -> OrthantEstimate:
     """E[Phi^n(Z sqrt(s))] by Gauss-Hermite quadrature recentred at the peak.
 
     For large n the integrand mass leaves the span of fixed nodes, so the
     rule is centred at the maximizer of n log Phi(z sqrt(s)) - z^2/2 and
     scaled by the local curvature.  Nodes are doubled until two successive
-    values agree to rel_tol.
+    values agree to STECK_REL_TOL.
     """
     check_domain(n, rho)
     if not (0.0 < rho < 1.0):
         raise ValueError("steck identity requires 0 < rho < 1")
-    quad = quad or QuadratureSpec()
     peak = _steck_log_peak(n, math.sqrt(rho / (1.0 - rho)))
-    nodes = quad.nodes
+    nodes = STECK_NODES
     value = _steck_fixed_nodes(n, rho, nodes, *peak)
-    for _ in range(4):
+    for _ in range(STECK_DOUBLINGS):
         nodes *= 2
         refined = _steck_fixed_nodes(n, rho, nodes, *peak)
-        if abs(refined - value) <= quad.rel_tol * max(abs(refined), 1e-300):
+        if abs(refined - value) <= STECK_REL_TOL * max(abs(refined), 1e-300):
             if refined == 0.0:
                 raise ArithmeticError(
                     f"steck quadrature underflowed to 0 at (n={n}, rho={rho})"
@@ -248,14 +241,12 @@ def steck_quadrature(
             )
         value = refined
     raise ArithmeticError(
-        f"steck quadrature failed to converge to rel_tol={quad.rel_tol} "
+        f"steck quadrature failed to converge to rel_tol={STECK_REL_TOL} "
         f"at (n={n}, rho={rho})"
     )
 
 
-def density_integral(
-    n: int, rho: float, quad: QuadratureSpec | None = None
-) -> OrthantEstimate:
+def density_integral(n: int, rho: float) -> OrthantEstimate:
     """The [0,1] density-transform integral, split at 1/2.
 
     For rho > 1/2 the exponent 1/s - 1 lies in (-1, 0) and the integrand has
@@ -265,12 +256,10 @@ def density_integral(
     check_domain(n, rho)
     if not (0.0 < rho < 1.0):
         raise ValueError("density integral requires 0 < rho < 1")
-    quad = quad or QuadratureSpec()
     s = rho / (1.0 - rho)
     e = 1.0 / s - 1.0
     # (sqrt(2 pi))^(1/s - 1) / sqrt(s)
     log_pref = e * LOG_SQRT_2PI - 0.5 * math.log(s)
-    eps = max(quad.rel_tol * 1e-2, 1e-14)
     # quad calls the integrands hundreds of times: bind every name they use
     # locally.  The scalar cython ndtri is the ufunc's kernel without its
     # dispatch.  Each expression keeps its evaluation order, so quad sees the
@@ -286,7 +275,7 @@ def density_integral(
         return exp(n * log(x) + e * (-0.5 * q * q - log_sqrt_2pi))
 
     lower, _ = integrate.quad(
-        integrand_plain, 0.0, 0.5, epsabs=1e-300, epsrel=eps, limit=500
+        integrand_plain, 0.0, 0.5, epsabs=1e-300, epsrel=DENSITY_EPSREL, limit=500
     )
     if s > 1.0:
 
@@ -306,11 +295,12 @@ def density_integral(
             return exp(n * log1p(-one_minus_x) + e * log_ratio + log_s)
 
         upper, _ = integrate.quad(
-            integrand_upper, 0.0, 0.5 ** (1.0 / s), epsabs=1e-300, epsrel=eps, limit=500
+            integrand_upper, 0.0, 0.5 ** (1.0 / s),
+            epsabs=1e-300, epsrel=DENSITY_EPSREL, limit=500,
         )
     else:
         upper, _ = integrate.quad(
-            integrand_plain, 0.5, 1.0, epsabs=1e-300, epsrel=eps, limit=500
+            integrand_plain, 0.5, 1.0, epsabs=1e-300, epsrel=DENSITY_EPSREL, limit=500
         )
     value = math.exp(log_pref) * (lower + upper)
     if not math.isfinite(value) or value > 1.0:
@@ -323,7 +313,7 @@ def density_integral(
             "quad found no mass near x = 1"
         )
     return OrthantEstimate(
-        value=value, std_error=0.0, method="density_integral", count=quad.nodes
+        value=value, std_error=0.0, method="density_integral", count=STECK_NODES
     )
 
 
@@ -449,9 +439,7 @@ def theorem_bounds(n: int, rho: float) -> BoundReport:
     )
 
 
-def best_estimate(
-    n: int, rho: float, quad: QuadratureSpec | None = None
-) -> OrthantEstimate:
+def best_estimate(n: int, rho: float) -> OrthantEstimate:
     """Closed form when one exists, otherwise Steck quadrature."""
     exact = closed_form(n, rho)
     if exact is not None:
@@ -460,4 +448,4 @@ def best_estimate(
         raise ValueError(
             f"no closed form and no integral identity for rho={rho} <= 0"
         )
-    return steck_quadrature(n, rho, quad)
+    return steck_quadrature(n, rho)

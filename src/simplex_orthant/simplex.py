@@ -33,7 +33,6 @@ import numpy as np
 
 from . import orthant
 from .equicorrelated import (
-    CrossBlockBound,
     EquicorrelatedSpec,
     TvBound,
     _chunk_sizes,
@@ -570,7 +569,7 @@ def beta_n_sequence(n: int, k: int, c: float) -> float:
 def tv_pipeline(n: int, k: int) -> TvReport:
     """Cross-vertex dependence bound: epsilon, Lemma inverse, Frobenius chain.
 
-    It feeds ``epsilon_n`` to ``CrossBlockBound`` as the entrywise bound on
+    It feeds ``epsilon_n`` to ``tv_bound_frobenius`` as the entrywise bound on
     the cross-vertex blocks, although the shared-edge entries exceed it;
     ``tv_exact`` evaluates the same bound on the exact blocks.
     """
@@ -578,7 +577,7 @@ def tv_pipeline(n: int, k: int) -> TvReport:
         raise ValueError("need n >= 2 and k >= 2")
     eps = epsilon_n(n, k)
     pair = inverse_diag_offdiag(EquicorrelatedSpec(n=n, rho=rho_n(n, k)))
-    tv: TvBound = tv_bound_frobenius(n, n + 1, CrossBlockBound(epsilon=eps), pair)
+    tv: TvBound = tv_bound_frobenius(n, n + 1, eps, pair)
     envelope = (k + 1) ** 2 / n ** (2 * k - 8)
     return TvReport(
         n=n,

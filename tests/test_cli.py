@@ -1,5 +1,6 @@
 """CLI behavior: schemas, encodings, determinism, and the exit-code contract."""
 
+import argparse
 import csv
 import io
 import json
@@ -30,6 +31,25 @@ def parse_csv(text):
     return rows[0], rows[1:]
 
 
+class TestOptions:
+    def test_option_strings_per_subcommand(self):
+        # the whole CLI surface: adding or removing a knob must edit this test
+        (sub,) = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        common = {"-h", "--help", "--format", "--output", "--threads"}
+        expected = {
+            "compute": common | {"--n", "--rho", "--method", "--trials", "--seed"},
+            "bounds": common | {"--n", "--rho"},
+            "simplex": common | {"--n", "--k", "--trials", "--seed"},
+            "verify": {"-h", "--help", "--budget", "--output", "--suite"},
+        }
+        found = {
+            name: {s for action in parser._actions for s in action.option_strings}
+            for name, parser in sub.choices.items()
+        }
+        assert found == expected
+
+
 class TestGridParsing:
     def test_comma_lists(self):
         assert cli._int_grid("2,5,10") == [2, 5, 10]
@@ -52,7 +72,8 @@ class TestGridParsing:
         "flag, text",
         [("--rho", "0.9:0.1:0.1"), ("--rho", "0.1:0.9:0"), ("--rho", "0.1:0.9:-0.1"),
          ("--rho", "nan:0.9:0.1"), ("--rho", "0.1:inf:0.1"),
-         ("--n", "10:5:1"), ("--n", "5:10:0"), ("--n", "5:10:-1")],
+         ("--n", "10:5:1"), ("--n", "5:10:0"), ("--n", "5:10:-1"),
+         ("--rho", "0:1:5e-324"), ("--rho", "0:1:1e-12")],
     )
     def test_bad_range_exit_2(self, flag, text, capsys):
         argv = ["compute", "--n", "5", "--rho", "0.5", "--method", "closed"]
@@ -74,8 +95,7 @@ class TestComputeCommand:
 
     def test_steck_value(self, capsys):
         code, out, _ = run_cli(
-            ["compute", "--n", "2", "--rho", "0.5", "--method", "steck", "--nodes", "200"],
-            capsys,
+            ["compute", "--n", "2", "--rho", "0.5", "--method", "steck"], capsys
         )
         _, rows = parse_csv(out)
         assert code == 0

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from simplex_orthant import equicorrelated
 from simplex_orthant.equicorrelated import (
-    CrossBlockBound,
     EquicorrelatedSpec,
-    assemble_block_operator,
     chunk_generator,
     covariance_matrix,
     inverse_diag_offdiag,
@@ -242,30 +240,20 @@ class TestChunkMap:
 class TestTvBound:
     def test_zero_epsilon(self):
         pair = inverse_diag_offdiag(EquicorrelatedSpec(n=4, rho=0.6))
-        tv = tv_bound_frobenius(4, 5, CrossBlockBound(epsilon=0.0), pair)
+        tv = tv_bound_frobenius(4, 5, 0.0, pair)
         assert tv.paper_literal == 0.0 and tv.corrected == 0.0
 
     def test_homogeneity_in_epsilon(self):
         pair = inverse_diag_offdiag(EquicorrelatedSpec(n=4, rho=0.6))
-        one = tv_bound_frobenius(4, 5, CrossBlockBound(epsilon=1e-3), pair)
-        two = tv_bound_frobenius(4, 5, CrossBlockBound(epsilon=2e-3), pair)
+        one = tv_bound_frobenius(4, 5, 1e-3, pair)
+        two = tv_bound_frobenius(4, 5, 2e-3, pair)
         assert two.corrected == pytest.approx(2.0 * one.corrected, rel=1e-14)
         assert two.paper_literal == pytest.approx(4.0 * one.paper_literal, rel=1e-14)
-
-    def test_dominates_exact_frobenius(self):
-        # worst-case cross block: all entries at +epsilon
-        n, m = 10, 11
-        eps = 4.1 / 9000.0
-        spec = EquicorrelatedSpec(n=n, rho=rho_n(10, 5))
-        pair = inverse_diag_offdiag(spec)
-        tv = tv_bound_frobenius(n, m, CrossBlockBound(epsilon=eps), pair)
-        block = np.full((n, n), eps)
-        exact = 1.5 * np.linalg.norm(assemble_block_operator(n, m, block, spec))
-        assert exact <= tv.corrected + 1e-12
-        # and the corrected reading is the sqrt of the literal chain / (3/2)
-        assert tv.corrected == pytest.approx(
-            1.5 * math.sqrt(tv.paper_literal / 1.5), rel=1e-12
-        )
+        # the corrected reading is the sqrt of the literal chain / (3/2)
+        for tv in (one, two):
+            assert tv.corrected == pytest.approx(
+                1.5 * math.sqrt(tv.paper_literal / 1.5), rel=1e-12
+            )
 
     def test_entry_bound_row_sum(self):
         # every entry of M B is bounded by eps * (|alpha| + (n-1)|beta|)
@@ -282,6 +270,6 @@ class TestTvBound:
     def test_domain(self):
         pair = inverse_diag_offdiag(EquicorrelatedSpec(n=2, rho=0.5))
         with pytest.raises(ValueError):
-            tv_bound_frobenius(2, 1, CrossBlockBound(epsilon=0.1), pair)
-        with pytest.raises(ValueError):
-            CrossBlockBound(epsilon=-1.0)
+            tv_bound_frobenius(2, 1, 0.1, pair)
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            tv_bound_frobenius(2, 2, -1.0, pair)

@@ -21,7 +21,6 @@ from scipy.special import cython_special
 from simplex_orthant import orthant
 from simplex_orthant.orthant import (
     OrthantEstimate,
-    QuadratureSpec,
     best_estimate,
     bound_high_rho_lower,
     bound_high_rho_upper,
@@ -48,16 +47,19 @@ F_ORACLE = {
 }
 SHEPPARD_08 = 0.39758361765043327  # 1/4 + arcsin(0.8)/(2 pi)
 DAVID_09 = 0.3923252801534703  # 1/8 + 3 arcsin(0.9)/(4 pi)
+# f(n, 0.99) from mpmath, dps=40, rho = mpf(0.99) (the binary double): quad of
+# npdf(z) ncdf(z sqrt(s))^n over [-inf, c - 64 sig, c - 32 sig, ..., c - sig,
+# c, c + r, c + 2r, ..., c + 64r, inf], with (c, sig) from
+# orthant._steck_log_peak(n, sqrt(s)) and r = max(sig, 1); the same
+# digits come out at dps=50.
+RHO_099_REFERENCE = [
+    (10**4, 0.3494085374978352400472079),
+    (10**6, 0.3125674079175695215999259),
+    (10**8, 0.2831657200966272335284421),
+]
 
 
 class TestSpecs:
-    def test_quadrature_spec_validation(self):
-        QuadratureSpec(nodes=2, rel_tol=1e-14)
-        with pytest.raises(ValueError):
-            QuadratureSpec(nodes=1)
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=1e-15)
-
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
             OrthantEstimate(value=1.2, std_error=0.0, method="x", count=0)
@@ -158,7 +160,8 @@ class TestSteckQuadrature:
             steck_quadrature(10, 0.5)
 
     def test_one_peak_search_per_call(self, monkeypatch):
-        # (1000, 0.99) doubles the nodes four times, from 200 to 3200
+        # (1000, 0.99) doubles the nodes four times, from 200 to 3200;
+        # (1e4, 0.99) takes the fifth doubling, to 6400
         calls = {"peak": 0, "fixed": 0}
         peak, fixed = orthant._steck_log_peak, orthant._steck_fixed_nodes
 
@@ -170,9 +173,31 @@ class TestSteckQuadrature:
 
         monkeypatch.setattr(orthant, "_steck_log_peak", counted("peak", peak))
         monkeypatch.setattr(orthant, "_steck_fixed_nodes", counted("fixed", fixed))
-        est = steck_quadrature(1000, 0.99)
-        assert est.count == 3200
-        assert calls == {"peak": 1, "fixed": 5}
+        for n, nodes, fixed_calls in [(1000, 3200, 5), (10**4, 6400, 6)]:
+            calls.update(peak=0, fixed=0)
+            est = steck_quadrature(n, 0.99)
+            assert est.count == nodes
+            assert calls == {"peak": 1, "fixed": fixed_calls}
+
+    @pytest.mark.parametrize("n, reference", RHO_099_REFERENCE)
+    def test_rho_near_one_large_n(self, n, reference):
+        assert steck_quadrature(n, 0.99).value == pytest.approx(reference, rel=1e-10)
+
+    @pytest.mark.parametrize("rho", [0.995, 0.999])
+    def test_rho_near_one_unconverged_raises(self, rho):
+        # more doublings would stop 4.0e-10 and 5.6e-9 off the true value
+        with pytest.raises(ArithmeticError, match=rf"converge.*n=100000000, rho={rho}"):
+            steck_quadrature(10**8, rho)
+
+    def test_rho_near_one_sweep(self):
+        # every value Steck returns near rho = 1 is right, or it raises
+        for rho in (0.95, 0.98, 0.99, 0.995, 0.999):
+            for n in np.unique(np.geomspace(10, 1e8, 40).astype(int)).tolist():
+                try:
+                    value = steck_quadrature(n, rho).value
+                except ArithmeticError:
+                    continue
+                assert value == pytest.approx(density_integral(n, rho).value, rel=1e-10)
 
 
 GRID_N = [2, 3, 5, 10, 30, 100, 10**3, 10**4, 10**5, 10**6, 10**7, 10**8]
@@ -268,19 +293,7 @@ class TestDensityIntegral:
             steck_quadrature(n, 0.99).value, rel=1e-12
         )
 
-    # mpmath, dps=40, rho = mpf(0.99) (the binary double): quad of
-    # npdf(z) ncdf(z sqrt(s))^n over [-inf, c - 64 sig, c - 32 sig, ..., c - sig,
-    # c, c + r, c + 2r, ..., c + 64r, inf], with (c, sig) from
-    # orthant._steck_log_peak(n, sqrt(s)) and r = max(sig, 1); the same
-    # digits come out at dps=50.  Steck raises at these points.
-    @pytest.mark.parametrize(
-        "n, reference",
-        [
-            (10**4, 0.3494085374978352400472079),
-            (10**6, 0.3125674079175695215999259),
-            (10**8, 0.2831657200966272335284421),
-        ],
-    )
+    @pytest.mark.parametrize("n, reference", RHO_099_REFERENCE)
     def test_rho_near_one_large_n(self, n, reference):
         assert density_integral(n, 0.99).value == pytest.approx(reference, rel=1e-12)
 

@@ -37,7 +37,7 @@ from simplex_orthant.simplex import (
     tv_exact,
     tv_pipeline,
 )
-from simplex_orthant.equicorrelated import CrossBlockBound, tv_bound_frobenius
+from simplex_orthant.equicorrelated import tv_bound_frobenius
 
 INDEP_UNION_7 = 0.65639108419418335  # 1 - (7/8)^8
 
@@ -743,7 +743,7 @@ class TestTvExact:
         pair = equicorrelated.inverse_diag_offdiag(
             equicorrelated.EquicorrelatedSpec(n=n, rho=rho_n(n, k))
         )
-        chain = tv_bound_frobenius(n, n + 1, CrossBlockBound(epsilon=r_max), pair)
+        chain = tv_bound_frobenius(n, n + 1, r_max, pair)
         exact = tv_exact(n, k)
         assert exact is not None and 0.0 < exact <= chain.corrected
 
