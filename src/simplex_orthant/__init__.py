@@ -44,7 +44,6 @@ from .simplex import (
     ResourceBudgetError,
     SimplexGeometry,
     TvReport,
-    beta_n_sequence,
     build_geometry,
     derivative_inner_product,
     directional_derivative,

@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_grid, required=True)
     p.add_argument("--rho", type=_float_grid, required=True)
     p.add_argument("--method", choices=("closed", "steck", "density", "mc"), default="steck")
-    p.add_argument("--trials", type=int, default=1_000_000)
+    p.add_argument("--trials", type=_positive_int, default=1_000_000)
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("bounds", help="rate bounds and sandwich verdicts")
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--n", type=_int_grid, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("verify", help="run the invariant suites")

@@ -26,6 +26,11 @@ from typing import NamedTuple
 import numpy as np
 
 CHUNK_SIZE = 100_000
+# the memory a run may take, and the bytes that one row block of a Monte
+# Carlo chunk may take (its normals and what is derived from them); a chunk
+# runs in as many row blocks as that needs
+MEMORY_BUDGET_BYTES = 256 * 2**20
+BLOCK_BYTES = MEMORY_BUDGET_BYTES // 8
 
 
 @dataclass(frozen=True)
@@ -108,6 +113,18 @@ def _chunk_sizes(trials: int, chunk_size: int) -> list[int]:
         raise ValueError("trials must be positive")
     n_chunks = (trials + chunk_size - 1) // chunk_size
     return [min(chunk_size, trials - c * chunk_size) for c in range(n_chunks)]
+
+
+def _block_rows(size: int, row_bytes: int) -> list[int]:
+    """Row counts of the fewest even blocks of a size-row chunk within BLOCK_BYTES.
+
+    The blocks draw the chunk's stream in turn, so the split changes no
+    normal, and no block has a single row (BLAS rounds a one-row product
+    differently) unless the chunk has one.
+    """
+    block = max(1, BLOCK_BYTES // row_bytes)
+    blocks = -(-size // block)
+    return [size // blocks + (b < size % blocks) for b in range(blocks)]
 
 
 @lru_cache(maxsize=None)
@@ -206,12 +223,24 @@ def sample_chunk(
     spec: EquicorrelatedSpec, chunk: int, size: int, seed: int
 ) -> np.ndarray:
     """One deterministic chunk of sample_equicorrelated."""
+    return np.concatenate(list(sample_blocks(spec, chunk, size, seed)))
+
+
+def sample_blocks(spec: EquicorrelatedSpec, chunk: int, size: int, seed: int):
+    """The rows of sample_chunk in row blocks of at most BLOCK_BYTES each.
+
+    z0 is drawn for the whole chunk first and each block's z after it in
+    turn, so the blocks stack to sample_chunk's array bit for bit.
+    """
     rng = chunk_generator(seed, chunk)
     z0 = rng.standard_normal((size, 1))
-    z = rng.standard_normal((size, spec.n))
-    z *= math.sqrt(1.0 - spec.rho)
-    z += math.sqrt(spec.rho) * z0
-    return z
+    start = 0
+    for rows in _block_rows(size, 8 * spec.n):
+        z = rng.standard_normal((rows, spec.n))
+        z *= math.sqrt(1.0 - spec.rho)
+        z += math.sqrt(spec.rho) * z0[start : start + rows]
+        start += rows
+        yield z
 
 
 def tv_bound_frobenius(n: int, m: int, epsilon: float, inv: InverseDiagonalPair) -> TvBound:

@@ -99,12 +99,6 @@ def log_beta(a, b):
     return float(out) if out.ndim == 0 else out
 
 
-def beta(a, b):
-    """B(a,b) = Gamma(a)Gamma(b)/Gamma(a+b) via exp(log_beta)."""
-    out = np.exp(log_beta(a, b))
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def pdf_of_quantile(u):
     """phi(Phi^{-1}(u)) on (0,1), extended by continuity to 0 at the endpoints.
 

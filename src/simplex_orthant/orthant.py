@@ -4,7 +4,8 @@ Four routes to f(n, rho) = P(X_1 > 0, ..., X_n > 0):
 
 * closed forms for n <= 3 and for rho in {0, 1/2};
 * the one-dimensional identity f(n, rho) = E[Phi^n(Z sqrt(s))],
-  s = rho/(1-rho), evaluated by recentred Gauss-Hermite quadrature;
+  s = rho/(1-rho), evaluated in the log domain by a trapezoid rule centred
+  at the integrand's peak;
 * the density-transform integral
   f(n, rho) = (sqrt(2 pi))^(1/s - 1) / sqrt(s) *
               int_0^1 x^n [phi(Phi^{-1}(x))]^(1/s - 1) dx,
@@ -21,11 +22,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import log_ndtr, roots_hermite
+from scipy.special import log_ndtr
 from scipy.special.cython_special import ndtri, ndtri_exp
 
 from . import normal
@@ -36,20 +36,15 @@ from .equicorrelated import (
     _map_ordered,
     check_domain,
     hit_rate,
-    sample_chunk,
+    sample_blocks,
 )
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# Steck doubles its Gauss-Hermite rule from STECK_NODES nodes at most
-# STECK_DOUBLINGS times (200 -> 6400) until two successive values agree to
-# STECK_REL_TOL.  Past 6400 nodes that agreement stops meaning accuracy: at
-# 12800 nodes (1e8, 0.995) stops 4.0e-10 off the true value, at 51200
-# (1e8, 0.999) stops 5.6e-9 off, so such points raise instead.
-STECK_NODES = 200
-STECK_DOUBLINGS = 5
-STECK_REL_TOL = 1e-10
-# density_integral asks quad for a hundredth of Steck's tolerance
+# Steck's trapezoid step halves at most this often from the peak's sigma.
+# Near rho = 1 the integrand's left flank narrows like 1/sqrt(s); 12
+# halvings resolve it up to rho = 0.99999 for 60 n from 2 to 1e8.
+STECK_HALVINGS = 12
 DENSITY_EPSREL = 1e-12
 
 
@@ -78,8 +73,8 @@ class OrthantEstimate:
     """A value of f(n, rho) with its provenance.
 
     std_error is zero exactly for the deterministic methods.  count is the
-    node count Steck quadrature converged at, or the Monte Carlo trial count;
-    for density_integral it is STECK_NODES, which adaptive quad never reads.
+    node count of Steck's final grid, or the Monte Carlo trial count; it is
+    0 for closed forms and for density_integral.
     """
 
     value: float
@@ -158,30 +153,6 @@ def trivariate_closed_form(rho12: float, rho13: float, rho23: float) -> float:
     ) / (4.0 * math.pi)
 
 
-@lru_cache(maxsize=16)
-def _hermite_rule(nodes: int):
-    t, w = roots_hermite(nodes)
-    with np.errstate(divide="ignore"):
-        # far-tail weights underflow to 0; -inf log-weights drop out cleanly
-        return t, np.log(w)
-
-
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) for a 1-d float array, bit for bit as scipy's logsumexp.
-
-    Same algorithm as scipy 1.17 without its array-API dispatch: the peak
-    entries are masked to -inf in place, not dropped, so numpy sums in the
-    same pairwise order.
-    """
-    peak = a.max()
-    if not math.isfinite(peak):
-        # all -inf gives -inf; +inf and nan pass through, as in scipy
-        return peak
-    m = np.count_nonzero(a == peak)
-    total = np.exp(np.where(a == peak, -np.inf, a) - peak).sum() / m
-    return np.log1p(total) + np.log(m) + peak
-
-
 def _steck_log_peak(n: int, sqrt_s: float):
     """Maximizer and curvature of L(z) = n log Phi(z sqrt(s)) - z^2/2."""
     s = sqrt_s * sqrt_s
@@ -205,45 +176,72 @@ def _steck_log_peak(n: int, sqrt_s: float):
     return z, 1.0 / math.sqrt(-h)
 
 
-def _steck_fixed_nodes(n: int, rho: float, nodes: int, center: float, sigma: float) -> float:
-    """The recentred rule with a given node count, around the peak (center, sigma)."""
+def _steck_log_f(n: int, rho: float) -> tuple[float, int]:
+    """log f(n, rho) by Steck's identity, and the node count of the final grid.
+
+    The trapezoid rule in z on exp(L), L(z) = n log Phi(z sqrt(s)) - z^2/2,
+    centred at the Newton peak and spanning where L lies within 60 of it.
+    exp(L) is analytic, so the rule converges geometrically in its step
+    (Trefethen & Weideman, SIAM Review 56(3), 2014).  The step starts at the
+    peak's sigma and halves, adding only the new midpoints, until log f moves
+    less than 1e-13 relative.
+    """
     sqrt_s = math.sqrt(rho / (1.0 - rho))
-    t, log_w = _hermite_rule(nodes)
-    z = center + math.sqrt(2.0) * sigma * t
-    log_terms = n * log_ndtr(z * sqrt_s) - 0.5 * z * z + t * t + log_w
-    return math.sqrt(2.0) * sigma * math.exp(_logsumexp(log_terms) - LOG_SQRT_2PI)
+    center, sigma = _steck_log_peak(n, sqrt_s)
+
+    def log_integrand(z):
+        return n * log_ndtr(z * sqrt_s) - 0.5 * z * z
+
+    peak = log_integrand(center)
+
+    def shifted_sum(start, step, count):
+        # the Newton peak is the shift: no term overflows, and no max search
+        terms = log_integrand(start + step * np.arange(count)) - peak
+        return np.exp(terms, out=terms).sum()
+
+    ends = []
+    # L is concave, so the first multiple that falls 60 below the peak bounds
+    # it; the right tail decays no faster than exp(-z^2/2), whatever sigma is
+    for unit in (-sigma, max(sigma, 1.0)):
+        for multiple in (8.0, 16.0, 32.0, 64.0):
+            if log_integrand(center + multiple * unit) <= peak - 60.0:
+                ends.append(center + multiple * unit)
+                break
+        else:
+            raise ArithmeticError(
+                f"steck integrand stays within 60 of its peak over 64 x {abs(unit)} "
+                f"at (n={n}, rho={rho})"
+            )
+    lo, hi = ends
+    intervals = math.ceil((hi - lo) / sigma)
+    step = (hi - lo) / intervals
+    total = shifted_sum(lo, step, intervals + 1)
+    log_f = peak + math.log(step * total) - LOG_SQRT_2PI
+    for _ in range(STECK_HALVINGS):
+        total += shifted_sum(lo + 0.5 * step, step, intervals)
+        step, intervals = 0.5 * step, 2 * intervals
+        previous, log_f = log_f, peak + math.log(step * total) - LOG_SQRT_2PI
+        if abs(log_f - previous) < 1e-13 * max(1.0, abs(log_f)):
+            return log_f, intervals + 1
+    raise ArithmeticError(
+        f"steck trapezoid rule did not converge in {STECK_HALVINGS} halvings "
+        f"at (n={n}, rho={rho})"
+    )
 
 
 def steck_quadrature(n: int, rho: float) -> OrthantEstimate:
-    """E[Phi^n(Z sqrt(s))] by Gauss-Hermite quadrature recentred at the peak.
+    """E[Phi^n(Z sqrt(s))], s = rho/(1-rho), by a trapezoid rule around its peak.
 
-    For large n the integrand mass leaves the span of fixed nodes, so the
-    rule is centred at the maximizer of n log Phi(z sqrt(s)) - z^2/2 and
-    scaled by the local curvature.  Nodes are doubled until two successive
-    values agree to STECK_REL_TOL.
+    count is the rule's final node count; a value below the smallest double raises.
     """
     check_domain(n, rho)
     if not (0.0 < rho < 1.0):
         raise ValueError("steck identity requires 0 < rho < 1")
-    peak = _steck_log_peak(n, math.sqrt(rho / (1.0 - rho)))
-    nodes = STECK_NODES
-    value = _steck_fixed_nodes(n, rho, nodes, *peak)
-    for _ in range(STECK_DOUBLINGS):
-        nodes *= 2
-        refined = _steck_fixed_nodes(n, rho, nodes, *peak)
-        if abs(refined - value) <= STECK_REL_TOL * max(abs(refined), 1e-300):
-            if refined == 0.0:
-                raise ArithmeticError(
-                    f"steck quadrature underflowed to 0 at (n={n}, rho={rho})"
-                )
-            return OrthantEstimate(
-                value=refined, std_error=0.0, method="steck_quadrature", count=nodes
-            )
-        value = refined
-    raise ArithmeticError(
-        f"steck quadrature failed to converge to rel_tol={STECK_REL_TOL} "
-        f"at (n={n}, rho={rho})"
-    )
+    log_f, nodes = _steck_log_f(n, rho)
+    value = math.exp(log_f)
+    if value == 0.0:
+        raise ArithmeticError(f"steck quadrature underflowed to 0 at (n={n}, rho={rho})")
+    return OrthantEstimate(value=value, std_error=0.0, method="steck_quadrature", count=nodes)
 
 
 def density_integral(n: int, rho: float) -> OrthantEstimate:
@@ -312,9 +310,7 @@ def density_integral(n: int, rho: float) -> OrthantEstimate:
             f"density integral underflowed to 0 at (n={n}, rho={rho}); "
             "quad found no mass near x = 1"
         )
-    return OrthantEstimate(
-        value=value, std_error=0.0, method="density_integral", count=STECK_NODES
-    )
+    return OrthantEstimate(value=value, std_error=0.0, method="density_integral", count=0)
 
 
 def monte_carlo(
@@ -323,7 +319,9 @@ def monte_carlo(
     """Fraction of common-factor draws with all coordinates positive.
 
     Chunked and deterministic per (seed, chunk index); the thread count never
-    changes the result, only how chunks are scheduled.
+    changes the result, only how chunks are scheduled.  Each chunk is drawn
+    and counted in row blocks, so a run stays within the memory budget at
+    any n.
     """
     spec = EquicorrelatedSpec(n=n, rho=rho)
     if rho < 0.0:
@@ -331,8 +329,10 @@ def monte_carlo(
     sizes = _chunk_sizes(trials, CHUNK_SIZE)
 
     def count_hits(chunk):
-        draws = sample_chunk(spec, chunk, sizes[chunk], seed)
-        return int(np.count_nonzero(np.all(draws > 0.0, axis=1)))
+        return sum(
+            int(np.count_nonzero(np.all(draws > 0.0, axis=1)))
+            for draws in sample_blocks(spec, chunk, sizes[chunk], seed)
+        )
 
     p_hat, se = hit_rate(sum(_map_ordered(count_hits, len(sizes), threads)), trials)
     return OrthantEstimate(value=p_hat, std_error=se, method="monte_carlo", count=trials)

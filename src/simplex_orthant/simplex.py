@@ -33,8 +33,10 @@ import numpy as np
 
 from . import orthant
 from .equicorrelated import (
+    MEMORY_BUDGET_BYTES,
     EquicorrelatedSpec,
     TvBound,
+    _block_rows,
     _chunk_sizes,
     _map_ordered,
     _one_blas_thread,
@@ -44,12 +46,7 @@ from .equicorrelated import (
     tv_bound_frobenius,
 )
 
-MEMORY_BUDGET_BYTES = 256 * 2**20
 CHUNK_SIZE = 50_000
-# bytes that one row block of a Monte Carlo chunk may take (the union's
-# normals, derivatives and signs, or the coefficients gradient_correlations
-# draws); a chunk runs in as many row blocks as that needs
-BLOCK_BYTES = MEMORY_BUDGET_BYTES // 8
 
 
 class ResourceBudgetError(Exception):
@@ -386,18 +383,6 @@ def _edge_factor(n: int, k: int) -> np.ndarray:
     return factor
 
 
-def _block_rows(size: int, row_bytes: int) -> list[int]:
-    """Row counts of the fewest even blocks of a size-row chunk within BLOCK_BYTES.
-
-    The blocks draw the chunk's stream in turn, so the split changes no
-    normal, and no block has a single row (BLAS rounds a one-row product
-    differently) unless the chunk has one.
-    """
-    block = max(1, BLOCK_BYTES // row_bytes)
-    blocks = -(-size // block)
-    return [size // blocks + (b < size % blocks) for b in range(blocks)]
-
-
 def _edge_chunks(n: int, k: int, seed: int):
     """Chunk sampler mapping (chunk, size) to row blocks of size x n(n+1) derivatives.
 
@@ -555,15 +540,6 @@ def independent_union_approx(n: int, k: int, f: float) -> float:
     if f == 1.0:
         return 1.0
     return -math.expm1((n + 1) * math.log1p(-f))
-
-
-def beta_n_sequence(n: int, k: int, c: float) -> float:
-    """c * n^(-n/(nk+k-1)) / sqrt(log n) * (n+1); diverges, but o(n+1)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if k < 2 or c <= 0.0:
-        raise ValueError("need k >= 2 and c > 0")
-    return c * n ** (-n / (n * k + (k - 1))) / math.sqrt(math.log(n)) * (n + 1)
 
 
 def tv_pipeline(n: int, k: int) -> TvReport:

@@ -121,15 +121,23 @@ class TestComputeCommand:
         assert code == 1 and out == ""
         assert "underflow" in err and "n=1000000, rho=0.01" in err
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_nonpositive_threads_exit_2(self, threads, capsys):
-        code, out, err = run_cli(
-            ["compute", "--n", "2", "--rho", "0.3", "--method", "mc",
-             "--trials", "1000", "--seed", "1", "--threads", threads],
-            capsys,
-        )
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            pytest.param("compute", "--threads", "0", id="0"),
+            pytest.param("compute", "--threads", "-3", id="-3"),
+            pytest.param("compute", "--trials", "0", id="trials-0"),
+            pytest.param("simplex", "--trials", "-3", id="simplex-trials--3"),
+        ],
+    )
+    def test_nonpositive_threads_exit_2(self, command, option, value, capsys):
+        args = {
+            "compute": ["compute", "--n", "2", "--rho", "0.3", "--method", "mc"],
+            "simplex": ["simplex", "--n", "2", "--k", "3"],
+        }[command] + ["--trials", "1000", "--seed", "1"]
+        code, out, err = run_cli(args + [option, value], capsys)
         assert code == 2 and out == ""
-        assert "usage:" in err and "--threads: must be a positive integer" in err
+        assert "usage:" in err and f"{option}: must be a positive integer" in err
 
     def test_mc_requires_seed(self, capsys):
         code, _, err = run_cli(

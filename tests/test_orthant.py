@@ -5,11 +5,13 @@ integrates Phi^n(z sqrt(s)) phi(z) directly with mp.quad, independently of
 the scipy-based implementation under test.
 """
 
+import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,7 +20,7 @@ import pytest
 import scipy.special
 from scipy.special import cython_special
 
-from simplex_orthant import orthant
+from simplex_orthant import equicorrelated, orthant
 from simplex_orthant.orthant import (
     OrthantEstimate,
     best_estimate,
@@ -57,6 +59,15 @@ RHO_099_REFERENCE = [
     (10**6, 0.3125674079175695215999259),
     (10**8, 0.2831657200966272335284421),
 ]
+# f(1e8, rho) closer to rho = 1, by the same recipe at dps=60 (dps=50 agrees)
+RHO_NEAR_ONE_1E8_REFERENCE = [
+    (0.995, 0.3429127062131143018408957),
+    (0.999, 0.4283548315168236257036589),
+]
+# log f(n, rho) for every cell of compute_steck.csv and bounds_grid.csv, by
+# the same recipe at dps=60, printed to 40 digits; dps=50 agrees to 5.2e-37
+# relative.  rho is the CLI's double, which the printed decimal round-trips.
+STECK_REFERENCE = Path(__file__).parent / "data" / "steck_mpmath_reference.csv"
 
 
 class TestSpecs:
@@ -160,34 +171,56 @@ class TestSteckQuadrature:
             steck_quadrature(10, 0.5)
 
     def test_one_peak_search_per_call(self, monkeypatch):
-        # (1000, 0.99) doubles the nodes four times, from 200 to 3200;
-        # (1e4, 0.99) takes the fifth doubling, to 6400
-        calls = {"peak": 0, "fixed": 0}
-        peak, fixed = orthant._steck_log_peak, orthant._steck_fixed_nodes
+        # each halving evaluates only the new midpoints, so the integrand's
+        # array evaluations together cover the final grid exactly once
+        peaks, nodes = [], []
+        peak, log_ndtr = orthant._steck_log_peak, orthant.log_ndtr
 
-        def counted(key, fn):
-            def wrapper(*args):
-                calls[key] += 1
-                return fn(*args)
-            return wrapper
+        def counted_peak(*args):
+            peaks.append(args)
+            return peak(*args)
 
-        monkeypatch.setattr(orthant, "_steck_log_peak", counted("peak", peak))
-        monkeypatch.setattr(orthant, "_steck_fixed_nodes", counted("fixed", fixed))
-        for n, nodes, fixed_calls in [(1000, 3200, 5), (10**4, 6400, 6)]:
-            calls.update(peak=0, fixed=0)
-            est = steck_quadrature(n, 0.99)
-            assert est.count == nodes
-            assert calls == {"peak": 1, "fixed": fixed_calls}
+        def counted_log_ndtr(x):
+            if isinstance(x, np.ndarray):
+                nodes.append(x.size)
+            return log_ndtr(x)
+
+        monkeypatch.setattr(orthant, "_steck_log_peak", counted_peak)
+        monkeypatch.setattr(orthant, "log_ndtr", counted_log_ndtr)
+        for n, rho in [(1000, 0.99), (10**4, 0.99), (10**8, 0.4), (5, 0.3)]:
+            peaks.clear()
+            nodes.clear()
+            est = steck_quadrature(n, rho)
+            assert len(peaks) == 1
+            assert est.count == sum(nodes)
+            # the first grid and at least two halvings of it
+            assert len(nodes) >= 3
+
+    def test_unconverged_rule_raises(self, monkeypatch):
+        monkeypatch.setattr(orthant, "STECK_HALVINGS", 1)
+        with pytest.raises(ArithmeticError, match=r"converge.*n=10000, rho=0.99\)"):
+            steck_quadrature(10**4, 0.99)
 
     @pytest.mark.parametrize("n, reference", RHO_099_REFERENCE)
     def test_rho_near_one_large_n(self, n, reference):
-        assert steck_quadrature(n, 0.99).value == pytest.approx(reference, rel=1e-10)
+        assert steck_quadrature(n, 0.99).value == pytest.approx(reference, rel=1e-13)
 
-    @pytest.mark.parametrize("rho", [0.995, 0.999])
-    def test_rho_near_one_unconverged_raises(self, rho):
-        # more doublings would stop 4.0e-10 and 5.6e-9 off the true value
-        with pytest.raises(ArithmeticError, match=rf"converge.*n=100000000, rho={rho}"):
-            steck_quadrature(10**8, rho)
+    @pytest.mark.parametrize("rho, reference", RHO_NEAR_ONE_1E8_REFERENCE)
+    def test_rho_near_one_n_1e8(self, rho, reference):
+        assert steck_quadrature(10**8, rho).value == pytest.approx(reference, rel=1e-13)
+
+    def test_golden_cells_match_mpmath(self):
+        # in log f: exp sets a floor near 1e-14 on f's relative error at
+        # log f ~ -83, so the measure is |log f - ref| / max(1, |ref|)
+        with STECK_REFERENCE.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 64
+        worst = max(
+            abs(math.log(steck_quadrature(int(r["n"]), float(r["rho"])).value)
+                - float(r["log_f"])) / max(1.0, abs(float(r["log_f"])))
+            for r in rows
+        )
+        assert worst <= 1e-15
 
     def test_rho_near_one_sweep(self):
         # every value Steck returns near rho = 1 is right, or it raises
@@ -198,49 +231,6 @@ class TestSteckQuadrature:
                 except ArithmeticError:
                     continue
                 assert value == pytest.approx(density_integral(n, rho).value, rel=1e-10)
-
-
-GRID_N = [2, 3, 5, 10, 30, 100, 10**3, 10**4, 10**5, 10**6, 10**7, 10**8]
-GRID_RHO = [0.01, 0.05, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 0.99]
-
-
-class TestLogSumExp:
-    """The private max-shift must equal scipy.special.logsumexp bit for bit."""
-
-    def test_random_arrays_bitwise(self):
-        rng = np.random.default_rng(20_201)
-        arrays = [np.array([-np.inf]), np.full(7, -np.inf), np.array([3.5])]
-        for _ in range(3000):
-            size = int(rng.integers(1, 60))
-            if rng.random() < 0.5:
-                a = rng.normal(0.0, 50.0, size)
-            else:
-                # integer-valued entries tie at the peak often
-                a = rng.integers(-4, 3, size).astype(float)
-            a[rng.random(size) < 0.2] = -np.inf
-            if rng.random() < 0.3:
-                a[rng.integers(0, size, 3)] = a.max()
-            arrays.append(a)
-        for a in arrays:
-            assert orthant._logsumexp(a) == scipy.special.logsumexp(a), a
-
-    def test_steck_terms_bitwise(self, monkeypatch):
-        seen = []
-        lse = orthant._logsumexp
-
-        def recording(a):
-            seen.append(a)
-            return lse(a)
-
-        monkeypatch.setattr(orthant, "_logsumexp", recording)
-        for n in GRID_N:
-            for rho in GRID_RHO:
-                peak = orthant._steck_log_peak(n, math.sqrt(rho / (1.0 - rho)))
-                for nodes in (200, 400, 800):
-                    orthant._steck_fixed_nodes(n, rho, nodes, *peak)
-        assert len(seen) == len(GRID_N) * len(GRID_RHO) * 3
-        for a in seen:
-            assert lse(a) == scipy.special.logsumexp(a)
 
 
 def scaled_ratio_inverse(n, rho, f):
@@ -384,6 +374,30 @@ class TestMonteCarlo:
         one = monte_carlo(4, 0.6, 300_000, seed=9, threads=1)
         four = monte_carlo(4, 0.6, 300_000, seed=9, threads=4)
         assert one.value == four.value
+
+    def test_row_blocks_change_no_hit(self, monkeypatch):
+        # 800 rows' worth of n = 10 normals splits the last, 50k chunk into
+        # 63 blocks and the first into 125
+        spec = equicorrelated.EquicorrelatedSpec(n=10, rho=0.3)
+        whole = monte_carlo(10, 0.3, 150_000, seed=12)
+        one_block = equicorrelated.sample_chunk(spec, 1, 50_000, 12)
+        monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 80 * 800)
+        blocks = list(equicorrelated.sample_blocks(spec, 1, 50_000, 12))
+        assert len(blocks) == 63 and max(len(b) for b in blocks) <= 800
+        assert np.array_equal(np.concatenate(blocks), one_block)
+        assert monte_carlo(10, 0.3, 150_000, seed=12) == whole
+
+    def test_peak_memory_within_budget(self):
+        # one 100k-row chunk of n = 700 normals would take 560 MB
+        n, trials = 700, 100_000
+        assert trials * n * 8 > equicorrelated.MEMORY_BUDGET_BYTES
+        tracemalloc.start()
+        try:
+            monte_carlo(n, 0.5, trials, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < equicorrelated.MEMORY_BUDGET_BYTES
 
     def test_domain(self):
         with pytest.raises(ValueError):

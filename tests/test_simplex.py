@@ -16,7 +16,6 @@ from simplex_orthant import simplex as sx
 from simplex_orthant.simplex import (
     BombieriPolynomial,
     ResourceBudgetError,
-    beta_n_sequence,
     build_geometry,
     coefficient_count,
     coefficient_variances,
@@ -496,7 +495,7 @@ class TestUnionProbability:
         n, k, seed = 4, 5, 7
         whole = estimate_union_probability(n, k, 120_000, seed=seed, threads=2)
         (one_block,) = sx._edge_chunks(n, k, seed)(0, sx.CHUNK_SIZE)
-        monkeypatch.setattr(sx, "BLOCK_BYTES", 340 * 7000)
+        monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 340 * 7000)
         blocks = list(sx._edge_chunks(n, k, seed)(0, sx.CHUNK_SIZE))
         assert [len(b) for b in blocks] == [6250] * 8
         assert np.array_equal(np.concatenate(blocks), one_block)
@@ -551,7 +550,7 @@ class TestGradientCorrelations:
         whole = gradient_correlations(n, k, trials, seed=seed, threads=2)
         with equicorrelated._one_blas_thread():
             one_block = sx._derivative_chunks(n, k, seed)(0, sx.CHUNK_SIZE)
-            monkeypatch.setattr(sx, "BLOCK_BYTES", 448 * 7000)
+            monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 448 * 7000)
             assert sx._block_rows(sx.CHUNK_SIZE, 448) == [6250] * 8
             split = sx._derivative_chunks(n, k, seed)(0, sx.CHUNK_SIZE)
         assert np.array_equal(split, one_block)
@@ -697,18 +696,6 @@ class TestBetaSequence:
             assert -n / (n * k + k - 1) == pytest.approx(
                 1.0 - 1.0 / rho_n(n, k), abs=1e-12
             )
-
-    def test_divergence_and_ratio(self):
-        assert beta_n_sequence(10**6, 2, 1.0) > beta_n_sequence(10**3, 2, 1.0)
-        assert beta_n_sequence(10**6, 5, 1.0) / (10**6 + 1) < beta_n_sequence(
-            10**3, 5, 1.0
-        ) / (10**3 + 1)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            beta_n_sequence(1, 3, 1.0)
-        with pytest.raises(ValueError):
-            beta_n_sequence(10, 3, 0.0)
 
 
 class TestTvExact:
