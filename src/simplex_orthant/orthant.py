@@ -9,7 +9,7 @@ Four routes to f(n, rho) = P(X_1 > 0, ..., X_n > 0):
 * the density-transform integral
   f(n, rho) = (sqrt(2 pi))^(1/s - 1) / sqrt(s) *
               int_0^1 x^n [phi(Phi^{-1}(x))]^(1/s - 1) dx,
-  evaluated by endpoint-aware adaptive quadrature;
+  evaluated in the log domain by a tanh-sinh trapezoid rule on tabulated nodes;
 * Monte Carlo over common-factor draws.
 
 Plus the four two-sided rate bounds with fully explicit proof-level
@@ -19,14 +19,13 @@ up to log(n) factors.
 
 from __future__ import annotations
 
+import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import log_ndtr
-from scipy.special.cython_special import ndtri, ndtri_exp
+from scipy.special import erfcx, log_ndtr, ndtri_exp
 
 from . import normal
 from .equicorrelated import (
@@ -45,27 +44,7 @@ LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # Near rho = 1 the integrand's left flank narrows like 1/sqrt(s); 12
 # halvings resolve it up to rho = 0.99999 for 60 n from 2 to 1e8.
 STECK_HALVINGS = 12
-DENSITY_EPSREL = 1e-12
-
-
-class _DeferredIntegrate:
-    """Stands in for `scipy.integrate` until `density_integral` first calls quad.
-
-    Importing scipy.integrate (with the scipy.optimize and scipy.sparse.linalg
-    it loads) is about a third of a fresh process's import, and only the
-    density route needs it.  A plain import statement takes the import lock,
-    so threads that make the first call together each get the full module.
-    """
-
-    @staticmethod
-    def quad(*args, **kwargs):
-        from scipy import integrate
-
-        return integrate.quad(*args, **kwargs)
-
-
-# module attribute so that callers may substitute quad (tests, perfbench)
-integrate = _DeferredIntegrate()
+DENSITY_HALVINGS = 12  # the density rule halves its step from 0.5 down to 0.5/4096
 
 
 @dataclass(frozen=True)
@@ -73,8 +52,8 @@ class OrthantEstimate:
     """A value of f(n, rho) with its provenance.
 
     std_error is zero exactly for the deterministic methods.  count is the
-    node count of Steck's final grid, or the Monte Carlo trial count; it is
-    0 for closed forms and for density_integral.
+    node count of the final grid of Steck's rule or the density rule, or
+    the Monte Carlo trial count; it is 0 for closed forms.
     """
 
     value: float
@@ -244,73 +223,94 @@ def steck_quadrature(n: int, rho: float) -> OrthantEstimate:
     return OrthantEstimate(value=value, std_error=0.0, method="steck_quadrature", count=nodes)
 
 
-def density_integral(n: int, rho: float) -> OrthantEstimate:
-    """The [0,1] density-transform integral, split at 1/2.
+@functools.cache
+def _density_table(level: int) -> tuple:
+    """(log x, M, m, R) at the nodes t in [-16, 16] that lattice level `level` adds.
 
-    For rho > 1/2 the exponent 1/s - 1 lies in (-1, 0) and the integrand has
-    an integrable algebraic singularity at x = 1; the substitution
-    1 - x = tau^s absorbs it exactly, leaving a bounded integrand.
+    Level 0 holds the multiples of 0.5, level k the odd multiples of 0.5/2^k.
+    With x = expit(pi sinh t) and u = min(x, 1-x): m = log u, M = log(phi(q)/u)
+    for q = Phi^{-1}(u), taken as log(sqrt(2/pi)/erfcx(-q/sqrt 2)) so that no
+    large terms cancel, and R = log max(x, 1-x) + log(pi cosh t).
+    """
+    first, stride = (1, 2) if level else (0, 1)
+    t = np.arange(first, 64 * 2**level + 1, stride) * (0.5 / 2**level) - 16.0
+    logit = np.pi * np.abs(np.sinh(t))
+    log_max = -np.log1p(np.exp(-logit))
+    log_min = log_max - logit
+    # one Newton step on log_ndtr(q) = m: ndtri_exp is up to 5e-13 off below m = -1e4
+    q = ndtri_exp(log_min)
+    q -= (log_ndtr(q) - log_min) * erfcx(-q / math.sqrt(2.0)) * math.sqrt(0.5 * math.pi)
+    log_ratio = 0.5 * math.log(2.0 / math.pi) - np.log(erfcx(-q / math.sqrt(2.0)))
+    table = np.stack([np.where(t < 0.0, log_min, log_max), log_ratio, log_min,
+                      log_max + np.log(np.pi * np.cosh(t))])
+    table.flags.writeable = False  # the cache hands these rows to every call
+    return tuple(table)
+
+
+def _density_log_f(n: int, rho: float) -> tuple[float, int]:
+    """log f(n, rho) by the density-transform identity, and the final node count.
+
+    The trapezoid rule in t after x = expit(pi sinh t), the double-exponential
+    substitution of Takahasi & Mori (Publ. RIMS 9, 1974).  The log integrand
+    n log x + e M + m/s + R, e = 1/s - 1, is linear over _density_table's
+    columns.  The span ends 60 below the level-0 peak; the step halves from 0.5
+    until log f moves less than 1e-13 relative.  Kept apart from _steck_log_f,
+    so that the two routes check each other.
+    """
+    s = rho / (1.0 - rho)
+    e, inv_s = 1.0 / s - 1.0, 1.0 / s
+    log_pref = e * LOG_SQRT_2PI - 0.5 * math.log(s)  # log of (sqrt(2 pi))^e / sqrt(s)
+
+    def log_integrand(level, start, stop):
+        log_x, log_ratio, log_min, rest = _density_table(level)
+        return (n * log_x[start:stop] + e * log_ratio[start:stop]
+                + inv_s * log_min[start:stop] + rest[start:stop])
+
+    values = log_integrand(0, 0, None)
+    shift = float(values.max())
+    if not math.isfinite(shift):
+        return log_pref + shift, values.size  # density_integral raises on it
+    inside = np.flatnonzero(values >= shift - 60.0)
+    lo, hi = int(inside[0]) - 1, int(inside[-1]) + 1
+    if lo < 0 or hi >= values.size:
+        raise ArithmeticError(f"density integrand stays within 60 of its peak at "
+                              f"|t| = 16 at (n={n}, rho={rho})")
+    step, nodes = 0.5, hi - lo + 1
+    total = float(np.exp(values[lo:hi + 1] - shift).sum())
+    log_f = log_pref + shift + math.log(step * total)
+    for level in range(1, DENSITY_HALVINGS + 1):
+        # the odd multiples of the new step strictly between the span's ends
+        width = 2 ** (level - 1)
+        values = log_integrand(level, width * lo, width * hi)
+        top = float(values.max())
+        if top > shift:
+            total *= math.exp(shift - top)
+            shift = top
+        total += float(np.exp(values - shift).sum())
+        step, nodes = 0.5 * step, nodes + values.size
+        previous, log_f = log_f, log_pref + shift + math.log(step * total)
+        if abs(log_f - previous) < 1e-13 * max(1.0, abs(log_f)):
+            return log_f, nodes
+    raise ArithmeticError(f"density trapezoid rule did not converge in "
+                          f"{DENSITY_HALVINGS} halvings at (n={n}, rho={rho})")
+
+
+def density_integral(n: int, rho: float) -> OrthantEstimate:
+    """The [0,1] density-transform integral by a tanh-sinh trapezoid rule.
+
+    count is the rule's final node count; a non-finite value, one above 1, or 0 raises.
     """
     check_domain(n, rho)
     if not (0.0 < rho < 1.0):
         raise ValueError("density integral requires 0 < rho < 1")
-    s = rho / (1.0 - rho)
-    e = 1.0 / s - 1.0
-    # (sqrt(2 pi))^(1/s - 1) / sqrt(s)
-    log_pref = e * LOG_SQRT_2PI - 0.5 * math.log(s)
-    # quad calls the integrands hundreds of times: bind every name they use
-    # locally.  The scalar cython ndtri is the ufunc's kernel without its
-    # dispatch.  Each expression keeps its evaluation order, so quad sees the
-    # same floats and takes the same adaptive path.
-    exp, log, log1p = math.exp, math.log, math.log1p
-    log_sqrt_2pi, log_s = LOG_SQRT_2PI, math.log(s)
-    smallest_normal = sys.float_info.min
-
-    def integrand_plain(x):
-        if x <= 0.0 or x >= 1.0:
-            return 0.0
-        q = ndtri(x)
-        return exp(n * log(x) + e * (-0.5 * q * q - log_sqrt_2pi))
-
-    lower, _ = integrate.quad(
-        integrand_plain, 0.0, 0.5, epsabs=1e-300, epsrel=DENSITY_EPSREL, limit=500
-    )
-    if s > 1.0:
-
-        def integrand_upper(tau):
-            if tau <= 0.0:
-                return 0.0
-            one_minus_x = tau**s
-            s_log_tau = s * log(tau)
-            if one_minus_x < smallest_normal:
-                # tau^s underflows (rho -> 1, small tau): invert in the log
-                q = -ndtri_exp(s_log_tau)
-            else:
-                q = -ndtri(one_minus_x)
-            # log of phi(Phi^{-1}(x)) / (1-x); the (1-x)^e factor cancels
-            # against the Jacobian s * tau^(s-1)
-            log_ratio = -0.5 * q * q - log_sqrt_2pi - s_log_tau
-            return exp(n * log1p(-one_minus_x) + e * log_ratio + log_s)
-
-        upper, _ = integrate.quad(
-            integrand_upper, 0.0, 0.5 ** (1.0 / s),
-            epsabs=1e-300, epsrel=DENSITY_EPSREL, limit=500,
-        )
-    else:
-        upper, _ = integrate.quad(
-            integrand_plain, 0.5, 1.0, epsabs=1e-300, epsrel=DENSITY_EPSREL, limit=500
-        )
-    value = math.exp(log_pref) * (lower + upper)
-    if not math.isfinite(value) or value > 1.0:
-        raise ArithmeticError(
-            f"density integral gave {value!r}, outside [0, 1], at (n={n}, rho={rho})"
-        )
+    log_f, nodes = _density_log_f(n, rho)
+    if not log_f <= 0.0:
+        raise ArithmeticError(f"density integral gave exp({log_f!r}), outside [0, 1], "
+                              f"at (n={n}, rho={rho})")
+    value = math.exp(log_f)
     if value == 0.0:
-        raise ArithmeticError(
-            f"density integral underflowed to 0 at (n={n}, rho={rho}); "
-            "quad found no mass near x = 1"
-        )
-    return OrthantEstimate(value=value, std_error=0.0, method="density_integral", count=0)
+        raise ArithmeticError(f"density integral underflowed to 0 at (n={n}, rho={rho})")
+    return OrthantEstimate(value=value, std_error=0.0, method="density_integral", count=nodes)
 
 
 def monte_carlo(

@@ -297,28 +297,42 @@ class TestGoldenStdout:
         assert out.encode() == (DATA / name).read_bytes()
 
 
+# runs the CLI on argv[1:], then prints the scipy.integrate modules it loaded
+# as the last line of stderr
+_CLI_AND_MODULES = """
+import sys
+from simplex_orthant import cli
+try:
+    cli.main(sys.argv[1:])
+finally:
+    print([m for m in sys.modules if m.startswith("scipy.integrate")], file=sys.stderr)
+"""
+
+
 class TestColdStart:
-    """A fresh CLI process loads scipy.integrate only when the density route runs."""
+    """A fresh CLI process never loads scipy.integrate, the density route included."""
 
     def fresh(self, args):
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        return subprocess.run(
+        done = subprocess.run(
             [sys.executable, *args], env=env, check=True, capture_output=True, timeout=300
-        ).stdout
+        )
+        return done.stdout, done.stderr.decode()
 
     def test_cli_import_loads_no_scipy_integrate(self):
-        out = self.fresh(
+        out, _ = self.fresh(
             ["-c", "import sys, simplex_orthant.cli; "
                    "print([m for m in sys.modules if m.startswith('scipy.integrate')])"]
         )
         assert out.decode().strip() == "[]"
 
     def test_density_golden_in_fresh_process(self):
-        out = self.fresh(
-            ["-m", "simplex_orthant.cli", "compute", "--n", "2,5,10,100,1000,10000",
+        out, err = self.fresh(
+            ["-c", _CLI_AND_MODULES, "compute", "--n", "2,5,10,100,1000,10000",
              "--rho", "0.1:0.9:0.1", "--method", "density"]
         )
         assert out == (DATA / "compute_density.csv").read_bytes()
+        assert err.splitlines()[-1] == "[]"
 
 
 class TestDeterminism:

@@ -13,12 +13,9 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.special
-from scipy.special import cython_special
 
 from simplex_orthant import equicorrelated, orthant
 from simplex_orthant.orthant import (
@@ -257,25 +254,38 @@ class TestDensityIntegral:
                 worst = max(worst, abs(a - b) / a)
         assert worst <= 1e-8
 
-    @pytest.mark.parametrize("n,rho", [(10**6, 0.01), (10**8, 0.5)])
+    @pytest.mark.parametrize("n,rho", [(10**6, 0.01)])
     def test_zero_raises(self, n, rho):
-        # the exact value at (1e8, 1/2) is 1/(n+1); quad misses its mass
+        # f(1e6, 0.01) is about 1e-594, below the smallest double
         with pytest.raises(ArithmeticError, match=rf"underflow.*n={n}, rho={rho}"):
             density_integral(n, rho)
 
+    @pytest.mark.parametrize("n", [10**6, 10**7, 10**8])
+    def test_rho_half_large_n_exact(self, n):
+        # all the mass sits within about 1/n of x = 1
+        assert density_integral(n, 0.5).value == pytest.approx(1.0 / (n + 1), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n,rho", [(10**5, 0.4), (10**5, 0.25)])
+    def test_matches_steck_at_large_n(self, n, rho):
+        assert density_integral(n, rho).value == pytest.approx(
+            steck_quadrature(n, rho).value, rel=1e-12, abs=0.0
+        )
+
     def test_endpoint_singularity_regime(self):
         # rho > 1/2 puts an algebraic singularity at x = 1; the substitution
-        # branch must not lose accuracy there
+        # must not lose accuracy there
         assert density_integral(3, 0.75).value == pytest.approx(
             steck_quadrature(3, 0.75).value, rel=1e-10
         )
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_rho_near_one_exact(self, n):
-        # at rho = 0.99, tau^s underflows for tau below about 1e-3.2
-        assert density_integral(n, 0.99).value == pytest.approx(
-            closed_form(n, 0.99).value, rel=1e-12
-        )
+        # at rho = 0.99999 the mass reaches min(x, 1-x) below exp(-1e4), where
+        # ndtri_exp alone is up to 5e-13 off
+        for rho in (0.99, 0.999, 0.9999, 0.99999):
+            assert density_integral(n, rho).value == pytest.approx(
+                closed_form(n, rho).value, rel=1e-13
+            ), rho
 
     @pytest.mark.parametrize("n", [5, 10, 100, 1000])
     def test_rho_near_one_matches_steck(self, n):
@@ -289,32 +299,62 @@ class TestDensityIntegral:
 
     @pytest.mark.parametrize("bad", [2.0, math.nan, math.inf])
     def test_out_of_range_raises(self, bad, monkeypatch):
-        broken = SimpleNamespace(quad=lambda *args, **kwargs: (bad, 0.0))
-        monkeypatch.setattr(orthant, "integrate", broken)
+        # shift R in every table so that the rule's value at (10, 0.3) is bad
+        offset = math.log(bad / density_integral(10, 0.3).value)
+        table = orthant._density_table
+        monkeypatch.setattr(
+            orthant, "_density_table", lambda level: (*table(level)[:3], table(level)[3] + offset)
+        )
         with pytest.raises(ArithmeticError, match=r"outside \[0, 1\].*n=10, rho=0.3"):
             density_integral(10, 0.3)
 
+    def test_unconverged_rule_raises(self, monkeypatch):
+        monkeypatch.setattr(orthant, "DENSITY_HALVINGS", 1)
+        with pytest.raises(ArithmeticError, match=r"converge.*n=10000, rho=0.99\)"):
+            density_integral(10**4, 0.99)
 
-# two threads make a fresh process's first density_integral call at once,
-# so both race to import scipy.integrate, whose quad module the package import
-# must not have loaded; prints each thread's value or error.  A lazy module
-# (importlib.util.LazyLoader) fails here: one thread finds no attribute quad.
-_FIRST_QUAD_CHILD = """
+    def test_span_past_table_raises(self):
+        # at rho = 0.999999 the mass near x = 1 reaches past t = 16
+        with pytest.raises(ArithmeticError, match=r"\|t\| = 16.*n=2, rho=0.999999"):
+            density_integral(2, 0.999999)
+
+    def test_count_is_nodes_evaluated(self, monkeypatch):
+        # each halving adds only the new level's nodes, so the exponentials
+        # the rule takes cover its final grid once
+        exp, sizes = np.exp, []
+
+        def counted_exp(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        for n, rho in [(2, 0.3), (10**4, 0.99), (10**8, 0.5)]:
+            expected = density_integral(n, rho)
+            sizes.clear()
+            monkeypatch.setattr(orthant.np, "exp", counted_exp)
+            est = density_integral(n, rho)
+            monkeypatch.undo()
+            assert est == expected and len(sizes) >= 3
+            assert est.count == sum(sizes)
+
+
+# four threads make a fresh process's first density_integral call at once, so
+# all of them build the node tables; prints each thread's value or error
+_FIRST_CALL_CHILD = """
 import json, sys, threading
-from simplex_orthant.orthant import density_integral
-assert "scipy.integrate._quadpack_py" not in sys.modules
+from simplex_orthant import orthant
+assert orthant._density_table.cache_info().currsize == 0
 sys.setswitchinterval(1e-6)
-barrier = threading.Barrier(2, timeout=60)
-results = [None, None]
+barrier = threading.Barrier(4, timeout=60)
+results = [None] * 4
 
 def first_call(i):
     barrier.wait()
     try:
-        results[i] = repr(density_integral(50, 0.3).value)
+        results[i] = repr(orthant.density_integral(50, 0.3).value)
     except Exception as exc:
         results[i] = repr(exc)
 
-threads = [threading.Thread(target=first_call, args=(i,)) for i in range(2)]
+threads = [threading.Thread(target=first_call, args=(i,)) for i in range(4)]
 for t in threads:
     t.start()
 for t in threads:
@@ -324,32 +364,18 @@ print(json.dumps(results))
 """
 
 
-class TestDeferredIntegrate:
-    """scipy.integrate is imported at the first quad call, not with the package."""
+class TestDensityTables:
+    """Each node table is built by the first density call that needs its level."""
 
     def test_concurrent_first_calls_get_serial_value(self):
         env = dict(os.environ, PYTHONPATH=str(Path(orthant.__file__).parents[1]))
         serial = repr(density_integral(50, 0.3).value)
         for _ in range(3):
             out = subprocess.run(
-                [sys.executable, "-c", _FIRST_QUAD_CHILD],
+                [sys.executable, "-c", _FIRST_CALL_CHILD],
                 env=env, check=True, capture_output=True, text=True, timeout=300,
             ).stdout
-            assert json.loads(out) == [serial, serial]
-
-
-class TestScalarNdtri:
-    """The density integrands call cython_special.ndtri; it must equal the ufunc."""
-
-    def test_bitwise_equal_to_ufunc(self):
-        rng = np.random.default_rng(60_601)
-        edges = [
-            5e-324, 1e-300, 2.2250738585072014e-308, 0.5,
-            math.nextafter(0.5, 0.0), 1.0 - 2.0**-53,
-        ]
-        points = edges + rng.random(20_000).tolist() + (rng.random(2_000) ** 40).tolist()
-        for x in points:
-            assert cython_special.ndtri(x) == scipy.special.ndtri(x), x
+            assert json.loads(out) == [serial] * 4
 
 
 class TestMonteCarlo:
