@@ -35,7 +35,7 @@ from .equicorrelated import (
     _map_ordered,
     check_domain,
     hit_rate,
-    sample_blocks,
+    normal_blocks,
 )
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -45,6 +45,9 @@ LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # halvings resolve it up to rho = 0.99999 for 60 n from 2 to 1e8.
 STECK_HALVINGS = 12
 DENSITY_HALVINGS = 12  # the density rule halves its step from 0.5 down to 0.5/4096
+# below this n a column sweep finds a Monte Carlo block's row minima faster
+# than z.min(axis=1); both are exact (they cross at n = 80-90 on x86-64)
+ROW_MIN_SWEEP_BELOW = 80
 
 
 @dataclass(frozen=True)
@@ -321,7 +324,9 @@ def monte_carlo(
     Chunked and deterministic per (seed, chunk index); the thread count never
     changes the result, only how chunks are scheduled.  Each chunk is drawn
     and counted in row blocks, so a run stays within the memory budget at
-    any n.
+    any n.  Rounding is monotone, so with a = sqrt(rho) and b = sqrt(1 - rho)
+    > 0 a row's draws fl(fl(b z_i) + fl(a z0)) are all positive exactly when
+    the one from min_i z_i is: counting row minima counts all-positive rows.
     """
     spec = EquicorrelatedSpec(n=n, rho=rho)
     if rho < 0.0:
@@ -329,10 +334,16 @@ def monte_carlo(
     sizes = _chunk_sizes(trials, CHUNK_SIZE)
 
     def count_hits(chunk):
-        return sum(
-            int(np.count_nonzero(np.all(draws > 0.0, axis=1)))
-            for draws in sample_blocks(spec, chunk, sizes[chunk], seed)
-        )
+        hits = 0
+        for z0, z in normal_blocks(spec, chunk, sizes[chunk], seed):
+            if n < ROW_MIN_SWEEP_BELOW:
+                low = functools.reduce(np.minimum, z.T)
+            else:
+                low = z.min(axis=1)
+            low *= math.sqrt(1.0 - rho)
+            low += math.sqrt(rho) * z0[:, 0]
+            hits += int(np.count_nonzero(low > 0.0))
+        return hits
 
     p_hat, se = hit_rate(sum(_map_ordered(count_hits, len(sizes), threads)), trials)
     return OrthantEstimate(value=p_hat, std_error=se, method="monte_carlo", count=trials)

@@ -406,12 +406,46 @@ class TestMonteCarlo:
         # 63 blocks and the first into 125
         spec = equicorrelated.EquicorrelatedSpec(n=10, rho=0.3)
         whole = monte_carlo(10, 0.3, 150_000, seed=12)
+        monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 80 * 50_000)
         one_block = equicorrelated.sample_chunk(spec, 1, 50_000, 12)
         monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 80 * 800)
         blocks = list(equicorrelated.sample_blocks(spec, 1, 50_000, 12))
         assert len(blocks) == 63 and max(len(b) for b in blocks) <= 800
         assert np.array_equal(np.concatenate(blocks), one_block)
         assert monte_carlo(10, 0.3, 150_000, seed=12) == whole
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("rho", [0.0, 0.01, 0.5, 0.99])
+    @pytest.mark.parametrize(
+        "n",
+        [1, 2, 3, 10, orthant.ROW_MIN_SWEEP_BELOW - 1, orthant.ROW_MIN_SWEEP_BELOW + 1, 700],
+    )
+    def test_row_minimum_count_is_exact(self, monkeypatch, n, rho, threads):
+        # the hits counted from row minima against the all-positive rows of
+        # sample_chunk, over three chunks of at most 4000 rows (11 row
+        # blocks each at n = 700, two on either side of the crossover)
+        trials, seed, chunk_size = 10_000, 31, 4_000
+        monkeypatch.setattr(orthant, "CHUNK_SIZE", chunk_size)
+        spec = equicorrelated.EquicorrelatedSpec(n=n, rho=rho)
+        hits = sum(
+            int(np.count_nonzero(np.all(
+                equicorrelated.sample_chunk(spec, chunk, size, seed) > 0.0, axis=1
+            )))
+            for chunk, size in enumerate(equicorrelated._chunk_sizes(trials, chunk_size))
+        )
+        assert monte_carlo(n, rho, trials, seed, threads=threads).value == hits / trials
+
+    def test_peak_memory_cache_sized(self):
+        # two chunks on two threads; each holds its 100k-row z0, the block
+        # being drawn, the block before it and their row minima
+        per_thread = 3 * equicorrelated.BLOCK_BYTES + 8 * equicorrelated.CHUNK_SIZE
+        tracemalloc.start()
+        try:
+            monte_carlo(10, 0.5, 200_000, seed=8, threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * per_thread
 
     def test_peak_memory_within_budget(self):
         # one 100k-row chunk of n = 700 normals would take 560 MB

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -494,12 +495,25 @@ class TestUnionProbability:
         # splits each 50k chunk into 8 blocks of 6250
         n, k, seed = 4, 5, 7
         whole = estimate_union_probability(n, k, 120_000, seed=seed, threads=2)
+        monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 340 * sx.CHUNK_SIZE)
         (one_block,) = sx._edge_chunks(n, k, seed)(0, sx.CHUNK_SIZE)
         monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 340 * 7000)
         blocks = list(sx._edge_chunks(n, k, seed)(0, sx.CHUNK_SIZE))
         assert [len(b) for b in blocks] == [6250] * 8
         assert np.array_equal(np.concatenate(blocks), one_block)
         assert estimate_union_probability(n, k, 120_000, seed=seed, threads=2) == whole
+
+    def test_peak_memory_cache_sized(self):
+        # one 50k chunk at (10, 5): the block being drawn fits BLOCK_BYTES,
+        # and the derivatives and signs of the block before it are still held
+        estimate_union_probability(10, 5, 1_000, seed=3, threads=2)  # builds the factor
+        tracemalloc.start()
+        try:
+            estimate_union_probability(10, 5, 50_000, seed=3, threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * equicorrelated.BLOCK_BYTES
 
     def test_matches_coefficient_space_reference(self):
         # the derivative-space sampler against edge derivatives of drawn
@@ -549,12 +563,27 @@ class TestGradientCorrelations:
         n, k, seed, trials = 4, 5, 7, 120_000
         whole = gradient_correlations(n, k, trials, seed=seed, threads=2)
         with equicorrelated._one_blas_thread():
+            monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 448 * sx.CHUNK_SIZE)
+            assert sx._block_rows(sx.CHUNK_SIZE, 448) == [sx.CHUNK_SIZE]
             one_block = sx._derivative_chunks(n, k, seed)(0, sx.CHUNK_SIZE)
             monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 448 * 7000)
             assert sx._block_rows(sx.CHUNK_SIZE, 448) == [6250] * 8
             split = sx._derivative_chunks(n, k, seed)(0, sx.CHUNK_SIZE)
         assert np.array_equal(split, one_block)
         assert np.array_equal(gradient_correlations(n, k, trials, seed=seed, threads=2), whole)
+
+    def test_row_wider_than_block_changes_no_byte(self, monkeypatch):
+        # at (3, 3) a row of d = 10 coefficients takes 80 bytes; with 40-byte
+        # blocks and budget / 8, 1001 rows split into blocks of two and three
+        # rows, where one-row blocks would round differently
+        n, k, seed, size = 3, 3, 7, 1001
+        with equicorrelated._one_blas_thread():
+            whole = sx._derivative_chunks(n, k, seed)(0, size)
+            monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 40)
+            monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", 8 * 40)
+            assert set(sx._block_rows(size, 80, sx.GEMM_ROWS)) == {2, 3}
+            split = sx._derivative_chunks(n, k, seed)(0, size)
+        assert np.array_equal(split, whole)
 
     def test_familywise_band_rejects_miswired_design(self):
         # criterion 7's band at (10, 5) and 1e5 trials, r_max + z_M/sqrt(trials)
