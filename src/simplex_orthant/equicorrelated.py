@@ -29,8 +29,9 @@ CHUNK_SIZE = 100_000
 # the memory a run may take, and the bytes that one row block of a Monte
 # Carlo chunk may take (its normals and what is derived from them): 2 MiB,
 # the L2 cache of the x86-64 hosts measured.  BLAS repacks a product's fixed
-# matrix for each block, so such blocks get GEMM_ROWS rows where the budget
-# allows (132-row blocks made the union at (30, 5) 13% slower, 512 did not)
+# matrix for each block, so a block gets GEMM_ROWS rows where an eighth of
+# the budget holds them (132-row blocks made the union at (30, 5) 13%
+# slower, 512 did not)
 MEMORY_BUDGET_BYTES = 256 * 2**20
 BLOCK_BYTES = 2 * 2**20
 GEMM_ROWS = 512
@@ -118,15 +119,16 @@ def _chunk_sizes(trials: int, chunk_size: int) -> list[int]:
     return [min(chunk_size, trials - c * chunk_size) for c in range(n_chunks)]
 
 
-def _block_rows(size: int, row_bytes: int, min_rows: int = 1) -> list[int]:
-    """Row counts of the fewest even blocks of a size-row chunk within BLOCK_BYTES.
+def _block_rows(size: int, row_bytes: int) -> list[int]:
+    """Row counts of the fewest even blocks of a size-row chunk.
 
-    Blocks get min_rows rows where MEMORY_BUDGET_BYTES / 8 holds them, and two
-    at least unless the chunk has one (BLAS rounds a one-row product
-    differently).  They draw the chunk's stream in turn: no normal changes.
+    A block holds BLOCK_BYTES, or GEMM_ROWS rows where that is more and an
+    eighth of MEMORY_BUDGET_BYTES holds them, and two rows at least unless
+    the chunk has one (BLAS rounds a one-row product differently).  The
+    blocks draw the chunk's stream in turn, so the split changes no normal.
     """
-    budget_rows = MEMORY_BUDGET_BYTES // 8 // row_bytes
-    block = max(1, BLOCK_BYTES // row_bytes, min(min_rows, budget_rows))
+    gemm_rows = min(GEMM_ROWS, MEMORY_BUDGET_BYTES // 8 // row_bytes)
+    block = max(1, BLOCK_BYTES // row_bytes, gemm_rows)
     blocks = max(1, min(-(-size // block), size // 2))
     return [size // blocks + (b < size % blocks) for b in range(blocks)]
 
@@ -234,7 +236,7 @@ def normal_blocks(spec: EquicorrelatedSpec, chunk: int, size: int, seed: int):
     """A chunk's normals in (z0 rows, z block) pairs; a draw is sqrt(rho) z0 + sqrt(1-rho) z.
 
     z0 is drawn for the whole chunk first and each block's z after it in
-    turn, so the split into blocks of at most BLOCK_BYTES changes no normal.
+    turn, so the split into the blocks of _block_rows changes no normal.
     """
     rng = chunk_generator(seed, chunk)
     z0 = rng.standard_normal((size, 1))
@@ -244,7 +246,7 @@ def normal_blocks(spec: EquicorrelatedSpec, chunk: int, size: int, seed: int):
 
 
 def sample_blocks(spec: EquicorrelatedSpec, chunk: int, size: int, seed: int):
-    """The rows of sample_chunk in row blocks of at most BLOCK_BYTES each."""
+    """The rows of sample_chunk in the row blocks of normal_blocks."""
     for z0, z in normal_blocks(spec, chunk, size, seed):
         z *= math.sqrt(1.0 - spec.rho)
         z += math.sqrt(spec.rho) * z0

@@ -45,9 +45,6 @@ LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # halvings resolve it up to rho = 0.99999 for 60 n from 2 to 1e8.
 STECK_HALVINGS = 12
 DENSITY_HALVINGS = 12  # the density rule halves its step from 0.5 down to 0.5/4096
-# below this n a column sweep finds a Monte Carlo block's row minima faster
-# than z.min(axis=1); both are exact (they cross at n = 80-90 on x86-64)
-ROW_MIN_SWEEP_BELOW = 80
 
 
 @dataclass(frozen=True)
@@ -336,10 +333,7 @@ def monte_carlo(
     def count_hits(chunk):
         hits = 0
         for z0, z in normal_blocks(spec, chunk, sizes[chunk], seed):
-            if n < ROW_MIN_SWEEP_BELOW:
-                low = functools.reduce(np.minimum, z.T)
-            else:
-                low = z.min(axis=1)
+            low = functools.reduce(np.minimum, z.T)  # one loop over the rows per column
             low *= math.sqrt(1.0 - rho)
             low += math.sqrt(rho) * z0[:, 0]
             hits += int(np.count_nonzero(low > 0.0))

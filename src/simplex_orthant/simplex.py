@@ -33,7 +33,6 @@ import numpy as np
 
 from . import orthant
 from .equicorrelated import (
-    GEMM_ROWS,
     MEMORY_BUDGET_BYTES,
     EquicorrelatedSpec,
     TvBound,
@@ -387,14 +386,14 @@ def _edge_factor(n: int, k: int) -> np.ndarray:
 def _edge_chunks(n: int, k: int, seed: int):
     """Chunk sampler mapping (chunk, size) to row blocks of size x n(n+1) derivatives.
 
-    A block's normals, derivatives and signs fit BLOCK_BYTES or GEMM_ROWS rows.
+    A block's normals, derivatives and signs take the rows _block_rows gives.
     """
     factor = _edge_factor(n, k)
     m, r = factor.shape
 
     def sample(chunk: int, size: int):
         rng = chunk_generator(seed, chunk)
-        for rows in _block_rows(size, 8 * (r + m) + m, GEMM_ROWS):
+        for rows in _block_rows(size, 8 * (r + m) + m):
             yield rng.standard_normal((rows, r)) @ factor.T
 
     return sample
@@ -425,8 +424,8 @@ def is_vertex_max(P: BombieriPolynomial, geom: SimplexGeometry, vertex: int) -> 
 def _derivative_chunks(n: int, k: int, seed: int):
     """Chunk sampler mapping (chunk, size) to size x n(n+1) derivatives of drawn polynomials.
 
-    The coefficients are drawn and projected in row blocks whose
-    coefficients fit BLOCK_BYTES or GEMM_ROWS rows, each into its result rows.
+    The coefficients are drawn and projected in the row blocks that
+    _block_rows gives for them, each into its rows of the result.
     """
     design = _design_matrix(n, k)
     sigma = np.sqrt(coefficient_variances(n, k))
@@ -436,7 +435,7 @@ def _derivative_chunks(n: int, k: int, seed: int):
         rng = chunk_generator(seed, chunk)
         derivs = np.empty((size, m))
         start = 0
-        for rows in _block_rows(size, 8 * d, GEMM_ROWS):
+        for rows in _block_rows(size, 8 * d):
             coeffs = rng.standard_normal((rows, d))
             coeffs *= sigma
             np.matmul(coeffs, design.T, out=derivs[start : start + rows])

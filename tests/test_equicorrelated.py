@@ -166,33 +166,31 @@ class TestSampler:
 
 class TestBlockRows:
     @settings(max_examples=300, deadline=None)
-    @given(
-        size=st.integers(1, 200_000),
-        row_bytes=st.integers(1, 2**23),
-        min_rows=st.sampled_from([1, equicorrelated.GEMM_ROWS]),
-    )
-    def test_even_split_without_one_row_blocks(self, size, row_bytes, min_rows):
-        rows = equicorrelated._block_rows(size, row_bytes, min_rows)
+    @given(size=st.integers(1, 200_000), row_bytes=st.integers(1, 2**23))
+    def test_even_split_without_one_row_blocks(self, size, row_bytes):
+        rows = equicorrelated._block_rows(size, row_bytes)
         assert sum(rows) == size and max(rows) - min(rows) <= 1
         assert size == 1 or min(rows) >= 2
+        gemm_bytes = equicorrelated.GEMM_ROWS * row_bytes
         limit = max(
             equicorrelated.BLOCK_BYTES,
-            min(min_rows * row_bytes, equicorrelated.MEMORY_BUDGET_BYTES // 8),
+            min(gemm_bytes, equicorrelated.MEMORY_BUDGET_BYTES // 8),
         )
         assert max(rows) * row_bytes <= limit or max(rows) <= 3
 
     def test_gemm_rows_within_budget(self):
         # 16 kB coefficient rows at (10, 5) get GEMM_ROWS rows; the 1.45 MB
         # rows at (3, 600) get as many as an eighth of the budget holds
-        gemm = equicorrelated.GEMM_ROWS
-        assert set(equicorrelated._block_rows(50_000, 8 * 2002, gemm)) == {510, 511}
-        rows = equicorrelated._block_rows(50_000, 8 * 180_901, gemm)
+        assert set(equicorrelated._block_rows(50_000, 8 * 2002)) == {510, 511}
+        rows = equicorrelated._block_rows(50_000, 8 * 180_901)
         assert 2 < min(rows)
         assert max(rows) * 8 * 180_901 <= equicorrelated.MEMORY_BUDGET_BYTES // 8
 
     @pytest.mark.parametrize("size", [2, 3, 5, 1001, 50_000])
     def test_row_wider_than_block(self, monkeypatch, size):
+        # an 80-byte row is wider than a block and than an eighth of the budget
         monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 40)
+        monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", 8 * 40)
         rows = equicorrelated._block_rows(size, 80)
         assert sum(rows) == size and set(rows) <= {2, 3}
         assert len(rows) == size // 2

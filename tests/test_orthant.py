@@ -416,14 +416,11 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("rho", [0.0, 0.01, 0.5, 0.99])
-    @pytest.mark.parametrize(
-        "n",
-        [1, 2, 3, 10, orthant.ROW_MIN_SWEEP_BELOW - 1, orthant.ROW_MIN_SWEEP_BELOW + 1, 700],
-    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 79, 81, 700])
     def test_row_minimum_count_is_exact(self, monkeypatch, n, rho, threads):
         # the hits counted from row minima against the all-positive rows of
-        # sample_chunk, over three chunks of at most 4000 rows (11 row
-        # blocks each at n = 700, two on either side of the crossover)
+        # sample_chunk, over three chunks of at most 4000 rows (eight row
+        # blocks in a full chunk at n = 700, two at n = 79 and 81)
         trials, seed, chunk_size = 10_000, 31, 4_000
         monkeypatch.setattr(orthant, "CHUNK_SIZE", chunk_size)
         spec = equicorrelated.EquicorrelatedSpec(n=n, rho=rho)

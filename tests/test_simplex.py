@@ -581,7 +581,20 @@ class TestGradientCorrelations:
             whole = sx._derivative_chunks(n, k, seed)(0, size)
             monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 40)
             monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", 8 * 40)
-            assert set(sx._block_rows(size, 80, sx.GEMM_ROWS)) == {2, 3}
+            assert set(sx._block_rows(size, 80)) == {2, 3}
+            split = sx._derivative_chunks(n, k, seed)(0, size)
+        assert np.array_equal(split, whole)
+
+    def test_one_coefficient_rows_change_no_byte(self, monkeypatch):
+        # at n = 1 the design has one column at any k, so a row takes 8 bytes
+        # and a 50k chunk is one block; GEMM_ROWS-row blocks give its bytes
+        n, k, seed, size = 1, 600, 7, 50_000
+        assert sx._design_matrix(n, k).shape == (2, 1)
+        with equicorrelated._one_blas_thread():
+            assert sx._block_rows(size, 8) == [size]
+            whole = sx._derivative_chunks(n, k, seed)(0, size)
+            monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 8)
+            assert set(sx._block_rows(size, 8)) == {510, 511}
             split = sx._derivative_chunks(n, k, seed)(0, size)
         assert np.array_equal(split, whole)
 
