@@ -4,6 +4,7 @@ random homogeneous polynomials on the zero-centered simplex."""
 from .equicorrelated import (
     EquicorrelatedSpec,
     InverseDiagonalPair,
+    ResourceBudgetError,
     TvBound,
     covariance_matrix,
     inverse_diag_offdiag,
@@ -41,7 +42,6 @@ from .simplex import (
     BombieriPolynomial,
     EdgeFrame,
     ExperimentReport,
-    ResourceBudgetError,
     SimplexGeometry,
     TvReport,
     build_geometry,

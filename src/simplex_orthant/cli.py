@@ -24,7 +24,7 @@ import sys
 import time
 
 from . import orthant, simplex, verify
-from .simplex import ResourceBudgetError
+from .equicorrelated import ResourceBudgetError
 
 NA = "NA"
 MAX_GRID_POINTS = 10**6
@@ -77,7 +77,9 @@ def _fmt(value):
     return str(value)
 
 
-def _emit(rows, columns, fmt, out, command, config):
+def _emit(rows, fmt, out, command, config):
+    """Write rows in fmt; the columns are the keys of a row but _plot, in order."""
+    columns = [c for c in rows[0] if c != "_plot"]
     if fmt == "json":
         doc = {
             "command": command,
@@ -92,14 +94,12 @@ def _emit(rows, columns, fmt, out, command, config):
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt(row.get(c)) for c in columns])
-    elif fmt == "plotdata":
+    else:  # plotdata; argparse admits no other format
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["x", "y", "series"])
         for row in rows:
             for x, y, series in row["_plot"]:
                 writer.writerow([_fmt(x), _fmt(y), series])
-    else:
-        raise ValueError(f"unknown output format {fmt!r}")
 
 
 def cmd_compute(args) -> list[dict]:
@@ -134,9 +134,6 @@ def cmd_compute(args) -> list[dict]:
     return rows
 
 
-COMPUTE_COLUMNS = ["n", "rho", "method", "value", "std_error", "count"]
-
-
 def cmd_bounds(args) -> list[dict]:
     rows = []
     for n in args.n:
@@ -167,13 +164,6 @@ def cmd_bounds(args) -> list[dict]:
                 }
             )
     return rows
-
-
-BOUNDS_COLUMNS = [
-    "n", "rho", "f", "method", "scale", "lower", "upper",
-    "lower_applicable", "upper_applicable", "upper_asymptotic",
-    "sandwich_ok", "scaled_ratio",
-]
 
 
 def cmd_simplex(args) -> list[dict]:
@@ -211,13 +201,7 @@ def cmd_simplex(args) -> list[dict]:
     return rows
 
 
-SIMPLEX_COLUMNS = [
-    "n", "k", "trials", "seed", "rho_n",
-    "vertex_estimate", "vertex_std_error",
-    "union_estimate", "union_std_error",
-    "analytic_f", "independence_approx",
-    "tv_paper_literal", "tv_corrected", "tv_exact", "envelope",
-]
+COMMANDS = {"compute": cmd_compute, "bounds": cmd_bounds, "simplex": cmd_simplex}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,34 +256,22 @@ def _config_dict(args) -> dict:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
-
+    buffer = io.StringIO()
+    code = 0
     if args.command == "verify":
         summary = verify.run_all(args.budget, only=args.suite)
-        text = json.dumps(summary, indent=2) + "\n"
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
-        print(f"verify: {time.monotonic() - started:.1f}s", file=sys.stderr)
-        return 0 if summary["all_passed"] else 3
-
-    if args.command == "compute":
-        rows, columns = cmd_compute(args), COMPUTE_COLUMNS
-    elif args.command == "bounds":
-        rows, columns = cmd_bounds(args), BOUNDS_COLUMNS
+        buffer.write(json.dumps(summary, indent=2) + "\n")
+        code = 0 if summary["all_passed"] else 3
     else:
-        rows, columns = cmd_simplex(args), SIMPLEX_COLUMNS
-
-    buffer = io.StringIO()
-    _emit(rows, columns, args.format, buffer, args.command, _config_dict(args))
+        rows = COMMANDS[args.command](args)
+        _emit(rows, args.format, buffer, args.command, _config_dict(args))
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(buffer.getvalue())
     else:
         sys.stdout.write(buffer.getvalue())
     print(f"{args.command}: {time.monotonic() - started:.1f}s", file=sys.stderr)
-    return 0
+    return code
 
 
 def main(argv=None) -> None:

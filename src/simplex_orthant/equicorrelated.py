@@ -37,6 +37,18 @@ BLOCK_BYTES = 2 * 2**20
 GEMM_ROWS = 512
 
 
+class ResourceBudgetError(Exception):
+    """Raised when an array a call would build exceeds the memory budget."""
+
+
+def check_bytes(need: int, what: str) -> None:
+    """Raise ResourceBudgetError, naming `what`, unless `need` bytes fit the budget."""
+    if need > MEMORY_BUDGET_BYTES:
+        raise ResourceBudgetError(
+            f"{what} ({need} bytes) would not fit the {MEMORY_BUDGET_BYTES}-byte budget"
+        )
+
+
 @dataclass(frozen=True)
 class EquicorrelatedSpec:
     """Dimension n and common correlation rho; validated on construction."""

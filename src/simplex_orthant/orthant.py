@@ -337,6 +337,7 @@ def monte_carlo(
             low *= math.sqrt(1.0 - rho)
             low += math.sqrt(rho) * z0[:, 0]
             hits += int(np.count_nonzero(low > 0.0))
+            del z, low  # before the generator draws the next block
         return hits
 
     p_hat, se = hit_rate(sum(_map_ordered(count_hits, len(sizes), threads)), trials)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
 from typing import Optional
 
@@ -33,13 +33,14 @@ import numpy as np
 
 from . import orthant
 from .equicorrelated import (
-    MEMORY_BUDGET_BYTES,
     EquicorrelatedSpec,
+    ResourceBudgetError,  # re-exported: the error of this module's budget checks
     TvBound,
     _block_rows,
     _chunk_sizes,
     _map_ordered,
     _one_blas_thread,
+    check_bytes,
     chunk_generator,
     hit_rate,
     inverse_diag_offdiag,
@@ -47,10 +48,6 @@ from .equicorrelated import (
 )
 
 CHUNK_SIZE = 50_000
-
-
-class ResourceBudgetError(Exception):
-    """Raised when a coefficient table or covariance would exceed the memory budget."""
 
 
 @dataclass(frozen=True)
@@ -237,32 +234,15 @@ def coefficient_count(n: int, k: int) -> int:
     return math.comb(n + k - 1, k)
 
 
-def _check_budget(n: int, k: int, rows: int = 1) -> int:
-    """Raise unless a rows x d float64 table over the coefficients fits the budget."""
-    d = coefficient_count(n, k)
-    if rows * d * 8 > MEMORY_BUDGET_BYTES:
-        raise ResourceBudgetError(
-            f"{rows} x d={d} coefficient table for (n={n}, k={k}) "
-            f"({rows * d * 8} bytes) exceeds the {MEMORY_BUDGET_BYTES}-byte budget"
-        )
-    return d
-
-
-def _check_covariance_budget(n: int, k: int, size: int, arrays: int) -> None:
-    """Raise unless `arrays` float64 size x size edge-covariance arrays fit the budget."""
-    need = arrays * size * size * 8
-    if need > MEMORY_BUDGET_BYTES:
-        raise ResourceBudgetError(
-            f"{arrays} x {size} x {size} edge-covariance arrays for (n={n}, k={k}) "
-            f"({need} bytes) exceed the {MEMORY_BUDGET_BYTES}-byte budget"
-        )
-
-
 def sample_polynomial(n: int, k: int, seed: int) -> BombieriPolynomial:
     """One draw from the Gaussian polynomial ensemble, c_a ~ N(0, k!/a!)."""
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
-    _check_budget(n, k)
+    d = coefficient_count(n, k)
+    # coefficient_variances builds the d x n exponent table from d tuples and
+    # then holds two d x n float temporaries; tracemalloc peaks at about
+    # 8 (3n + 8) bytes a coefficient, three d x n words from n = 10
+    check_bytes(8 * d * (3 * n + 8), f"d={d} x n={n} exponent table for (n={n}, k={k})")
     rng = chunk_generator(seed, 0)
     sigma = np.sqrt(coefficient_variances(n, k))
     return BombieriPolynomial(
@@ -322,7 +302,8 @@ def _design_matrix(n: int, k: int) -> np.ndarray:
     unnormalized edge derivatives at once.  The n(n+1) x d table is checked
     against the memory budget before any row is built.
     """
-    _check_budget(n, k, rows=n * (n + 1))
+    m, d = n * (n + 1), coefficient_count(n, k)
+    check_bytes(8 * m * d, f"{m} x d={d} coefficient table for (n={n}, k={k})")
     out = _design_rows(build_geometry(n), k, range(n + 1))
     out.setflags(write=False)
     return out
@@ -343,7 +324,10 @@ def edge_covariance(n: int, k: int, vertices=None) -> np.ndarray:
     vertices = list(range(n + 1) if vertices is None else vertices)
     count = len(vertices)
     # the covariance and the cross term alive at once
-    _check_covariance_budget(n, k, count * n, arrays=2)
+    size = count * n
+    check_bytes(
+        2 * 8 * size * size, f"2 x {size} x {size} edge-covariance arrays for (n={n}, k={k})"
+    )
     base = geom.embedded[vertices]
     frames = np.array([edge_frame(geom, v).directions for v in vertices])
     with _one_blas_thread():
@@ -374,7 +358,7 @@ def _edge_factor(n: int, k: int) -> np.ndarray:
     m = n * (n + 1)
     # alive at once: the covariance, eigh's copy of it, the eigenvectors,
     # and LAPACK syevd's workspace of about two more
-    _check_covariance_budget(n, k, m, arrays=5)
+    check_bytes(5 * 8 * m * m, f"5 x {m} x {m} edge-covariance arrays for (n={n}, k={k})")
     with _one_blas_thread():
         w, vecs = np.linalg.eigh(edge_covariance(n, k))
     keep = w > m * np.finfo(float).eps * w[-1]
@@ -386,7 +370,8 @@ def _edge_factor(n: int, k: int) -> np.ndarray:
 def _edge_chunks(n: int, k: int, seed: int):
     """Chunk sampler mapping (chunk, size) to row blocks of size x n(n+1) derivatives.
 
-    A block's normals, derivatives and signs take the rows _block_rows gives.
+    A block's normals, derivatives and per-vertex minima take the rows
+    _block_rows gives.
     """
     factor = _edge_factor(n, k)
     m, r = factor.shape
@@ -478,12 +463,13 @@ def estimate_union_probability(
     def count_hits(chunk: int) -> tuple[int, int]:
         union_hits = vertex_hits = 0
         for derivs in sample(chunk, sizes[chunk]):
-            positive = (derivs > 0.0).reshape(len(derivs), n + 1, n)
-            vertex_max = positive[:, :, 0].copy()
-            for edge in range(1, n):
-                vertex_max &= positive[:, :, edge]
+            # a vertex is a maximum when the least of its n edge derivatives
+            # is positive: one column sweep, as in orthant.monte_carlo
+            edges = derivs.reshape(len(derivs), n + 1, n).transpose(2, 0, 1)
+            vertex_max = reduce(np.minimum, edges) > 0.0
             union_hits += int(np.count_nonzero(vertex_max.any(axis=1)))
             vertex_hits += int(np.count_nonzero(vertex_max[:, 0]))
+            del derivs, edges  # before the generator draws the next block
         return union_hits, vertex_hits
 
     counts = _map_ordered(count_hits, len(sizes), threads)
@@ -518,6 +504,8 @@ def gradient_correlations(
     It draws polynomial coefficients, not edge derivatives, so it tests the
     closed-form law that the union experiment samples from.
     """
+    if n < 1 or k < 2:
+        raise ValueError("need n >= 1 and k >= 2")
     sizes = _chunk_sizes(trials, CHUNK_SIZE)
     sample = _derivative_chunks(n, k, seed)
 

@@ -16,6 +16,21 @@ from simplex_orthant import cli, equicorrelated, simplex, verify
 
 DATA = Path(__file__).parent / "data"
 
+# the CSV headers, pinned here so that a column cannot move unnoticed
+COMPUTE_HEADER = ["n", "rho", "method", "value", "std_error", "count"]
+BOUNDS_HEADER = [
+    "n", "rho", "f", "method", "scale", "lower", "upper",
+    "lower_applicable", "upper_applicable", "upper_asymptotic",
+    "sandwich_ok", "scaled_ratio",
+]
+SIMPLEX_HEADER = [
+    "n", "k", "trials", "seed", "rho_n",
+    "vertex_estimate", "vertex_std_error",
+    "union_estimate", "union_std_error",
+    "analytic_f", "independence_approx",
+    "tv_paper_literal", "tv_corrected", "tv_exact", "envelope",
+]
+
 
 def run_cli(args, capsys):
     """Invoke the CLI in-process; return (exit_code, stdout, stderr)."""
@@ -90,7 +105,7 @@ class TestComputeCommand:
         )
         header, rows = parse_csv(out)
         assert code == 0
-        assert header == cli.COMPUTE_COLUMNS
+        assert header == COMPUTE_HEADER
         assert float(rows[0][header.index("value")]) == 0.125
 
     def test_steck_value(self, capsys):
@@ -154,7 +169,7 @@ class TestComputeCommand:
         )
         assert code == 0 and out == ""
         header, rows = parse_csv(target.read_text())
-        assert header == cli.COMPUTE_COLUMNS and len(rows) == 1
+        assert header == COMPUTE_HEADER and len(rows) == 1
 
 
 class TestBoundsCommand:
@@ -163,7 +178,7 @@ class TestBoundsCommand:
             ["bounds", "--n", "10,100,1000,10000", "--rho", "0.75"], capsys
         )
         header, rows = parse_csv(out)
-        assert code == 0 and header == cli.BOUNDS_COLUMNS
+        assert code == 0 and header == BOUNDS_HEADER
         idx = header.index("sandwich_ok")
         assert all(row[idx] == "true" for row in rows)
 
@@ -202,7 +217,7 @@ class TestSimplexCommand:
             capsys,
         )
         header, rows = parse_csv(out)
-        assert code == 0 and header == cli.SIMPLEX_COLUMNS
+        assert code == 0 and header == SIMPLEX_HEADER
         row = dict(zip(header, rows[0]))
         est = float(row["vertex_estimate"])
         se = float(row["vertex_std_error"])
@@ -421,6 +436,15 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert code == 3
         assert any(name.startswith("lemma_inverse:") for name in doc["failures"])
+
+    def test_output_file_holds_stdout_bytes(self, capsys, tmp_path):
+        args = ["verify", "--suite", "special_functions"]
+        code, out, _ = run_cli(args, capsys)
+        target = tmp_path / "verify.json"
+        code_file, out_file, err = run_cli(args + ["--output", str(target)], capsys)
+        assert code == code_file == 0 and out_file == ""
+        assert target.read_bytes() == out.encode()
+        assert err.startswith("verify: ")
 
     def test_unknown_suite_rejected(self, capsys):
         code, _, err = run_cli(["verify", "--suite", "nonsense"], capsys)

@@ -312,6 +312,16 @@ class TestSamplePolynomial:
         with pytest.raises(ResourceBudgetError, match=r"d=\d+"):
             sample_polynomial(100, 6, seed=0)
 
+    def test_budget_counts_exponent_table(self, monkeypatch):
+        # at (20, 6) the d = 177100 coefficients take 1.4 MB, but the d x 20
+        # exponent table, the tuples it is built from and the variances'
+        # temporaries peak at 85 MB; an 8 MB budget must stop the call
+        # before any of them is built
+        monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", 8 * 2**20)
+        assert 8 * coefficient_count(20, 6) < equicorrelated.MEMORY_BUDGET_BYTES
+        with pytest.raises(ResourceBudgetError, match=r"d=177100 x n=20"):
+            sample_polynomial(20, 6, seed=0)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             sample_polynomial(0, 2, seed=0)
@@ -504,8 +514,9 @@ class TestUnionProbability:
         assert estimate_union_probability(n, k, 120_000, seed=seed, threads=2) == whole
 
     def test_peak_memory_cache_sized(self):
-        # one 50k chunk at (10, 5): the block being drawn fits BLOCK_BYTES,
-        # and the derivatives and signs of the block before it are still held
+        # one 50k chunk at (10, 5): the normals and derivatives of the block
+        # being drawn fit BLOCK_BYTES (1.9 MiB measured), and the block before
+        # it is dropped first; holding it too read 2.9 MiB
         estimate_union_probability(10, 5, 1_000, seed=3, threads=2)  # builds the factor
         tracemalloc.start()
         try:
@@ -513,7 +524,23 @@ class TestUnionProbability:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * equicorrelated.BLOCK_BYTES
+        assert peak < 1.25 * equicorrelated.BLOCK_BYTES
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n, k", [(1, 3), (2, 5), (3, 3), (4, 4), (8, 2)])
+    def test_row_minimum_counts_are_exact(self, n, k, threads):
+        # a vertex counts when all n of its edge derivatives are positive;
+        # (8, 2) has a singular covariance (d = 36 < 72 derivatives)
+        trials, seed = 60_000, 11
+        rep = estimate_union_probability(n, k, trials, seed=seed, threads=threads)
+        sample = sx._edge_chunks(n, k, seed)
+        union = vertex = 0
+        for chunk, size in enumerate(equicorrelated._chunk_sizes(trials, sx.CHUNK_SIZE)):
+            for derivs in sample(chunk, size):
+                vertex_max = np.all((derivs > 0.0).reshape(len(derivs), n + 1, n), axis=2)
+                union += int(np.count_nonzero(vertex_max.any(axis=1)))
+                vertex += int(np.count_nonzero(vertex_max[:, 0]))
+        assert (rep.estimate, rep.vertex_estimate) == (union / trials, vertex / trials)
 
     def test_matches_coefficient_space_reference(self):
         # the derivative-space sampler against edge derivatives of drawn
@@ -543,6 +570,11 @@ class TestUnionProbability:
 
 
 class TestGradientCorrelations:
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_domain(self, k):
+        with pytest.raises(ValueError, match=r"k >= 2"):
+            gradient_correlations(3, k, 1000, seed=1)
+
     def test_structure(self):
         n, k, trials = 3, 3, 150_000
         corr = gradient_correlations(n, k, trials, seed=7_031)
