@@ -200,6 +200,12 @@ def _one_blas_thread():
                 set_(_blas_saved)
 
 
+# one executor per thread count, kept for the process: threads made per map
+# raced the last map's exits, and each racer's new glibc arena stayed resident
+_POOLS = {}
+os.register_at_fork(after_in_child=_POOLS.clear)  # a child has none of their threads
+
+
 def _map_ordered(fn, n_chunks: int, threads: int) -> list:
     """[fn(0), ..., fn(n_chunks - 1)], evaluated on up to `threads` threads."""
     if threads < 1:
@@ -209,8 +215,8 @@ def _map_ordered(fn, n_chunks: int, threads: int) -> list:
             return [fn(c) for c in range(n_chunks)]
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(n_chunks)))
+        pool = _POOLS.get(threads) or _POOLS.setdefault(threads, ThreadPoolExecutor(threads))
+        return list(pool.map(fn, range(n_chunks)))
 
 
 def hit_rate(hits: int, trials: int) -> tuple[float, float]:
@@ -230,39 +236,41 @@ def sample_equicorrelated(spec: EquicorrelatedSpec, count: int, seed: int) -> np
             "sample_equicorrelated supports rho >= 0 only "
             "(common-factor construction)"
         )
-    chunks = [
-        sample_chunk(spec, chunk, size, seed)
-        for chunk, size in enumerate(_chunk_sizes(count, CHUNK_SIZE))
-    ]
-    return np.concatenate(chunks, axis=0)
+    check_bytes(16 * count * spec.n, f"{count} x {spec.n} draws and the chunks joined into them")
+    sizes = _chunk_sizes(count, CHUNK_SIZE)
+    return np.concatenate([sample_chunk(spec, c, size, seed) for c, size in enumerate(sizes)])
 
 
-def sample_chunk(
-    spec: EquicorrelatedSpec, chunk: int, size: int, seed: int
-) -> np.ndarray:
-    """One deterministic chunk of sample_equicorrelated."""
-    return np.concatenate(list(sample_blocks(spec, chunk, size, seed)))
-
-
-def normal_blocks(spec: EquicorrelatedSpec, chunk: int, size: int, seed: int):
-    """A chunk's normals in (z0 rows, z block) pairs; a draw is sqrt(rho) z0 + sqrt(1-rho) z.
-
-    z0 is drawn for the whole chunk first and each block's z after it in
-    turn, so the split into the blocks of _block_rows changes no normal.
-    """
+def sample_chunk(spec: EquicorrelatedSpec, chunk: int, size: int, seed: int) -> np.ndarray:
+    """One deterministic chunk of sample_equicorrelated: z0, then z, scaled in place."""
     rng = chunk_generator(seed, chunk)
     z0 = rng.standard_normal((size, 1))
-    rows = _block_rows(size, 8 * spec.n)
-    for z0_rows in np.split(z0, np.cumsum(rows[:-1])):
-        yield z0_rows, rng.standard_normal((len(z0_rows), spec.n))
+    z = rng.standard_normal((size, spec.n))
+    z *= math.sqrt(1.0 - spec.rho)
+    z += math.sqrt(spec.rho) * z0
+    return z
 
 
-def sample_blocks(spec: EquicorrelatedSpec, chunk: int, size: int, seed: int):
-    """The rows of sample_chunk in the row blocks of normal_blocks."""
-    for z0, z in normal_blocks(spec, chunk, size, seed):
-        z *= math.sqrt(1.0 - spec.rho)
-        z += math.sqrt(spec.rho) * z0
-        yield z
+def orthant_hits(spec: EquicorrelatedSpec, chunk: int, size: int, seed: int) -> int:
+    """How many of a chunk's `size` common-factor draws have every coordinate positive.
+
+    Coordinate j is drawn only for the rows whose first j - 1 passed: one
+    normal per surviving row, kept where fl(fl(sqrt(1-rho) z) + u) > 0 with
+    u = fl(sqrt(rho) z0), the test a row of sample_chunk would pass.  So the
+    count has the exact law of sample_chunk's, costs 1 + sum_{j<n} f(j, rho)
+    normals a row (f(0, rho) = 1), and holds O(size) memory at any n.
+    """
+    rng = chunk_generator(seed, chunk)
+    u = rng.standard_normal(size) * math.sqrt(spec.rho)
+    z, keep = np.empty(size), np.empty(size, dtype=bool)
+    for _ in range(spec.n):
+        if not len(u):
+            break
+        x = rng.standard_normal(out=z[: len(u)])
+        x *= math.sqrt(1.0 - spec.rho)
+        x += u
+        u = np.extract(np.greater(x, 0.0, out=keep[: len(u)]), u)
+    return len(u)
 
 
 def tv_bound_frobenius(n: int, m: int, epsilon: float, inv: InverseDiagonalPair) -> TvBound:

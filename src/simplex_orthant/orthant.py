@@ -35,7 +35,7 @@ from .equicorrelated import (
     _map_ordered,
     check_domain,
     hit_rate,
-    normal_blocks,
+    orthant_hits,
 )
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -319,28 +319,17 @@ def monte_carlo(
     """Fraction of common-factor draws with all coordinates positive.
 
     Chunked and deterministic per (seed, chunk index); the thread count never
-    changes the result, only how chunks are scheduled.  Each chunk is drawn
-    and counted in row blocks, so a run stays within the memory budget at
-    any n.  Rounding is monotone, so with a = sqrt(rho) and b = sqrt(1 - rho)
-    > 0 a row's draws fl(fl(b z_i) + fl(a z0)) are all positive exactly when
-    the one from min_i z_i is: counting row minima counts all-positive rows.
+    changes the result, only how chunks are scheduled.  Each chunk draws a
+    row's next coordinate only while the row is still in the orthant
+    (equicorrelated.orthant_hits), so a run at n draws the same first j
+    coordinates as a run at j, and holds O(CHUNK_SIZE) memory at any n.
     """
     spec = EquicorrelatedSpec(n=n, rho=rho)
     if rho < 0.0:
         raise ValueError("monte_carlo requires rho >= 0 (sampler constraint)")
     sizes = _chunk_sizes(trials, CHUNK_SIZE)
-
-    def count_hits(chunk):
-        hits = 0
-        for z0, z in normal_blocks(spec, chunk, sizes[chunk], seed):
-            low = functools.reduce(np.minimum, z.T)  # one loop over the rows per column
-            low *= math.sqrt(1.0 - rho)
-            low += math.sqrt(rho) * z0[:, 0]
-            hits += int(np.count_nonzero(low > 0.0))
-            del z, low  # before the generator draws the next block
-        return hits
-
-    p_hat, se = hit_rate(sum(_map_ordered(count_hits, len(sizes), threads)), trials)
+    hits = _map_ordered(lambda c: orthant_hits(spec, c, sizes[c], seed), len(sizes), threads)
+    p_hat, se = hit_rate(sum(hits), trials)
     return OrthantEstimate(value=p_hat, std_error=se, method="monte_carlo", count=trials)
 
 

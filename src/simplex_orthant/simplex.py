@@ -225,7 +225,10 @@ def coefficient_variances(n: int, k: int) -> np.ndarray:
     from scipy.special import gammaln
 
     exponents = multi_index_table(n, k)
-    var = np.exp(math.lgamma(k + 1) - np.sum(gammaln(exponents + 1.0), axis=1))
+    with np.errstate(over="ignore"):
+        var = np.exp(math.lgamma(k + 1) - np.sum(gammaln(exponents + 1.0), axis=1))
+    if not np.all(np.isfinite(var)):
+        raise ArithmeticError(f"a coefficient variance k!/alpha! overflows at (n={n}, k={k})")
     var.setflags(write=False)
     return var
 
@@ -464,7 +467,7 @@ def estimate_union_probability(
         union_hits = vertex_hits = 0
         for derivs in sample(chunk, sizes[chunk]):
             # a vertex is a maximum when the least of its n edge derivatives
-            # is positive: one column sweep, as in orthant.monte_carlo
+            # is positive: one column sweep over the edges
             edges = derivs.reshape(len(derivs), n + 1, n).transpose(2, 0, 1)
             vertex_max = reduce(np.minimum, edges) > 0.0
             union_hits += int(np.count_nonzero(vertex_max.any(axis=1)))

@@ -119,6 +119,11 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_equicorrelated(EquicorrelatedSpec(n=3, rho=-0.1), 10, seed=0)
 
+    def test_budget(self):
+        # 1e6 x 700 draws take 5.6 GB; the call must stop before any chunk
+        with pytest.raises(equicorrelated.ResourceBudgetError, match="1000000 x 700"):
+            sample_equicorrelated(EquicorrelatedSpec(n=700, rho=0.5), 10**6, seed=0)
+
     def test_independent_case(self):
         x = sample_equicorrelated(EquicorrelatedSpec(n=2, rho=0.0), 1_000_000, seed=42)
         corr = np.corrcoef(x, rowvar=False)[0, 1]
@@ -228,6 +233,15 @@ class TestChunkMap:
         with pytest.raises(RuntimeError, match="chunk failed"):
             equicorrelated._map_ordered(chunk, 4, threads)
         assert openblas_at_two() == 2
+
+    def test_threads_outlive_the_map(self):
+        # a map's threads stay for the next map on as many threads, so no
+        # thread starts while the last map's are still exiting
+        used = set(equicorrelated._map_ordered(lambda c: threading.get_ident(), 8, 2))
+        alive = {t.ident for t in threading.enumerate()}
+        assert threading.get_ident() not in used and used <= alive
+        again = equicorrelated._map_ordered(lambda c: threading.get_ident(), 8, 2)
+        assert set(again) <= alive
 
     def test_overlapping_maps_in_two_threads(self, openblas_at_two):
         # map b starts inside map a and ends after it: a's exit must neither

@@ -402,48 +402,66 @@ class TestMonteCarlo:
         assert one.value == four.value
 
     def test_row_blocks_change_no_hit(self, monkeypatch):
-        # 800 rows' worth of n = 10 normals splits the last, 50k chunk into
-        # 63 blocks and the first into 125
-        spec = equicorrelated.EquicorrelatedSpec(n=10, rho=0.3)
+        # the early exit draws whole columns of a chunk, never row blocks
         whole = monte_carlo(10, 0.3, 150_000, seed=12)
-        monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 80 * 50_000)
-        one_block = equicorrelated.sample_chunk(spec, 1, 50_000, 12)
         monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 80 * 800)
-        blocks = list(equicorrelated.sample_blocks(spec, 1, 50_000, 12))
-        assert len(blocks) == 63 and max(len(b) for b in blocks) <= 800
-        assert np.array_equal(np.concatenate(blocks), one_block)
         assert monte_carlo(10, 0.3, 150_000, seed=12) == whole
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("rho", [0.0, 0.01, 0.5, 0.99])
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 79, 81, 700])
     def test_row_minimum_count_is_exact(self, monkeypatch, n, rho, threads):
-        # the hits counted from row minima against the all-positive rows of
-        # sample_chunk, over three chunks of at most 4000 rows (eight row
-        # blocks in a full chunk at n = 700, two at n = 79 and 81)
+        # the hits against the rows with a positive minimum, over three
+        # chunks of at most 4000 rows replayed with boolean masks: each
+        # column is drawn for the rows still positive, -inf fills the rest
         trials, seed, chunk_size = 10_000, 31, 4_000
         monkeypatch.setattr(orthant, "CHUNK_SIZE", chunk_size)
-        spec = equicorrelated.EquicorrelatedSpec(n=n, rho=rho)
-        hits = sum(
-            int(np.count_nonzero(np.all(
-                equicorrelated.sample_chunk(spec, chunk, size, seed) > 0.0, axis=1
-            )))
-            for chunk, size in enumerate(equicorrelated._chunk_sizes(trials, chunk_size))
-        )
+        hits = 0
+        for chunk, size in enumerate(equicorrelated._chunk_sizes(trials, chunk_size)):
+            rng = equicorrelated.chunk_generator(seed, chunk)
+            u = math.sqrt(rho) * rng.standard_normal(size)
+            rows = np.full((size, n), -np.inf)
+            alive = np.ones(size, dtype=bool)
+            for j in range(n):
+                z = rng.standard_normal(np.count_nonzero(alive))
+                rows[alive, j] = math.sqrt(1.0 - rho) * z + u[alive]
+                alive &= rows[:, j] > 0.0
+            hits += int(np.count_nonzero(rows.min(axis=1) > 0.0))
         assert monte_carlo(n, rho, trials, seed, threads=threads).value == hits / trials
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("rho", [0.0, 0.01, 0.5, 0.99])
+    def test_nested_in_n(self, rho, threads):
+        # a run at n draws the same first j columns as a run at j, so its
+        # orthant lies inside theirs draw by draw
+        values = [monte_carlo(j, rho, 150_000, seed=1601, threads=threads).value
+                  for j in range(1, 11)]
+        assert all(b <= a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("rho", [0.0, 0.01, 0.5, 0.99])
+    def test_each_depth_near_best_estimate(self, rho):
+        for j in range(1, 11):
+            est = monte_carlo(j, rho, 150_000, seed=1601, threads=2)
+            assert abs(est.value - best_estimate(j, rho).value) <= 4.0 * est.std_error
+
+    def test_deep_orthant(self):
+        # f(1000, 1/2) = 1/1001: about 100 hits, from 1 + H_1000 = 8.5 normals a row
+        est = monte_carlo(1000, 0.5, 100_000, seed=1602)
+        assert abs(est.value - 1.0 / 1001.0) <= 4.0 * est.std_error
+
+    # what a chunk holds on a thread: z0 scaled in place, the column's
+    # normals, its mask, and the survivors' indices and values (3.13 of
+    # these units measured at n = 10 and at n = 700)
+    PER_THREAD = 3.5 * 8 * equicorrelated.CHUNK_SIZE
+
     def test_peak_memory_cache_sized(self):
-        # two chunks on two threads; each holds its 100k-row z0, the block
-        # being drawn and its row minima (5.8 MiB for both, measured), as
-        # the block before it is dropped first; holding it too read 9.6 MiB
-        per_thread = 1.5 * equicorrelated.BLOCK_BYTES + 8 * equicorrelated.CHUNK_SIZE
         tracemalloc.start()
         try:
             monte_carlo(10, 0.5, 200_000, seed=8, threads=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * per_thread
+        assert peak < 2 * self.PER_THREAD
 
     def test_peak_memory_within_budget(self):
         # one 100k-row chunk of n = 700 normals would take 560 MB
@@ -455,7 +473,7 @@ class TestMonteCarlo:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < equicorrelated.MEMORY_BUDGET_BYTES
+        assert peak < self.PER_THREAD
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -312,6 +312,12 @@ class TestSamplePolynomial:
         with pytest.raises(ResourceBudgetError, match=r"d=\d+"):
             sample_polynomial(100, 6, seed=0)
 
+    def test_variance_overflow_raises(self):
+        # 1100!/(550!)^2 is past the float range; 1000!/(500!)^2 is not
+        with pytest.raises(ArithmeticError, match=r"\(n=2, k=1100\)"):
+            sample_polynomial(2, 1100, seed=1)
+        assert np.all(np.isfinite(sample_polynomial(2, 1000, seed=1).coefficients))
+
     def test_budget_counts_exponent_table(self, monkeypatch):
         # at (20, 6) the d = 177100 coefficients take 1.4 MB, but the d x 20
         # exponent table, the tuples it is built from and the variances'
