@@ -237,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("verify", help="run the invariant suites")
-    p.add_argument("--budget", choices=("quick", "full"), default="quick")
     p.add_argument("--output", default=None)
     p.add_argument("--suite", action="append", choices=verify.SUITES, default=None,
                    help="restrict to one or more named suites")
@@ -259,7 +258,7 @@ def run(argv=None) -> int:
     buffer = io.StringIO()
     code = 0
     if args.command == "verify":
-        summary = verify.run_all(args.budget, only=args.suite)
+        summary = verify.run_all(only=args.suite)
         buffer.write(json.dumps(summary, indent=2) + "\n")
         code = 0 if summary["all_passed"] else 3
     else:

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import combinations_with_replacement
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -89,11 +88,7 @@ class BombieriPolynomial:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"point must have dimension {self.n}")
-        exponents = multi_index_table(self.n, self.k)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            monomials = np.prod(
-                np.where(exponents > 0, x[None, :] ** exponents, 1.0), axis=1
-            )
+        monomials = np.prod(x[None, :] ** multi_index_table(self.n, self.k), axis=1)
         return float(self.coefficients @ monomials)
 
 
@@ -204,22 +199,25 @@ def epsilon_n(n: int, k: int) -> float:
     return (1.0 / n ** (k - 2)) * (1.0 / (2 * k - 1)) * (1.0 / n + (k - 1))
 
 
-@lru_cache(maxsize=64)
 def multi_index_table(n: int, k: int) -> np.ndarray:
-    """All exponent vectors with |alpha| = k over n variables, graded lex, descending."""
-    rows = []
-    for combo in combinations_with_replacement(range(n), k):
-        alpha = [0] * n
-        for i in combo:
-            alpha[i] += 1
-        rows.append(tuple(alpha))
-    rows.sort(reverse=True)
-    table = np.array(rows, dtype=np.int64)
-    table.setflags(write=False)
-    return table
+    """All exponent vectors with |alpha| = k over n variables, graded lex, descending.
+
+    Built one variable at a time from the last.  `lower` holds every vector
+    over the last m variables of degree at most k, by ascending degree and
+    then descending, so the tails of degree <= s are its first ends[s] rows.
+    Those tails with s - |tail| put in front are the degree-s vectors over
+    m + 1 variables, in descending order; stacked for s = 0..k they are
+    `lower` over m + 1 variables.  The first variable takes degree k only.
+    """
+    lower = np.zeros((1, 0), dtype=np.int64)  # the one vector over no variables
+    for _ in range(n - 1):
+        degree = lower.sum(axis=1)
+        ends = np.searchsorted(degree, np.arange(k + 1), side="right")
+        rows = np.arange(ends.sum()) - np.repeat(np.cumsum(ends) - ends, ends)
+        lower = np.column_stack((np.repeat(np.arange(k + 1), ends) - degree[rows], lower[rows]))
+    return np.column_stack((k - lower.sum(axis=1), lower))
 
 
-@lru_cache(maxsize=64)
 def coefficient_variances(n: int, k: int) -> np.ndarray:
     """Variance k!/alpha! of each coefficient under the polynomial measure."""
     from scipy.special import gammaln
@@ -229,7 +227,6 @@ def coefficient_variances(n: int, k: int) -> np.ndarray:
         var = np.exp(math.lgamma(k + 1) - np.sum(gammaln(exponents + 1.0), axis=1))
     if not np.all(np.isfinite(var)):
         raise ArithmeticError(f"a coefficient variance k!/alpha! overflows at (n={n}, k={k})")
-    var.setflags(write=False)
     return var
 
 
@@ -242,10 +239,10 @@ def sample_polynomial(n: int, k: int, seed: int) -> BombieriPolynomial:
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
     d = coefficient_count(n, k)
-    # coefficient_variances builds the d x n exponent table from d tuples and
-    # then holds two d x n float temporaries; tracemalloc peaks at about
-    # 8 (3n + 8) bytes a coefficient, three d x n words from n = 10
-    check_bytes(8 * d * (3 * n + 8), f"d={d} x n={n} exponent table for (n={n}, k={k})")
+    # coefficient_variances holds the d x n exponent table and two d x n
+    # float temporaries, more than the table's own build; tracemalloc peaks
+    # at 3n words a coefficient at (20, 6), (10, 8) and (2, 300000)
+    check_bytes(8 * d * (3 * n + 1), f"d={d} x n={n} exponent table for (n={n}, k={k})")
     rng = chunk_generator(seed, 0)
     sigma = np.sqrt(coefficient_variances(n, k))
     return BombieriPolynomial(
@@ -259,26 +256,27 @@ def directional_derivative(P: BombieriPolynomial, point, direction) -> float:
     direction = np.asarray(direction, dtype=float)
     if point.shape != (P.n,) or direction.shape != (P.n,):
         raise ValueError(f"point and direction must have dimension {P.n}")
-    row = _derivative_row(multi_index_table(P.n, P.k), point, direction)
+    (row,) = _derivative_rows(multi_index_table(P.n, P.k), point, direction[None, :])
     return float(P.coefficients @ row)
 
 
-def _derivative_row(exponents: np.ndarray, point: np.ndarray, direction: np.ndarray):
-    """Per-multi-index values of sum_j alpha_j point^(alpha - e_j) direction_j."""
+def _derivative_rows(exponents: np.ndarray, point: np.ndarray, directions: np.ndarray):
+    """Per-multi-index values of sum_j alpha_j point^(alpha - e_j) v_j, one row per v.
+
+    The powers at `point` are computed once for every direction, and each
+    row sums its j terms in ascending order.
+    """
     d, n = exponents.shape
-    out = np.zeros(d)
+    out = np.zeros((len(directions), d))
     for j in range(n):
         alpha_j = exponents[:, j]
         mask = alpha_j > 0
         if not np.any(mask):
             continue
-        reduced = exponents[mask].copy()
+        reduced = exponents[mask]  # a copy: boolean indexing
         reduced[:, j] -= 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            powers = np.prod(
-                np.where(reduced > 0, point[None, :] ** reduced, 1.0), axis=1
-            )
-        out[mask] += alpha_j[mask] * powers * direction[j]
+        weighted = alpha_j[mask] * np.prod(point[None, :] ** reduced, axis=1)
+        out[:, mask] += weighted * directions[:, j, None]
     return out
 
 
@@ -288,16 +286,12 @@ def _design_rows(geom: SimplexGeometry, k: int, vertices) -> np.ndarray:
     Row order: the first vertex's edges 0..n-1, then the next vertex's, ...
     """
     exponents = multi_index_table(geom.n, k)
-    return np.array(
-        [
-            _derivative_row(exponents, geom.embedded[vertex], direction)
-            for vertex in vertices
-            for direction in edge_frame(geom, vertex).directions
-        ]
-    )
+    return np.concatenate([
+        _derivative_rows(exponents, geom.embedded[vertex], edge_frame(geom, vertex).directions)
+        for vertex in vertices
+    ])
 
 
-@lru_cache(maxsize=16)
 def _design_matrix(n: int, k: int) -> np.ndarray:
     """Rows of derivative functionals for every (vertex, edge direction) pair.
 
@@ -307,9 +301,7 @@ def _design_matrix(n: int, k: int) -> np.ndarray:
     """
     m, d = n * (n + 1), coefficient_count(n, k)
     check_bytes(8 * m * d, f"{m} x d={d} coefficient table for (n={n}, k={k})")
-    out = _design_rows(build_geometry(n), k, range(n + 1))
-    out.setflags(write=False)
-    return out
+    return _design_rows(build_geometry(n), k, range(n + 1))
 
 
 def edge_covariance(n: int, k: int, vertices=None) -> np.ndarray:
@@ -345,12 +337,8 @@ def edge_covariance(n: int, k: int, vertices=None) -> np.ndarray:
     return cov.reshape(count * n, count * n)
 
 
-@lru_cache(maxsize=2)
 def _edge_factor(n: int, k: int) -> np.ndarray:
-    """Read-only m x r factor F with F F^T = edge_covariance(n, k), m = n(n+1).
-
-    The cache is small because a factor takes up to a fifth of the budget;
-    one union call uses its factor twice (sampling and `tv_exact`).
+    """The m x r factor F with F F^T = edge_covariance(n, k), m = n(n+1).
 
     It keeps the eigenvalues above m * eps * w_max, so r is the covariance's
     numerical rank: below m whenever d = C(n+k-1, k) < m, where the
@@ -365,9 +353,7 @@ def _edge_factor(n: int, k: int) -> np.ndarray:
     with _one_blas_thread():
         w, vecs = np.linalg.eigh(edge_covariance(n, k))
     keep = w > m * np.finfo(float).eps * w[-1]
-    factor = vecs[:, keep] * np.sqrt(w[keep])
-    factor.setflags(write=False)
-    return factor
+    return vecs[:, keep] * np.sqrt(w[keep])
 
 
 def _edge_chunks(n: int, k: int, seed: int):
@@ -510,6 +496,9 @@ def gradient_correlations(
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
     sizes = _chunk_sizes(trials, CHUNK_SIZE)
+    m, alive = n * (n + 1), min(threads, len(sizes))
+    what = f"{alive} x {sizes[0]} x {m} chunk derivative arrays for (n={n}, k={k})"
+    check_bytes(8 * sizes[0] * m * alive, what)
     sample = _derivative_chunks(n, k, seed)
 
     def moments(chunk: int):
@@ -565,12 +554,14 @@ def tv_exact(n: int, k: int) -> Optional[float]:
     block diagonal.  Every cross-vertex block has the same whitened
     Frobenius norm, so the bound is 1.5 sqrt(n(n+1)) ||W B01 W||_F, with B01
     the vertex-0/vertex-1 block and W = pI + qJ the inverse square root of
-    the equicorrelated block.  None where R is singular (the edge factor's
-    rank is below n(n+1)), since the bound needs R positive definite.
+    the equicorrelated block.  None where R is singular, since the bound
+    needs R positive definite.  R = D diag(var) D^T for the n(n+1) x d
+    design D, whose rank is min(d, n(n+1)) (checked for n <= 12 and
+    k = 2..8), so R is singular exactly where d < n(n+1).
     """
     if n < 2 or k < 2:
         raise ValueError("need n >= 2 and k >= 2")
-    if _edge_factor(n, k).shape[1] < n * (n + 1):
+    if coefficient_count(n, k) < n * (n + 1):
         return None
     rho = rho_n(n, k)
     p = 1.0 / math.sqrt(1.0 - rho)

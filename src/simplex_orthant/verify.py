@@ -1,8 +1,8 @@
 """Runnable invariant suites backing the `verify` CLI command.
 
 Each suite returns a list of check dicts: {"name", "passed", "detail"}.
-The "quick" budget shrinks grids and trial counts so the whole run stays
-under a minute; "full" runs the desk-scale versions.
+Their grids and trial counts are fixed and small, so all five run in well
+under a second; the acceptance tests run the desk-scale grids.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def _check(name: str, passed: bool, detail: str = "") -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def suite_special_functions(budget: str) -> list[dict]:
+def suite_special_functions() -> list[dict]:
     checks = []
     grid = np.linspace(-8.0, 8.0, 1601)
     sym = np.max(np.abs(normal.std_normal_cdf(grid) + normal.std_normal_cdf(-grid) - 1.0))
@@ -66,11 +66,11 @@ def suite_special_functions(budget: str) -> list[dict]:
     return checks
 
 
-def suite_lemma_inverse(budget: str) -> list[dict]:
+def suite_lemma_inverse() -> list[dict]:
     checks = []
     worst = 0.0
     for k in range(2, 9):
-        for n in range(2, 101 if budget == "full" else 41, 1 if budget == "full" else 3):
+        for n in range(2, 41, 3):
             spec = EquicorrelatedSpec(n=n, rho=simplex.rho_n(n, k))
             err = np.max(np.abs(covariance_matrix(spec) @ inverse_matrix(spec) - np.eye(n)))
             worst = max(worst, err)
@@ -111,9 +111,9 @@ def suite_lemma_inverse(budget: str) -> list[dict]:
     return checks
 
 
-def suite_sampler(budget: str) -> list[dict]:
+def suite_sampler() -> list[dict]:
     checks = []
-    draws_per_case = 1_000_000 if budget == "full" else 100_000
+    draws_per_case = 100_000
     ok = True
     detail = []
     for n, rho in ((2, 0.3), (4, 0.6), (8, 0.9)):
@@ -138,12 +138,11 @@ def suite_sampler(budget: str) -> list[dict]:
     return checks
 
 
-def suite_orthant(budget: str) -> list[dict]:
+def suite_orthant() -> list[dict]:
     checks = []
-    ns = (2, 5, 10, 50, 200) if budget == "full" else (2, 5, 10, 50)
     worst = 0.0
     for rho in np.arange(0.1, 0.95, 0.1):
-        for n in ns:
+        for n in (2, 5, 10, 50):
             a = orthant.steck_quadrature(n, float(rho)).value
             b = orthant.density_integral(n, float(rho)).value
             worst = max(worst, abs(a - b) / a)
@@ -190,9 +189,9 @@ def suite_orthant(budget: str) -> list[dict]:
     return checks
 
 
-def suite_simplex(budget: str) -> list[dict]:
+def suite_simplex() -> list[dict]:
     checks = []
-    trials = 200_000 if budget == "full" else 40_000
+    trials = 40_000
     ok = True
     detail = []
     for n, k in ((3, 3), (5, 4)):
@@ -247,7 +246,7 @@ def suite_simplex(budget: str) -> list[dict]:
         ok &= abs(p(t * x) - t**5 * p(x)) <= 1e-10 * max(1.0, abs(p(x)) * t**5)
     checks.append(_check("homogeneity", ok))
 
-    union_trials = 50_000 if budget == "full" else 10_000
+    union_trials = 10_000
     prev, prev_se = -1.0, 0.0
     ok = True
     for n in (2, 4, 6, 8, 10):
@@ -268,12 +267,12 @@ SUITES = {
 }
 
 
-def run_all(budget: str = "quick", only: list[str] | None = None) -> dict:
+def run_all(only: list[str] | None = None) -> dict:
     selected = only or list(SUITES)
     unknown = set(selected) - set(SUITES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
-    suites = {name: SUITES[name](budget) for name in selected}
+    suites = {name: SUITES[name]() for name in selected}
     failures = [
         f"{suite}:{c['name']}"
         for suite, checks in suites.items()
@@ -281,7 +280,6 @@ def run_all(budget: str = "quick", only: list[str] | None = None) -> dict:
         if not c["passed"]
     ]
     return {
-        "budget": budget,
         "suites": suites,
         "failures": failures,
         "all_passed": not failures,

@@ -56,7 +56,7 @@ class TestOptions:
             "compute": common | {"--n", "--rho", "--method", "--trials", "--seed"},
             "bounds": common | {"--n", "--rho"},
             "simplex": common | {"--n", "--k", "--trials", "--seed"},
-            "verify": {"-h", "--help", "--budget", "--output", "--suite"},
+            "verify": {"-h", "--help", "--output", "--suite"},
         }
         found = {
             name: {s for action in parser._actions for s in action.option_strings}
@@ -256,7 +256,7 @@ class TestSimplexCommand:
         def no_eigh(*args):
             raise AssertionError("eigh ran")
 
-        monkeypatch.setattr(simplex, "_derivative_row", no_rows)
+        monkeypatch.setattr(simplex, "_derivative_rows", no_rows)
         code, out, _ = run_cli(
             ["simplex", "--n", "30", "--k", "6", "--trials", "10", "--seed", "1"],
             capsys,
@@ -417,7 +417,7 @@ class TestEncodings:
 
 class TestVerifyCommand:
     def test_quick_suite_passes(self, capsys):
-        code, out, _ = run_cli(["verify", "--budget", "quick"], capsys)
+        code, out, _ = run_cli(["verify"], capsys)
         doc = json.loads(out)
         assert code == 0 and doc["all_passed"] and doc["failures"] == []
         assert set(doc["suites"]) == set(verify.SUITES) and len(verify.SUITES) == 5

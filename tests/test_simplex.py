@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
@@ -150,8 +151,8 @@ class TestDerivativeInnerProduct:
         a, b = geom.embedded[0], geom.embedded[1]
         for v in fa.directions[:2]:
             for w in fb.directions[:2]:
-                row_a = sx._derivative_row(exponents, a, v)
-                row_b = sx._derivative_row(exponents, b, w)
+                (row_a,) = sx._derivative_rows(exponents, a, v[None, :])
+                (row_b,) = sx._derivative_rows(exponents, b, w[None, :])
                 assert float(np.sum(var * row_a * row_b)) == pytest.approx(
                     derivative_inner_product(v, a, w, b, k), rel=1e-10
                 )
@@ -175,11 +176,25 @@ class TestEdgeCovariance:
     def test_factor_reproduces_covariance(self, n, k):
         cov = edge_covariance(n, k)
         factor = sx._edge_factor(n, k)
-        assert not factor.flags.writeable
         assert np.max(np.abs(factor @ factor.T - cov)) <= 1e-12 * np.max(np.abs(cov))
         # singular whenever d < n(n+1), e.g. rank 10 of 12 at (3, 3)
         assert factor.shape[1] == np.linalg.matrix_rank(sx._design_matrix(n, k))
         assert factor.shape[1] == min(coefficient_count(n, k), n * (n + 1))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_design_rank_is_the_lesser_count(self, n):
+        # R = D diag(var) D^T has the rank of the scaled design D sqrt(var):
+        # min(d, n(n+1)) at every k = 2..8 whose design has at most 4e6 entries,
+        # so `tv_exact` may read singularity off the coefficient count
+        m = n * (n + 1)
+        ks = [k for k in range(2, 9) if m * coefficient_count(n, k) <= 4_000_000]
+        assert ks
+        for k in ks:
+            d = coefficient_count(n, k)
+            scaled = sx._design_matrix(n, k) * np.sqrt(coefficient_variances(n, k))
+            assert np.linalg.matrix_rank(scaled) == min(d, m), (n, k)
+            if n >= 2:
+                assert (tv_exact(n, k) is None) == (d < m), (n, k)
 
     def test_vertex_subset_is_a_block(self):
         full = edge_covariance(5, 4)
@@ -281,6 +296,34 @@ class TestRhoEpsilon:
             epsilon_n(3, 1)
 
 
+def tuple_table(n: int, k: int) -> np.ndarray:
+    """The exponent table built from k-tuples and sorted: the reference order."""
+    rows = []
+    for combo in combinations_with_replacement(range(n), k):
+        alpha = [0] * n
+        for i in combo:
+            alpha[i] += 1
+        rows.append(tuple(alpha))
+    rows.sort(reverse=True)
+    return np.array(rows, dtype=np.int64).reshape(-1, n)
+
+
+class TestMultiIndexTable:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_tuple_build(self, n):
+        for k in range(0, 9):
+            table = multi_index_table(n, k)
+            assert table.dtype == np.int64
+            assert np.array_equal(table, tuple_table(n, k)), (n, k)
+
+    def test_large_degree(self):
+        # one tuple per row took minutes here; the direct build takes no sort
+        k = 300_000
+        table = multi_index_table(2, k)
+        assert table.shape == (k + 1, 2)
+        assert np.array_equal(table, np.column_stack((np.arange(k, -1, -1), np.arange(k + 1))))
+
+
 class TestSamplePolynomial:
     def test_variances_2_2(self):
         assert np.allclose(coefficient_variances(2, 2), [1.0, 2.0, 1.0])
@@ -328,6 +371,18 @@ class TestSamplePolynomial:
         with pytest.raises(ResourceBudgetError, match=r"d=177100 x n=20"):
             sample_polynomial(20, 6, seed=0)
 
+    def test_no_table_outlives_its_call(self):
+        # each call peaks at 85-210 MB within the budget; memoised tables
+        # held 188 MB after the four
+        tracemalloc.start()
+        try:
+            for n in range(20, 24):
+                sample_polynomial(n, 6, seed=1)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current < 2**20
+
     def test_domain(self):
         with pytest.raises(ValueError):
             sample_polynomial(0, 2, seed=0)
@@ -369,6 +424,17 @@ class TestDirectionalDerivative:
         assert directional_derivative(p, 2.0 * x, v) == pytest.approx(
             2.0 ** (p.k - 1) * directional_derivative(p, x, v), rel=1e-12
         )
+
+    @pytest.mark.parametrize("n,k", [(3, 3), (4, 5), (10, 5)])
+    def test_design_rows_match_single_directions(self, n, k):
+        geom = build_geometry(n)
+        exponents = multi_index_table(n, k)
+        rows = [
+            sx._derivative_rows(exponents, geom.embedded[vertex], direction[None, :])[0]
+            for vertex in range(n + 1)
+            for direction in edge_frame(geom, vertex).directions
+        ]
+        assert np.array_equal(sx._design_rows(geom, k, range(n + 1)), rows)
 
     def test_domain(self):
         p = sample_polynomial(3, 3, seed=0)
@@ -521,9 +587,10 @@ class TestUnionProbability:
 
     def test_peak_memory_cache_sized(self):
         # one 50k chunk at (10, 5): the normals and derivatives of the block
-        # being drawn fit BLOCK_BYTES (1.9 MiB measured), and the block before
-        # it is dropped first; holding it too read 2.9 MiB
-        estimate_union_probability(10, 5, 1_000, seed=3, threads=2)  # builds the factor
+        # being drawn fit BLOCK_BYTES (2.0 MiB measured, the edge factor built
+        # in the call included), and the block before it is dropped first;
+        # holding it too read 2.9 MiB
+        estimate_union_probability(10, 5, 1_000, seed=3, threads=2)  # first-call imports
         tracemalloc.start()
         try:
             estimate_union_probability(10, 5, 50_000, seed=3, threads=2)
@@ -581,6 +648,17 @@ class TestGradientCorrelations:
         with pytest.raises(ValueError, match=r"k >= 2"):
             gradient_correlations(3, k, 1000, seed=1)
 
+    def test_chunk_arrays_checked_before_any_draw(self, monkeypatch):
+        # at (30, 2) one 50k x 930 derivative chunk takes 372 MB
+        def no_draws(*args):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(sx, "chunk_generator", no_draws)
+        with pytest.raises(ResourceBudgetError, match=r"1 x 50000 x 930 chunk derivative"):
+            gradient_correlations(30, 2, 50_000, seed=1)
+        with pytest.raises(ResourceBudgetError, match=r"2 x 50000 x 930"):
+            gradient_correlations(30, 2, 100_000, seed=1, threads=2)
+
     def test_structure(self):
         n, k, trials = 3, 3, 150_000
         corr = gradient_correlations(n, k, trials, seed=7_031)
@@ -613,14 +691,16 @@ class TestGradientCorrelations:
     def test_row_wider_than_block_changes_no_byte(self, monkeypatch):
         # at (3, 3) a row of d = 10 coefficients takes 80 bytes; with 40-byte
         # blocks and budget / 8, 1001 rows split into blocks of two and three
-        # rows, where one-row blocks would round differently
+        # rows, where one-row blocks would round differently; the samplers
+        # build their 960-byte designs before the budget shrinks
         n, k, seed, size = 3, 3, 7, 1001
         with equicorrelated._one_blas_thread():
             whole = sx._derivative_chunks(n, k, seed)(0, size)
+            sample = sx._derivative_chunks(n, k, seed)
             monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 40)
             monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", 8 * 40)
             assert set(sx._block_rows(size, 80)) == {2, 3}
-            split = sx._derivative_chunks(n, k, seed)(0, size)
+            split = sample(0, size)
         assert np.array_equal(split, whole)
 
     def test_one_coefficient_rows_change_no_byte(self, monkeypatch):
@@ -645,10 +725,9 @@ class TestGradientCorrelations:
         var = coefficient_variances(n, k)
         design = sx._design_matrix(n, k)
         miswired = design.copy()
-        miswired[n : 2 * n] = [
-            sx._derivative_row(multi_index_table(n, k), geom.embedded[0], w)
-            for w in edge_frame(geom, 1).directions
-        ]
+        miswired[n : 2 * n] = sx._derivative_rows(
+            multi_index_table(n, k), geom.embedded[0], edge_frame(geom, 1).directions
+        )
         vertex = np.arange(len(design)) // n
         cross = vertex[:, None] < vertex[None, :]
 
