@@ -53,7 +53,11 @@ def _parse_grid(text: str, cast):
 
 
 def _int_grid(text: str):
-    return _parse_grid(text, lambda v: int(round(float(v))))
+    values = _parse_grid(text, float)
+    for value in values:
+        if not value.is_integer():
+            raise argparse.ArgumentTypeError(f"{value} is not an integer")
+    return [int(value) for value in values]
 
 
 def _float_grid(text: str):

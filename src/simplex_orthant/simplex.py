@@ -222,9 +222,9 @@ def coefficient_variances(n: int, k: int) -> np.ndarray:
     """Variance k!/alpha! of each coefficient under the polynomial measure."""
     from scipy.special import gammaln
 
-    exponents = multi_index_table(n, k)
+    log_factorial = gammaln(np.arange(k + 1) + 1.0)
     with np.errstate(over="ignore"):
-        var = np.exp(math.lgamma(k + 1) - np.sum(gammaln(exponents + 1.0), axis=1))
+        var = np.exp(math.lgamma(k + 1) - np.sum(log_factorial[multi_index_table(n, k)], axis=1))
     if not np.all(np.isfinite(var)):
         raise ArithmeticError(f"a coefficient variance k!/alpha! overflows at (n={n}, k={k})")
     return var
@@ -239,9 +239,9 @@ def sample_polynomial(n: int, k: int, seed: int) -> BombieriPolynomial:
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
     d = coefficient_count(n, k)
-    # coefficient_variances holds the d x n exponent table and two d x n
-    # float temporaries, more than the table's own build; tracemalloc peaks
-    # at 3n words a coefficient at (20, 6), (10, 8) and (2, 300000)
+    # the exponent table's build sets the peak, and coefficient_variances'
+    # one d x n float temporary stays below it; tracemalloc reads 53.4, 23.8
+    # and 6.1 words a coefficient at (20, 6), (10, 8) and (2, 1000)
     check_bytes(8 * d * (3 * n + 1), f"d={d} x n={n} exponent table for (n={n}, k={k})")
     rng = chunk_generator(seed, 0)
     sigma = np.sqrt(coefficient_variances(n, k))
@@ -356,23 +356,6 @@ def _edge_factor(n: int, k: int) -> np.ndarray:
     return vecs[:, keep] * np.sqrt(w[keep])
 
 
-def _edge_chunks(n: int, k: int, seed: int):
-    """Chunk sampler mapping (chunk, size) to row blocks of size x n(n+1) derivatives.
-
-    A block's normals, derivatives and per-vertex minima take the rows
-    _block_rows gives.
-    """
-    factor = _edge_factor(n, k)
-    m, r = factor.shape
-
-    def sample(chunk: int, size: int):
-        rng = chunk_generator(seed, chunk)
-        for rows in _block_rows(size, 8 * (r + m) + m):
-            yield rng.standard_normal((rows, r)) @ factor.T
-
-    return sample
-
-
 def derivative_norm_squared(n: int, k: int) -> float:
     """Analytic ||d/dv_i(a)||^2 = k ||a||^(2k-4) (||a||^2 + (k-1)/2)."""
     a_sq = n / (n + 1)
@@ -395,28 +378,43 @@ def is_vertex_max(P: BombieriPolynomial, geom: SimplexGeometry, vertex: int) -> 
     )
 
 
-def _derivative_chunks(n: int, k: int, seed: int):
-    """Chunk sampler mapping (chunk, size) to size x n(n+1) derivatives of drawn polynomials.
+def _projected_sums(matrix: np.ndarray, trials: int, seed: int, threads: int, reduce_block):
+    """Sums of reduce_block(z @ matrix.T) over the row blocks of `trials` iid normal rows z.
 
-    The coefficients are drawn and projected in the row blocks that
-    _block_rows gives for them, each into its rows of the result.
+    Chunk c of CHUNK_SIZE rows draws its z from chunk_generator(seed, c) in
+    the row blocks _block_rows gives, into one z and one product buffer, so
+    a block is valid only inside reduce_block, which returns a tuple of new
+    ints or arrays.  Those are added block by block, then chunk by chunk in
+    chunk order as each chunk is done, so the thread count changes no byte.
     """
-    design = _design_matrix(n, k)
-    sigma = np.sqrt(coefficient_variances(n, k))
-    m, d = design.shape
+    m, w = matrix.shape
+    sizes = _chunk_sizes(trials, CHUNK_SIZE)
 
-    def sample(chunk: int, size: int) -> np.ndarray:
+    def chunk_sums(chunk: int) -> list:
         rng = chunk_generator(seed, chunk)
-        derivs = np.empty((size, m))
-        start = 0
-        for rows in _block_rows(size, 8 * d):
-            coeffs = rng.standard_normal((rows, d))
-            coeffs *= sigma
-            np.matmul(coeffs, design.T, out=derivs[start : start + rows])
-            start += rows
-        return derivs
+        # a row's normals, its derivatives, and a byte a derivative for what
+        # reduce_block derives from them
+        blocks = _block_rows(sizes[chunk], 8 * (w + m) + m)
+        z, prod = np.empty((blocks[0], w)), np.empty((blocks[0], m))
+        return _sum_parts(
+            reduce_block(np.matmul(rng.standard_normal(out=z[:rows]), matrix.T, out=prod[:rows]))
+            for rows in blocks
+        )
 
-    return sample
+    return _map_ordered(chunk_sums, len(sizes), threads, _sum_parts)
+
+
+def _sum_parts(parts) -> list:
+    """Entry-wise sums of the tuples `parts` yields, added in order into the first's entries."""
+    sums = None
+    for part in parts:
+        if sums is None:
+            sums = list(part)
+        else:
+            for i in range(len(sums)):
+                sums[i] += part[i]
+        part = None  # else its arrays would stay alive while the next part is made
+    return sums
 
 
 def analytic_vertex_probability(n: int, k: int) -> float:
@@ -446,23 +444,15 @@ def estimate_union_probability(
     n: int, k: int, trials: int, seed: int, threads: int = 1
 ) -> ExperimentReport:
     """Empirical probability of a relative maximum at some vertex, and at vertex 0."""
-    sizes = _chunk_sizes(trials, CHUNK_SIZE)
-    sample = _edge_chunks(n, k, seed)
+    def count_hits(derivs: np.ndarray) -> tuple[int, int]:
+        # a vertex is a maximum when the least of its n edge derivatives is
+        # positive: one column sweep over the edges
+        edges = derivs.reshape(len(derivs), n + 1, n).transpose(2, 0, 1)
+        vertex_max = reduce(np.minimum, edges) > 0.0
+        return int(np.count_nonzero(vertex_max.any(1))), int(np.count_nonzero(vertex_max[:, 0]))
 
-    def count_hits(chunk: int) -> tuple[int, int]:
-        union_hits = vertex_hits = 0
-        for derivs in sample(chunk, sizes[chunk]):
-            # a vertex is a maximum when the least of its n edge derivatives
-            # is positive: one column sweep over the edges
-            edges = derivs.reshape(len(derivs), n + 1, n).transpose(2, 0, 1)
-            vertex_max = reduce(np.minimum, edges) > 0.0
-            union_hits += int(np.count_nonzero(vertex_max.any(axis=1)))
-            vertex_hits += int(np.count_nonzero(vertex_max[:, 0]))
-            del derivs, edges  # before the generator draws the next block
-        return union_hits, vertex_hits
-
-    counts = _map_ordered(count_hits, len(sizes), threads)
-    union_hits, vertex_hits = (sum(c) for c in zip(*counts))
+    factor = _edge_factor(n, k)
+    union_hits, vertex_hits = _projected_sums(factor, trials, seed, threads, count_hits)
     p_hat, se = hit_rate(union_hits, trials)
     vertex_hat, vertex_se = hit_rate(vertex_hits, trials)
     f = analytic_vertex_probability(n, k)
@@ -495,22 +485,22 @@ def gradient_correlations(
     """
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
-    sizes = _chunk_sizes(trials, CHUNK_SIZE)
-    m, alive = n * (n + 1), min(threads, len(sizes))
-    what = f"{alive} x {sizes[0]} x {m} chunk derivative arrays for (n={n}, k={k})"
-    check_bytes(8 * sizes[0] * m * alive, what)
-    sample = _derivative_chunks(n, k, seed)
-
-    def moments(chunk: int):
-        derivs = sample(chunk, sizes[chunk])
-        return derivs.sum(axis=0), derivs.T @ derivs
-
-    parts = _map_ordered(moments, len(sizes), threads)
-    total, cross = (sum(p) for p in zip(*parts))
+    m, chunks = n * (n + 1), len(_chunk_sizes(trials, CHUNK_SIZE))
+    # each chunk thread's running moments and block cross product, and their total
+    arrays = 2 * min(threads, chunks) + 1
+    check_bytes(8 * m * m * arrays, f"{arrays} x {m} x {m} moment arrays for (n={n}, k={k})")
+    # coefficients sigma * z have derivatives design @ (sigma * z) = (design * sigma) @ z
+    matrix = _design_matrix(n, k)
+    matrix *= np.sqrt(coefficient_variances(n, k))
+    total, cov = _projected_sums(
+        matrix, trials, seed, threads, lambda block: (block.sum(axis=0), block.T @ block)
+    )
     mean = total / trials
-    cov = cross / trials - np.outer(mean, mean)
+    cov /= trials  # in place, as below: one more m x m array at a time
+    cov -= np.outer(mean, mean)
     scale = np.sqrt(np.diag(cov))
-    return cov / np.outer(scale, scale)
+    cov /= np.outer(scale, scale)
+    return cov
 
 
 def independent_union_approx(n: int, k: int, f: float) -> float:

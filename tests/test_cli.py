@@ -84,6 +84,18 @@ class TestGridParsing:
         assert cli._float_grid("0.3:0.3:0.1") == [0.3]
 
     @pytest.mark.parametrize(
+        "argv, value",
+        [(["compute", "--n", "2.7", "--rho", "0.5", "--method", "closed"], "2.7"),
+         (["compute", "--n", "1:3:0.5", "--rho", "0.5", "--method", "closed"], "1.5"),
+         (["simplex", "--n", "2.5", "--k", "3", "--trials", "100", "--seed", "1"], "2.5")],
+    )
+    def test_non_integer_n_exit_2(self, argv, value, capsys):
+        # rounding ran 2.7 as 3, 1:3:0.5 as 1, 2, 2, 2, 3 and 2.5 as 2
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert "usage:" in err and f"argument --n: {value} is not an integer" in err
+
+    @pytest.mark.parametrize(
         "flag, text",
         [("--rho", "0.9:0.1:0.1"), ("--rho", "0.1:0.9:0"), ("--rho", "0.1:0.9:-0.1"),
          ("--rho", "nan:0.9:0.1"), ("--rho", "0.1:inf:0.1"),

@@ -52,6 +52,23 @@ def dot_product_polynomial(n: int, k: int, u: np.ndarray) -> BombieriPolynomial:
     return BombieriPolynomial(n=n, k=k, coefficients=coeffs)
 
 
+def coefficient_matrix(n: int, k: int) -> np.ndarray:
+    """The matrix gradient_correlations projects normals through: design rows times sigma."""
+    return sx._design_matrix(n, k) * np.sqrt(coefficient_variances(n, k))
+
+
+def projected_blocks(matrix: np.ndarray, trials: int, seed: int) -> list:
+    """Copies of the row blocks that _projected_sums passes on, in chunk order."""
+    blocks = []
+
+    def keep(block):
+        blocks.append(block.copy())  # the driver overwrites a block with the next
+        return ()
+
+    sx._projected_sums(matrix, trials, seed, 1, keep)
+    return blocks
+
+
 class TestGeometry:
     def test_segment(self):
         geom = build_geometry(1)
@@ -371,6 +388,20 @@ class TestSamplePolynomial:
         with pytest.raises(ResourceBudgetError, match=r"d=177100 x n=20"):
             sample_polynomial(20, 6, seed=0)
 
+    def test_variances_peak_at_table_build(self):
+        # log k! - sum log alpha_j! indexes the k + 1 log-factorials by the
+        # table; gammaln of the d x n table plus one held two more d x n floats
+        def peak(build):
+            tracemalloc.start()
+            try:
+                build(20, 6)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        coefficient_variances(2, 2)  # first-call imports
+        assert peak(coefficient_variances) <= 1.05 * peak(multi_index_table)
+
     def test_no_table_outlives_its_call(self):
         # each call peaks at 85-210 MB within the budget; memoised tables
         # held 188 MB after the four
@@ -478,8 +509,7 @@ class TestIsVertexMax:
         # the vectorized experiment path and the per-polynomial path agree
         n, k, seed = 3, 3, 909
         geom = build_geometry(n)
-        sample = sx._derivative_chunks(n, k, seed)
-        derivs = sample(0, 50)
+        (derivs,) = projected_blocks(coefficient_matrix(n, k), 50, seed)
         sigma = np.sqrt(coefficient_variances(n, k))
         rng = sx.chunk_generator(seed, 0)
         coeffs = rng.standard_normal((50, len(sigma))) * sigma
@@ -559,11 +589,9 @@ class TestUnionProbability:
         n, k, trials, seed = 4, 5, 120_000, 7
         union = estimate_union_probability(n, k, trials, seed=seed, threads=threads)
         vertex = estimate_vertex_probability(n, k, trials, seed=seed, threads=threads)
-        sample = sx._edge_chunks(n, k, seed)
-        hits = sum(
-            int(np.count_nonzero(np.all(derivs[:, :n] > 0.0, axis=1)))
-            for chunk, size in enumerate(equicorrelated._chunk_sizes(trials, sx.CHUNK_SIZE))
-            for derivs in sample(chunk, size)
+        (hits,) = sx._projected_sums(
+            sx._edge_factor(n, k), trials, seed, 1,
+            lambda derivs: (np.count_nonzero(np.all(derivs[:, :n] > 0.0, axis=1)),),
         )
         assert union.vertex_estimate == hits / trials
         combined = math.hypot(union.vertex_std_error, vertex.std_error)
@@ -577,10 +605,11 @@ class TestUnionProbability:
         # splits each 50k chunk into 8 blocks of 6250
         n, k, seed = 4, 5, 7
         whole = estimate_union_probability(n, k, 120_000, seed=seed, threads=2)
+        factor = sx._edge_factor(n, k)
         monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 340 * sx.CHUNK_SIZE)
-        (one_block,) = sx._edge_chunks(n, k, seed)(0, sx.CHUNK_SIZE)
+        (one_block,) = projected_blocks(factor, sx.CHUNK_SIZE, seed)
         monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 340 * 7000)
-        blocks = list(sx._edge_chunks(n, k, seed)(0, sx.CHUNK_SIZE))
+        blocks = projected_blocks(factor, sx.CHUNK_SIZE, seed)
         assert [len(b) for b in blocks] == [6250] * 8
         assert np.array_equal(np.concatenate(blocks), one_block)
         assert estimate_union_probability(n, k, 120_000, seed=seed, threads=2) == whole
@@ -606,13 +635,12 @@ class TestUnionProbability:
         # (8, 2) has a singular covariance (d = 36 < 72 derivatives)
         trials, seed = 60_000, 11
         rep = estimate_union_probability(n, k, trials, seed=seed, threads=threads)
-        sample = sx._edge_chunks(n, k, seed)
-        union = vertex = 0
-        for chunk, size in enumerate(equicorrelated._chunk_sizes(trials, sx.CHUNK_SIZE)):
-            for derivs in sample(chunk, size):
-                vertex_max = np.all((derivs > 0.0).reshape(len(derivs), n + 1, n), axis=2)
-                union += int(np.count_nonzero(vertex_max.any(axis=1)))
-                vertex += int(np.count_nonzero(vertex_max[:, 0]))
+
+        def all_positive(derivs):
+            vertex_max = np.all((derivs > 0.0).reshape(len(derivs), n + 1, n), axis=2)
+            return np.count_nonzero(vertex_max.any(axis=1)), np.count_nonzero(vertex_max[:, 0])
+
+        union, vertex = sx._projected_sums(sx._edge_factor(n, k), trials, seed, 1, all_positive)
         assert (rep.estimate, rep.vertex_estimate) == (union / trials, vertex / trials)
 
     def test_matches_coefficient_space_reference(self):
@@ -620,11 +648,12 @@ class TestUnionProbability:
         # polynomials, through the design matrix, on another seed
         n, k, trials = 4, 5, 100_000
         union = estimate_union_probability(n, k, trials, seed=45)
-        sample = sx._derivative_chunks(n, k, 4545)
-        hits = 0
-        for chunk, size in enumerate(equicorrelated._chunk_sizes(trials, sx.CHUNK_SIZE)):
-            positive = sample(chunk, size).reshape(size, n + 1, n) > 0.0
-            hits += int(np.count_nonzero(np.any(np.all(positive, axis=2), axis=1)))
+
+        def union_hits(derivs):
+            positive = derivs.reshape(len(derivs), n + 1, n) > 0.0
+            return (np.count_nonzero(np.any(np.all(positive, axis=2), axis=1)),)
+
+        (hits,) = sx._projected_sums(coefficient_matrix(n, k), trials, 4545, 1, union_hits)
         ref = hits / trials
         ref_se = math.sqrt(ref * (1.0 - ref) / trials)
         assert abs(union.estimate - ref) <= 4.0 * math.hypot(union.std_error, ref_se)
@@ -648,15 +677,32 @@ class TestGradientCorrelations:
         with pytest.raises(ValueError, match=r"k >= 2"):
             gradient_correlations(3, k, 1000, seed=1)
 
-    def test_chunk_arrays_checked_before_any_draw(self, monkeypatch):
-        # at (30, 2) one 50k x 930 derivative chunk takes 372 MB
+    def test_wide_rows_run_in_bounded_memory(self):
+        # at (30, 2) a 50k-row chunk of its 930 derivatives took 372 MB and was
+        # refused; the moments of 510-row blocks peak at 22.0 MiB: the
+        # 930 x 930 running sum and one block's cross product, the two block
+        # buffers and the 930 x 496 design
+        gradient_correlations(3, 3, 1_000, seed=1)  # first-call imports
+        tracemalloc.start()
+        try:
+            corr = gradient_correlations(30, 2, 50_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert corr.shape == (930, 930) and np.allclose(np.diag(corr), 1.0)
+        assert peak <= 26 * 2**20
+
+    def test_moment_arrays_checked_before_any_draw(self, monkeypatch):
+        # two 930 x 930 arrays per chunk thread and their total: 20.8 MB
+        # at one thread, 34.6 MB at two, against a 24 MiB budget
         def no_draws(*args):
             raise AssertionError("a chunk was drawn")
 
+        monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", 24 * 2**20)
         monkeypatch.setattr(sx, "chunk_generator", no_draws)
-        with pytest.raises(ResourceBudgetError, match=r"1 x 50000 x 930 chunk derivative"):
+        with pytest.raises(AssertionError, match="a chunk was drawn"):
             gradient_correlations(30, 2, 50_000, seed=1)
-        with pytest.raises(ResourceBudgetError, match=r"2 x 50000 x 930"):
+        with pytest.raises(ResourceBudgetError, match=r"5 x 930 x 930 moment arrays"):
             gradient_correlations(30, 2, 100_000, seed=1, threads=2)
 
     def test_structure(self):
@@ -673,48 +719,87 @@ class TestGradientCorrelations:
         assert cross <= 1.75 * epsilon_n(n, k) + 3.5 / math.sqrt(trials)
 
     def test_row_blocks_change_no_byte(self, monkeypatch):
-        # at (4, 5) a row of d = 56 coefficients takes 448 bytes; 7000 rows'
-        # worth splits each 50k chunk into 8 blocks of 6250 and the last 20k
-        # chunk into 3
+        # at (4, 5) a row of d = 56 normals and m = 20 derivatives takes
+        # 8 (56 + 20) + 20 = 628 bytes; 7000 rows' worth splits each 50k
+        # chunk into 8 blocks of 6250
         n, k, seed, trials = 4, 5, 7, 120_000
         whole = gradient_correlations(n, k, trials, seed=seed, threads=2)
-        with equicorrelated._one_blas_thread():
-            monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 448 * sx.CHUNK_SIZE)
-            assert sx._block_rows(sx.CHUNK_SIZE, 448) == [sx.CHUNK_SIZE]
-            one_block = sx._derivative_chunks(n, k, seed)(0, sx.CHUNK_SIZE)
-            monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 448 * 7000)
-            assert sx._block_rows(sx.CHUNK_SIZE, 448) == [6250] * 8
-            split = sx._derivative_chunks(n, k, seed)(0, sx.CHUNK_SIZE)
-        assert np.array_equal(split, one_block)
-        assert np.array_equal(gradient_correlations(n, k, trials, seed=seed, threads=2), whole)
+        matrix = coefficient_matrix(n, k)
+        monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 628 * sx.CHUNK_SIZE)
+        assert sx._block_rows(sx.CHUNK_SIZE, 628) == [sx.CHUNK_SIZE]
+        (one_block,) = projected_blocks(matrix, sx.CHUNK_SIZE, seed)
+        monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 628 * 7000)
+        assert sx._block_rows(sx.CHUNK_SIZE, 628) == [6250] * 8
+        split = projected_blocks(matrix, sx.CHUNK_SIZE, seed)
+        assert np.array_equal(np.concatenate(split), one_block)
+        # the moments are summed per block, so other blocks re-associate them
+        split_corr = gradient_correlations(n, k, trials, seed=seed, threads=2)
+        assert np.max(np.abs(split_corr - whole)) <= 1e-14
 
     def test_row_wider_than_block_changes_no_byte(self, monkeypatch):
-        # at (3, 3) a row of d = 10 coefficients takes 80 bytes; with 40-byte
-        # blocks and budget / 8, 1001 rows split into blocks of two and three
-        # rows, where one-row blocks would round differently; the samplers
-        # build their 960-byte designs before the budget shrinks
+        # at (3, 3) the coefficient and edge-factor matrices are both 12 x 10,
+        # so a row takes 8 (10 + 12) + 12 = 188 bytes; with 40-byte blocks and
+        # budget / 8, 1001 rows split into blocks of two and three rows, where
+        # one-row blocks would round differently
         n, k, seed, size = 3, 3, 7, 1001
-        with equicorrelated._one_blas_thread():
-            whole = sx._derivative_chunks(n, k, seed)(0, size)
-            sample = sx._derivative_chunks(n, k, seed)
-            monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 40)
-            monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", 8 * 40)
-            assert set(sx._block_rows(size, 80)) == {2, 3}
-            split = sample(0, size)
-        assert np.array_equal(split, whole)
+        for matrix in (coefficient_matrix(n, k), sx._edge_factor(n, k)):
+            assert matrix.shape == (12, 10)
+            (whole,) = projected_blocks(matrix, size, seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(equicorrelated, "BLOCK_BYTES", 40)
+                patch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", 8 * 40)
+                assert set(sx._block_rows(size, 188)) == {2, 3}
+                split = projected_blocks(matrix, size, seed)
+            assert np.array_equal(np.concatenate(split), whole)
 
     def test_one_coefficient_rows_change_no_byte(self, monkeypatch):
-        # at n = 1 the design has one column at any k, so a row takes 8 bytes
+        # at n = 1 both matrices are 2 x 1 at any k, so a row takes 26 bytes
         # and a 50k chunk is one block; GEMM_ROWS-row blocks give its bytes
         n, k, seed, size = 1, 600, 7, 50_000
-        assert sx._design_matrix(n, k).shape == (2, 1)
+        for matrix in (coefficient_matrix(n, k), sx._edge_factor(n, k)):
+            assert matrix.shape == (2, 1)
+            assert sx._block_rows(size, 26) == [size]
+            (whole,) = projected_blocks(matrix, size, seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(equicorrelated, "BLOCK_BYTES", 8)
+                assert set(sx._block_rows(size, 26)) == {510, 511}
+                split = projected_blocks(matrix, size, seed)
+            assert np.array_equal(np.concatenate(split), whole)
+
+    @pytest.mark.parametrize("n, k, trials", [(3, 3, 200_000), (4, 5, 100_000)])
+    def test_matches_whole_chunk_reference(self, n, k, trials):
+        # the moments of whole-chunk derivative arrays of scaled coefficients,
+        # as they were summed before the per-block driver
+        design = sx._design_matrix(n, k)
+        sigma = np.sqrt(coefficient_variances(n, k))
+        total = cross = 0.0
         with equicorrelated._one_blas_thread():
-            assert sx._block_rows(size, 8) == [size]
-            whole = sx._derivative_chunks(n, k, seed)(0, size)
-            monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 8)
-            assert set(sx._block_rows(size, 8)) == {510, 511}
-            split = sx._derivative_chunks(n, k, seed)(0, size)
-        assert np.array_equal(split, whole)
+            for chunk, size in enumerate(equicorrelated._chunk_sizes(trials, sx.CHUNK_SIZE)):
+                coeffs = sx.chunk_generator(1, chunk).standard_normal((size, len(sigma)))
+                coeffs *= sigma
+                derivs = coeffs @ design.T
+                total = total + derivs.sum(axis=0)
+                cross = cross + derivs.T @ derivs
+        mean = total / trials
+        cov = cross / trials - np.outer(mean, mean)
+        scale = np.sqrt(np.diag(cov))
+        reference = cov / np.outer(scale, scale)
+        for threads in (1, 2):
+            corr = gradient_correlations(n, k, trials, seed=1, threads=threads)
+            assert np.max(np.abs(corr - reference)) <= 1e-14
+
+    def test_peak_memory_block_sized(self):
+        # one 50k chunk at (10, 5): 512-row blocks of 2002 normals (8.2 MB)
+        # and 110 derivatives, the 110 x 2002 design and the moments peak at
+        # 10.1 MiB; the whole-chunk derivative array took 59.3 MiB
+        gradient_correlations(3, 3, 1_000, seed=1)  # first-call imports
+        tracemalloc.start()
+        try:
+            gradient_correlations(10, 5, 50_000, seed=1, threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
 
     def test_familywise_band_rejects_miswired_design(self):
         # criterion 7's band at (10, 5) and 1e5 trials, r_max + z_M/sqrt(trials)
