@@ -17,8 +17,10 @@ which turns vertex-maximum frequencies into orthant probabilities.
 
 The union experiment samples those n(n+1) edge derivatives directly from
 their closed-form covariance instead of drawing all C(n+k-1, k)
-coefficients; `gradient_correlations` keeps the coefficient draws, so it
-stays an empirical test of that law.
+coefficients.  `gradient_correlations` keeps the coefficients' law: it maps
+their centred scatter, drawn as one Wishart matrix by Bartlett's
+decomposition, through the design rows, so it stays an empirical test of
+the closed form.
 """
 
 from __future__ import annotations
@@ -478,29 +480,61 @@ def estimate_union_probability(
 def gradient_correlations(
     n: int, k: int, trials: int, seed: int, threads: int = 1
 ) -> np.ndarray:
-    """Empirical correlation matrix of all (n+1)*n edge derivatives.
+    """Empirical correlation matrix of all (n+1)*n edge derivatives over `trials` draws.
 
-    It draws polynomial coefficients, not edge derivatives, so it tests the
-    closed-form law that the union experiment samples from.
+    The draws are of polynomial coefficients, not of edge derivatives, so it
+    tests the closed-form law that the union experiment samples from.  With
+    B the design rows scaled by the coefficient standard deviations, the
+    derivatives of coefficients sigma * z_t are B z_t, and their centred
+    scatter is B S B^T with S that of the z_t: a Wishart_d(trials - 1, I)
+    matrix.  So one Bartlett factor from chunk_generator(seed, 0) stands in
+    for the trials x d normals.  Where d > m = n(n+1), B = F Q with F the
+    Cholesky factor of B B^T and Q's rows orthonormal, and Q S Q^T is
+    Wishart_m(trials - 1, I): the factor is min(d, m) square at most,
+    whatever `trials` is.  `threads` must be positive but changes neither
+    the result nor the cost.
     """
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
-    m, chunks = n * (n + 1), len(_chunk_sizes(trials, CHUNK_SIZE))
-    # each chunk thread's running moments and block cross product, and their total
-    arrays = 2 * min(threads, chunks) + 1
-    check_bytes(8 * m * m * arrays, f"{arrays} x {m} x {m} moment arrays for (n={n}, k={k})")
-    # coefficients sigma * z have derivatives design @ (sigma * z) = (design * sigma) @ z
-    matrix = _design_matrix(n, k)
-    matrix *= np.sqrt(coefficient_variances(n, k))
-    total, cov = _projected_sums(
-        matrix, trials, seed, threads, lambda block: (block.sum(axis=0), block.T @ block)
-    )
-    mean = total / trials
-    cov /= trials  # in place, as below: one more m x m array at a time
-    cov -= np.outer(mean, mean)
-    scale = np.sqrt(np.diag(cov))
-    cov /= np.outer(scale, scale)
-    return cov
+    if trials < 2:
+        raise ValueError("trials must be at least 2 for a correlation")
+    if threads < 1:
+        raise ValueError("threads must be positive")
+    m, d = n * (n + 1), coefficient_count(n, k)
+    w = min(d, m)
+    cols = min(w, trials - 1)
+    # B, where d > m its Gram matrix and their factor, the Bartlett factor,
+    # G = F L, and the scatter with its scale
+    arrays = m * d + (2 * m * m if d > m else 0) + w * cols + m * cols + 2 * m * m
+    check_bytes(8 * arrays, f"{m} x d={d} design and {m} x {m} scatter arrays for (n={n}, k={k})")
+    design = _design_matrix(n, k)
+    design *= np.sqrt(coefficient_variances(n, k))
+    with _one_blas_thread():
+        factor = design if d <= m else np.linalg.cholesky(design @ design.T)
+        del design
+        g = factor @ _bartlett_factor(chunk_generator(seed, 0), w, trials - 1)
+        del factor
+        scatter = g @ g.T
+    del g
+    scale = np.sqrt(np.diag(scatter))
+    scatter /= np.outer(scale, scale)
+    return scatter
+
+
+def _bartlett_factor(rng: np.random.Generator, size: int, dof: int) -> np.ndarray:
+    """A size x min(size, dof) lower-trapezoidal L with L L^T ~ Wishart_size(dof, I).
+
+    Bartlett's decomposition: independent L_ii = sqrt(chi^2(dof - i)) and
+    L_ij ~ N(0, 1) below the diagonal, the chi-squares drawn first.  Where
+    dof < size, L is the lower trapezoid of the LQ factor of a size x dof
+    normal matrix, so L L^T is the singular Wishart matrix of dof draws.
+    """
+    cols = min(size, dof)
+    factor = np.zeros((size, cols))
+    factor[np.diag_indices(cols)] = np.sqrt(rng.chisquare(dof - np.arange(cols)))
+    rows, columns = np.tril_indices(size, -1, cols)
+    factor[rows, columns] = rng.standard_normal(len(rows))
+    return factor
 
 
 def independent_union_approx(n: int, k: int, f: float) -> float:

@@ -53,7 +53,7 @@ def dot_product_polynomial(n: int, k: int, u: np.ndarray) -> BombieriPolynomial:
 
 
 def coefficient_matrix(n: int, k: int) -> np.ndarray:
-    """The matrix gradient_correlations projects normals through: design rows times sigma."""
+    """Design rows times sigma: B, whose B z are the derivatives of coefficients sigma * z."""
     return sx._design_matrix(n, k) * np.sqrt(coefficient_variances(n, k))
 
 
@@ -679,9 +679,9 @@ class TestGradientCorrelations:
 
     def test_wide_rows_run_in_bounded_memory(self):
         # at (30, 2) a 50k-row chunk of its 930 derivatives took 372 MB and was
-        # refused; the moments of 510-row blocks peak at 22.0 MiB: the
-        # 930 x 930 running sum and one block's cross product, the two block
-        # buffers and the 930 x 496 design
+        # refused; the Wishart draw peaks at 13.3 MiB: the 930 x 930 scatter
+        # and its scale, after the 930 x 465 design, the 465-square Bartlett
+        # factor and the 930 x 465 G
         gradient_correlations(3, 3, 1_000, seed=1)  # first-call imports
         tracemalloc.start()
         try:
@@ -692,18 +692,34 @@ class TestGradientCorrelations:
         assert corr.shape == (930, 930) and np.allclose(np.diag(corr), 1.0)
         assert peak <= 26 * 2**20
 
-    def test_moment_arrays_checked_before_any_draw(self, monkeypatch):
-        # two 930 x 930 arrays per chunk thread and their total: 20.8 MB
-        # at one thread, 34.6 MB at two, against a 24 MiB budget
+    def test_scatter_arrays_checked_before_any_draw(self, monkeypatch):
+        # at (30, 2) the 930 x 465 design, the 465-square Bartlett factor, the
+        # 930 x 465 G and two 930 x 930 arrays take 22.5 MB at any trial
+        # count and thread count: a 24 MiB budget runs them and 16 MiB does
+        # not, though the design alone (3.5 MB) would fit
         def no_draws(*args):
             raise AssertionError("a chunk was drawn")
 
-        monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", 24 * 2**20)
+        def no_design(*args):
+            raise AssertionError("the design was built")
+
         monkeypatch.setattr(sx, "chunk_generator", no_draws)
+        monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", 24 * 2**20)
         with pytest.raises(AssertionError, match="a chunk was drawn"):
             gradient_correlations(30, 2, 50_000, seed=1)
-        with pytest.raises(ResourceBudgetError, match=r"5 x 930 x 930 moment arrays"):
-            gradient_correlations(30, 2, 100_000, seed=1, threads=2)
+        monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", 16 * 2**20)
+        monkeypatch.setattr(sx, "_design_matrix", no_design)
+        for trials, threads in ((50_000, 1), (10**9, 2)):
+            with pytest.raises(
+                ResourceBudgetError, match=r"930 x d=465 design and 930 x 930 scatter arrays"
+            ):
+                gradient_correlations(30, 2, trials, seed=1, threads=threads)
+
+    @pytest.mark.parametrize("trials", [1, 0, -5])
+    def test_fewer_than_two_trials_raise(self, trials):
+        # one draw has no centred scatter: its correlation would be 0 / 0
+        with pytest.raises(ValueError, match="trials must be at least 2"):
+            gradient_correlations(3, 3, trials, seed=1)
 
     def test_structure(self):
         n, k, trials = 3, 3, 150_000
@@ -732,9 +748,8 @@ class TestGradientCorrelations:
         assert sx._block_rows(sx.CHUNK_SIZE, 628) == [6250] * 8
         split = projected_blocks(matrix, sx.CHUNK_SIZE, seed)
         assert np.array_equal(np.concatenate(split), one_block)
-        # the moments are summed per block, so other blocks re-associate them
-        split_corr = gradient_correlations(n, k, trials, seed=seed, threads=2)
-        assert np.max(np.abs(split_corr - whole)) <= 1e-14
+        # gradient_correlations draws no row blocks, so the split changes none of its bytes
+        assert np.array_equal(gradient_correlations(n, k, trials, seed=seed, threads=2), whole)
 
     def test_row_wider_than_block_changes_no_byte(self, monkeypatch):
         # at (3, 3) the coefficient and edge-factor matrices are both 12 x 10,
@@ -766,32 +781,82 @@ class TestGradientCorrelations:
                 split = projected_blocks(matrix, size, seed)
             assert np.array_equal(np.concatenate(split), whole)
 
+    @pytest.mark.parametrize("n, k", [(2, 3), (3, 3), (2, 6), (4, 5)])
+    def test_matches_scatter_algebra(self, n, k, monkeypatch):
+        # with the Wishart draw set to nu I, the output is the correlation of
+        # nu B B^T: the closed form's, from the design rows (d <= m at (2, 3)
+        # and (3, 3), d > m at (2, 6) and (4, 5))
+        design, var = sx._design_matrix(n, k), coefficient_variances(n, k)
+        cov = (design * var) @ design.T
+        scale = np.sqrt(np.diag(cov))
+        exact = cov / np.outer(scale, scale)
+        monkeypatch.setattr(
+            sx, "_bartlett_factor", lambda rng, size, dof: math.sqrt(dof) * np.eye(size)
+        )
+        for threads in (1, 2):
+            corr = gradient_correlations(n, k, 100, seed=1, threads=threads)
+            assert np.max(np.abs(corr - exact)) <= 1e-13
+
     @pytest.mark.parametrize("n, k, trials", [(3, 3, 200_000), (4, 5, 100_000)])
-    def test_matches_whole_chunk_reference(self, n, k, trials):
+    def test_matches_whole_chunk_reference(self, n, k, trials, monkeypatch):
         # the moments of whole-chunk derivative arrays of scaled coefficients,
-        # as they were summed before the per-block driver
+        # as they were summed before the Wishart draw, against the output with
+        # those coefficients' scatter in place of the Bartlett factor: its
+        # Cholesky factor where d <= m (F = B), else that of Q S Q^T, with
+        # Q = F^-1 B for the Cholesky factor F of B B^T
         design = sx._design_matrix(n, k)
         sigma = np.sqrt(coefficient_variances(n, k))
-        total = cross = 0.0
+        total = cross = z_total = z_cross = 0.0
         with equicorrelated._one_blas_thread():
             for chunk, size in enumerate(equicorrelated._chunk_sizes(trials, sx.CHUNK_SIZE)):
-                coeffs = sx.chunk_generator(1, chunk).standard_normal((size, len(sigma)))
-                coeffs *= sigma
-                derivs = coeffs @ design.T
+                z = sx.chunk_generator(1, chunk).standard_normal((size, len(sigma)))
+                z_total = z_total + z.sum(axis=0)
+                z_cross = z_cross + z.T @ z
+                derivs = (z * sigma) @ design.T
                 total = total + derivs.sum(axis=0)
                 cross = cross + derivs.T @ derivs
+            scatter = z_cross - np.outer(z_total, z_total) / trials
+            if len(sigma) > len(design):
+                scaled = design * sigma
+                q = np.linalg.solve(np.linalg.cholesky(scaled @ scaled.T), scaled)
+                scatter = q @ scatter @ q.T
+            lower = np.linalg.cholesky(scatter)
         mean = total / trials
         cov = cross / trials - np.outer(mean, mean)
         scale = np.sqrt(np.diag(cov))
         reference = cov / np.outer(scale, scale)
-        for threads in (1, 2):
-            corr = gradient_correlations(n, k, trials, seed=1, threads=threads)
-            assert np.max(np.abs(corr - reference)) <= 1e-14
+        monkeypatch.setattr(sx, "_bartlett_factor", lambda rng, size, dof: lower)
+        corr = gradient_correlations(n, k, trials, seed=1)
+        assert np.max(np.abs(corr - reference)) <= 1e-12
+
+    @pytest.mark.parametrize("n, k, trials", [(3, 3, 20), (2, 6, 20), (3, 3, 5)])
+    def test_law_matches_explicit_coefficient_draws(self, n, k, trials):
+        # the law of each correlation over 2000 seeds against the estimator on
+        # 2000 explicit trials x d coefficient draws: d < m, d > m, and
+        # trials - 1 below min(d, m); two-sample KS per entry, Bonferroni at
+        # a 0.1% familywise false-alarm rate
+        from scipy.stats import ks_2samp
+
+        runs = 2000
+        matrix = coefficient_matrix(n, k)
+        m, d = matrix.shape
+        z = np.random.default_rng(19_019).standard_normal((runs, trials, d))
+        derivs = (z - z.mean(axis=1, keepdims=True)) @ matrix.T
+        scatter = np.swapaxes(derivs, 1, 2) @ derivs
+        scale = np.sqrt(np.diagonal(scatter, axis1=1, axis2=2))
+        explicit = scatter / (scale[:, :, None] * scale[:, None, :])
+        drawn = np.array([gradient_correlations(n, k, trials, seed=s) for s in range(runs)])
+        upper = np.triu_indices(m, 1)
+        pvalues = [
+            ks_2samp(drawn[:, i, j], explicit[:, i, j]).pvalue for i, j in zip(*upper)
+        ]
+        assert min(pvalues) > 0.001 / len(pvalues)
 
     def test_peak_memory_block_sized(self):
-        # one 50k chunk at (10, 5): 512-row blocks of 2002 normals (8.2 MB)
-        # and 110 derivatives, the 110 x 2002 design and the moments peak at
-        # 10.1 MiB; the whole-chunk derivative array took 59.3 MiB
+        # 50k trials at (10, 5): the 110 x 2002 design and its build, the
+        # 110-square Gram, Cholesky and Bartlett factors and the scatter peak
+        # at 3.5 MiB, at any trial count; 512-row blocks of coefficient draws
+        # took 10.1 MiB, and the whole-chunk derivative array 59.3 MiB
         gradient_correlations(3, 3, 1_000, seed=1)  # first-call imports
         tracemalloc.start()
         try:
@@ -843,14 +908,13 @@ simplex.CHUNK_SIZE = 2000
 print(repr(simplex.estimate_union_probability(10, 5, 6000, seed=11, threads=2)))
 """
 
-# gradient_correlations(10, 5, 6000, seed=11) in 2000-trial chunks on 2 threads,
-# saved to argv[1]; K = 2002 makes the projection's rounding depend on how
-# many threads BLAS splits it over
+# gradient_correlations(10, 5, 6000, seed=11) on 2 threads, saved to argv[1];
+# K = 2002 makes the rounding of the Gram matrix B B^T depend on how many
+# threads BLAS splits it over
 _CORRELATIONS_CHILD = """
 import sys
 import numpy as np
 from simplex_orthant import simplex
-simplex.CHUNK_SIZE = 2000
 np.save(sys.argv[1], simplex.gradient_correlations(10, 5, 6000, seed=11, threads=2))
 """
 
@@ -912,6 +976,8 @@ class TestBlasThreadInvariance:
             estimate_vertex_probability(3, 3, 1000, seed=0, threads=threads)
         with pytest.raises(ValueError, match="threads must be positive"):
             orthant.monte_carlo(3, 0.5, 1000, seed=0, threads=threads)
+        with pytest.raises(ValueError, match="threads must be positive"):
+            gradient_correlations(3, 3, 1000, seed=0, threads=threads)
 
 
 class TestIndependentUnionApprox:
