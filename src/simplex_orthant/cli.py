@@ -71,6 +71,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _fmt(value):
     if value is None:
         return NA
@@ -226,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=_float_grid, required=True)
     p.add_argument("--method", choices=("closed", "steck", "density", "mc"), default="steck")
     p.add_argument("--trials", type=_positive_int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
 
     p = sub.add_parser("bounds", help="rate bounds and sandwich verdicts")
     common(p)
@@ -238,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_grid, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
 
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--output", default=None)

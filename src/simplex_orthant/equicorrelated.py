@@ -16,6 +16,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import math
+import numbers
 import os
 import threading
 from contextlib import contextmanager
@@ -116,11 +117,14 @@ def inverse_matrix(spec: EquicorrelatedSpec) -> np.ndarray:
 def chunk_generator(seed: int, chunk: int) -> np.random.Generator:
     """Deterministic RNG for one chunk of a run.
 
-    Chunks are non-overlapping streams of a single Philox sequence keyed by
-    seed, so a run is a pure function of (seed, chunk index) and chunks may
-    be produced concurrently and concatenated in chunk order.
+    Chunk c draws from SFC64 seeded by child c of SeedSequence(seed), the
+    stream SeedSequence(seed).spawn(c + 1)[c] gives, so a run is a pure
+    function of (seed, chunk index) and chunks may be produced concurrently
+    and concatenated in chunk order.  The seed is a non-negative integer.
     """
-    return np.random.Generator(np.random.Philox(key=seed).jumped(chunk))
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(chunk,))))
 
 
 def _chunk_sizes(trials: int, chunk_size: int) -> list[int]:

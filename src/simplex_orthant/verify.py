@@ -14,6 +14,7 @@ import numpy as np
 from . import normal, orthant, simplex
 from .equicorrelated import (
     EquicorrelatedSpec,
+    chunk_generator,
     covariance_matrix,
     inverse_diag_offdiag,
     inverse_matrix,
@@ -227,7 +228,7 @@ def suite_simplex() -> list[dict]:
                          f"max |C - R var R^T| / max |R var R^T| = {worst:.3e}"))
 
     # the vertex-0 derivative law (R var R^T) is the same in a rotated frame
-    rng = np.random.Generator(np.random.Philox(key=99))
+    rng = chunk_generator(99, 0)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     var = simplex.coefficient_variances(3, 3)
     base, rotated = (
@@ -238,7 +239,7 @@ def suite_simplex() -> list[dict]:
                          f"max |R var R^T - rotated| = {dev:.3e}"))
 
     p = simplex.sample_polynomial(4, 5, seed=11)
-    rng = np.random.Generator(np.random.Philox(key=5))
+    rng = chunk_generator(5, 0)
     ok = True
     for _ in range(20):
         x = rng.standard_normal(4)

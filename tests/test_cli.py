@@ -149,22 +149,24 @@ class TestComputeCommand:
         assert "underflow" in err and "n=1000000, rho=0.01" in err
 
     @pytest.mark.parametrize(
-        "command, option, value",
+        "command, option, value, rule",
         [
-            pytest.param("compute", "--threads", "0", id="0"),
-            pytest.param("compute", "--threads", "-3", id="-3"),
-            pytest.param("compute", "--trials", "0", id="trials-0"),
-            pytest.param("simplex", "--trials", "-3", id="simplex-trials--3"),
+            pytest.param("compute", "--threads", "0", "a positive integer", id="0"),
+            pytest.param("compute", "--threads", "-3", "a positive integer", id="-3"),
+            pytest.param("compute", "--trials", "0", "a positive integer", id="trials-0"),
+            pytest.param("simplex", "--trials", "-3", "a positive integer", id="simplex-trials--3"),
+            pytest.param("compute", "--seed", "-1", "a non-negative integer", id="seed--1"),
+            pytest.param("simplex", "--seed", "-1", "a non-negative integer", id="simplex-seed--1"),
         ],
     )
-    def test_nonpositive_threads_exit_2(self, command, option, value, capsys):
+    def test_nonpositive_threads_exit_2(self, command, option, value, rule, capsys):
         args = {
             "compute": ["compute", "--n", "2", "--rho", "0.3", "--method", "mc"],
             "simplex": ["simplex", "--n", "2", "--k", "3"],
         }[command] + ["--trials", "1000", "--seed", "1"]
         code, out, err = run_cli(args + [option, value], capsys)
         assert code == 2 and out == ""
-        assert "usage:" in err and f"{option}: must be a positive integer" in err
+        assert "usage:" in err and f"{option}: must be {rule}" in err
 
     def test_mc_requires_seed(self, capsys):
         code, _, err = run_cli(

@@ -169,6 +169,33 @@ class TestSampler:
         assert not np.array_equal(g0, g1)
 
 
+class TestChunkStreams:
+    @pytest.mark.parametrize("seed, chunk", [(0, 0), (90, 0), (90, 3), (7, 12), (2**62 - 5, 1)])
+    def test_chunk_is_spawned_sfc64_child(self, seed, chunk):
+        # chunk c of seed s is SFC64 on child c of SeedSequence(s)
+        child = np.random.SeedSequence(seed).spawn(chunk + 1)[chunk]
+        expected = np.random.Generator(np.random.SFC64(child))
+        rng = chunk_generator(seed, chunk)
+        assert isinstance(rng.bit_generator, np.random.SFC64)
+        raw = rng.bit_generator.random_raw(16)
+        assert np.array_equal(raw, expected.bit_generator.random_raw(16))
+        assert np.array_equal(rng.standard_normal(1000), expected.standard_normal(1000))
+
+    def test_neighbouring_streams_uncorrelated(self):
+        # the first 1e5 normals of the next chunk and of the next seed; for
+        # independent streams each sample correlation has sd 1/sqrt(1e5)
+        size, seed = 100_000, 90
+        streams = ((seed, 0), (seed, 1), (seed + 1, 0))
+        draws = [chunk_generator(s, c).standard_normal(size) for s, c in streams]
+        corr = np.corrcoef(draws)[np.triu_indices(3, 1)]
+        assert np.max(np.abs(corr)) < 5.0 / math.sqrt(size)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, 3.0, "3", None])
+    def test_invalid_seed_raises(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+            chunk_generator(seed, 0)
+
+
 class TestBlockRows:
     @settings(max_examples=300, deadline=None)
     @given(size=st.integers(1, 200_000), row_bytes=st.integers(1, 2**23))

@@ -614,6 +614,34 @@ class TestUnionProbability:
         assert np.array_equal(np.concatenate(blocks), one_block)
         assert estimate_union_probability(n, k, 120_000, seed=seed, threads=2) == whole
 
+    def test_row_wider_than_block_changes_no_byte(self, monkeypatch):
+        # at (3, 3) the edge factor is 12 x 10, so a row takes
+        # 8 (10 + 12) + 12 = 188 bytes; with 40-byte blocks and budget / 8,
+        # 1001 rows split into blocks of two and three rows, where one-row
+        # blocks would round differently
+        n, k, seed, size = 3, 3, 7, 1001
+        factor = sx._edge_factor(n, k)
+        assert factor.shape == (12, 10)
+        (whole,) = projected_blocks(factor, size, seed)
+        monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 40)
+        monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", 8 * 40)
+        assert set(sx._block_rows(size, 188)) == {2, 3}
+        split = projected_blocks(factor, size, seed)
+        assert np.array_equal(np.concatenate(split), whole)
+
+    def test_one_normal_rows_change_no_byte(self, monkeypatch):
+        # at n = 1 the edge factor is 2 x 1 at any k, so a row takes 26 bytes
+        # and a 50k chunk is one block; GEMM_ROWS-row blocks give its bytes
+        n, k, seed, size = 1, 600, 7, 50_000
+        factor = sx._edge_factor(n, k)
+        assert factor.shape == (2, 1)
+        assert sx._block_rows(size, 26) == [size]
+        (whole,) = projected_blocks(factor, size, seed)
+        monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 8)
+        assert set(sx._block_rows(size, 26)) == {510, 511}
+        split = projected_blocks(factor, size, seed)
+        assert np.array_equal(np.concatenate(split), whole)
+
     def test_peak_memory_cache_sized(self):
         # one 50k chunk at (10, 5): the normals and derivatives of the block
         # being drawn fit BLOCK_BYTES (2.0 MiB measured, the edge factor built
@@ -733,53 +761,6 @@ class TestGradientCorrelations:
         # shared-edge entries exceed epsilon itself; 1.75 caps the factor
         # for k <= 5, and at (3, 3) it is 1.531
         assert cross <= 1.75 * epsilon_n(n, k) + 3.5 / math.sqrt(trials)
-
-    def test_row_blocks_change_no_byte(self, monkeypatch):
-        # at (4, 5) a row of d = 56 normals and m = 20 derivatives takes
-        # 8 (56 + 20) + 20 = 628 bytes; 7000 rows' worth splits each 50k
-        # chunk into 8 blocks of 6250
-        n, k, seed, trials = 4, 5, 7, 120_000
-        whole = gradient_correlations(n, k, trials, seed=seed, threads=2)
-        matrix = coefficient_matrix(n, k)
-        monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 628 * sx.CHUNK_SIZE)
-        assert sx._block_rows(sx.CHUNK_SIZE, 628) == [sx.CHUNK_SIZE]
-        (one_block,) = projected_blocks(matrix, sx.CHUNK_SIZE, seed)
-        monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 628 * 7000)
-        assert sx._block_rows(sx.CHUNK_SIZE, 628) == [6250] * 8
-        split = projected_blocks(matrix, sx.CHUNK_SIZE, seed)
-        assert np.array_equal(np.concatenate(split), one_block)
-        # gradient_correlations draws no row blocks, so the split changes none of its bytes
-        assert np.array_equal(gradient_correlations(n, k, trials, seed=seed, threads=2), whole)
-
-    def test_row_wider_than_block_changes_no_byte(self, monkeypatch):
-        # at (3, 3) the coefficient and edge-factor matrices are both 12 x 10,
-        # so a row takes 8 (10 + 12) + 12 = 188 bytes; with 40-byte blocks and
-        # budget / 8, 1001 rows split into blocks of two and three rows, where
-        # one-row blocks would round differently
-        n, k, seed, size = 3, 3, 7, 1001
-        for matrix in (coefficient_matrix(n, k), sx._edge_factor(n, k)):
-            assert matrix.shape == (12, 10)
-            (whole,) = projected_blocks(matrix, size, seed)
-            with monkeypatch.context() as patch:
-                patch.setattr(equicorrelated, "BLOCK_BYTES", 40)
-                patch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", 8 * 40)
-                assert set(sx._block_rows(size, 188)) == {2, 3}
-                split = projected_blocks(matrix, size, seed)
-            assert np.array_equal(np.concatenate(split), whole)
-
-    def test_one_coefficient_rows_change_no_byte(self, monkeypatch):
-        # at n = 1 both matrices are 2 x 1 at any k, so a row takes 26 bytes
-        # and a 50k chunk is one block; GEMM_ROWS-row blocks give its bytes
-        n, k, seed, size = 1, 600, 7, 50_000
-        for matrix in (coefficient_matrix(n, k), sx._edge_factor(n, k)):
-            assert matrix.shape == (2, 1)
-            assert sx._block_rows(size, 26) == [size]
-            (whole,) = projected_blocks(matrix, size, seed)
-            with monkeypatch.context() as patch:
-                patch.setattr(equicorrelated, "BLOCK_BYTES", 8)
-                assert set(sx._block_rows(size, 26)) == {510, 511}
-                split = projected_blocks(matrix, size, seed)
-            assert np.array_equal(np.concatenate(split), whole)
 
     @pytest.mark.parametrize("n, k", [(2, 3), (3, 3), (2, 6), (4, 5)])
     def test_matches_scatter_algebra(self, n, k, monkeypatch):
