@@ -762,6 +762,23 @@ class TestGradientCorrelations:
         # for k <= 5, and at (3, 3) it is 1.531
         assert cross <= 1.75 * epsilon_n(n, k) + 3.5 / math.sqrt(trials)
 
+    def test_row_blocks_change_no_byte(self, monkeypatch):
+        # at (4, 5) a row of d = 56 normals and m = 20 derivatives takes
+        # 8 (56 + 20) + 20 = 628 bytes; 7000 rows' worth splits each 50k
+        # chunk into 8 blocks of 6250
+        n, k, seed, trials = 4, 5, 7, 120_000
+        whole = gradient_correlations(n, k, trials, seed=seed, threads=2)
+        matrix = coefficient_matrix(n, k)
+        monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 628 * sx.CHUNK_SIZE)
+        assert sx._block_rows(sx.CHUNK_SIZE, 628) == [sx.CHUNK_SIZE]
+        (one_block,) = projected_blocks(matrix, sx.CHUNK_SIZE, seed)
+        monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 628 * 7000)
+        assert sx._block_rows(sx.CHUNK_SIZE, 628) == [6250] * 8
+        split = projected_blocks(matrix, sx.CHUNK_SIZE, seed)
+        assert np.array_equal(np.concatenate(split), one_block)
+        # gradient_correlations draws no row blocks, so the split changes none of its bytes
+        assert np.array_equal(gradient_correlations(n, k, trials, seed=seed, threads=2), whole)
+
     @pytest.mark.parametrize("n, k", [(2, 3), (3, 3), (2, 6), (4, 5)])
     def test_matches_scatter_algebra(self, n, k, monkeypatch):
         # with the Wishart draw set to nu I, the output is the correlation of
