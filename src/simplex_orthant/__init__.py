@@ -9,7 +9,6 @@ from .equicorrelated import (
     covariance_matrix,
     inverse_diag_offdiag,
     inverse_matrix,
-    sample_equicorrelated,
     tv_bound_frobenius,
 )
 from .normal import (

@@ -30,7 +30,7 @@ NA = "NA"
 MAX_GRID_POINTS = 10**6
 
 
-def _parse_grid(text: str, cast):
+def _float_grid(text: str):
     """Accept 'a,b,c' lists and 'start:stop:step' ranges (stop inclusive)."""
     if ":" in text:
         start, stop, step = (float(p) for p in text.split(":"))
@@ -48,20 +48,16 @@ def _parse_grid(text: str, cast):
             )
         count = int(round(quotient)) + 1
         vals = [start + i * step for i in range(count) if start + i * step <= stop + 1e-12]
-        return [cast(round(v, 12)) for v in vals]
-    return [cast(p) for p in text.split(",")]
+        return [round(v, 12) for v in vals]
+    return [float(p) for p in text.split(",")]
 
 
 def _int_grid(text: str):
-    values = _parse_grid(text, float)
+    values = _float_grid(text)
     for value in values:
         if not value.is_integer():
             raise argparse.ArgumentTypeError(f"{value} is not an integer")
     return [int(value) for value in values]
-
-
-def _float_grid(text: str):
-    return _parse_grid(text, float)
 
 
 def _positive_int(text: str) -> int:

@@ -1,4 +1,4 @@
-"""Equicorrelated covariance algebra, sampling, and the TV-distance bound.
+"""Equicorrelated covariance algebra, Monte Carlo chunks, and the TV-distance bound.
 
 The covariance matrix A has unit diagonal and a single off-diagonal value
 rho.  Its inverse shares the same structure; the (alpha, beta) pair solving
@@ -6,9 +6,11 @@ rho.  Its inverse shares the same structure; the (alpha, beta) pair solving
     alpha + (n-1) rho beta = 1
     rho alpha + ((n-2) rho + 1) beta = 0
 
-is returned in closed form.  Sampling uses the common-factor representation
-X_i = sqrt(rho) Z0 + sqrt(1-rho) Z_i, which is exact for this covariance and
-O(n) per draw.
+is returned in closed form.  The orthant Monte Carlo counts common-factor
+draws X_i = sqrt(rho) Z0 + sqrt(1-rho) Z_i, exact for this covariance when
+rho >= 0, and draws coordinate i only for the rows still in the orthant
+(`orthant_hits`).  The chunk streams, row blocks and chunk map here serve
+it and the simplex union alike.
 """
 
 from __future__ import annotations
@@ -233,40 +235,17 @@ def hit_rate(hits: int, trials: int) -> tuple[float, float]:
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials)
 
 
-def sample_equicorrelated(spec: EquicorrelatedSpec, count: int, seed: int) -> np.ndarray:
-    """count x n draws with N(0,1) marginals and pairwise correlation rho.
-
-    Requires rho >= 0: the common-factor construction has no real square
-    root otherwise.
-    """
-    if spec.rho < 0.0:
-        raise ValueError(
-            "sample_equicorrelated supports rho >= 0 only "
-            "(common-factor construction)"
-        )
-    check_bytes(16 * count * spec.n, f"{count} x {spec.n} draws and the chunks joined into them")
-    sizes = _chunk_sizes(count, CHUNK_SIZE)
-    return np.concatenate([sample_chunk(spec, c, size, seed) for c, size in enumerate(sizes)])
-
-
-def sample_chunk(spec: EquicorrelatedSpec, chunk: int, size: int, seed: int) -> np.ndarray:
-    """One deterministic chunk of sample_equicorrelated: z0, then z, scaled in place."""
-    rng = chunk_generator(seed, chunk)
-    z0 = rng.standard_normal((size, 1))
-    z = rng.standard_normal((size, spec.n))
-    z *= math.sqrt(1.0 - spec.rho)
-    z += math.sqrt(spec.rho) * z0
-    return z
-
-
 def orthant_hits(spec: EquicorrelatedSpec, chunk: int, size: int, seed: int) -> int:
     """How many of a chunk's `size` common-factor draws have every coordinate positive.
 
-    Coordinate j is drawn only for the rows whose first j - 1 passed: one
-    normal per surviving row, kept where fl(fl(sqrt(1-rho) z) + u) > 0 with
-    u = fl(sqrt(rho) z0), the test a row of sample_chunk would pass.  So the
-    count has the exact law of sample_chunk's, costs 1 + sum_{j<n} f(j, rho)
-    normals a row (f(0, rho) = 1), and holds O(size) memory at any n.
+    The draws are X_j = sqrt(rho) Z0 + sqrt(1-rho) Z_j from
+    chunk_generator(seed, chunk): first z0 for every row, then, for j = 1..n
+    in turn, one normal z for each row that passed coordinates 1..j-1, in
+    row order.  A row passes coordinate j when
+    fl(fl(sqrt(1-rho) z) + fl(sqrt(rho) z0)) > 0, so the count is the
+    number of rows with all n coordinates positive, Binomial(size, f(n, rho))
+    up to that rounding.  A row costs 1 + sum_{j<n} f(j, rho) normals
+    (f(0, rho) = 1), and a chunk holds O(size) memory at any n.
     """
     rng = chunk_generator(seed, chunk)
     u = rng.standard_normal(size) * math.sqrt(spec.rho)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr, ndtri_exp
 
 from . import normal
 from .equicorrelated import (
@@ -37,6 +36,7 @@ from .equicorrelated import (
     hit_rate,
     orthant_hits,
 )
+from .normal import erfcx, log_ndtr, ndtri_exp
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 

@@ -26,13 +26,14 @@ the closed form.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
 
 import numpy as np
 
-from . import orthant
+from . import normal, orthant
 from .equicorrelated import (
     EquicorrelatedSpec,
     ResourceBudgetError,  # re-exported: the error of this module's budget checks
@@ -180,10 +181,16 @@ def derivative_inner_product(v, a, w, b, k: int) -> float:
     ) * ab ** (k - 2)
 
 
+def check_degree(n: int, k: int, least_n: int = 1) -> None:
+    """Raise ValueError, naming (n, k), unless n >= least_n and k >= 2 are integers."""
+    if not (isinstance(n, numbers.Integral) and isinstance(k, numbers.Integral)
+            and n >= least_n and k >= 2):
+        raise ValueError(f"need integers n >= {least_n} and k >= 2, got (n={n!r}, k={k!r})")
+
+
 def rho_n(n: int, k: int) -> float:
     """Correlation (nk + k - 1)/(n(k+1) + k - 1) of same-vertex edge derivatives."""
-    if n < 1 or k < 2:
-        raise ValueError("need n >= 1 and k >= 2")
+    check_degree(n, k)
     return (n * k + (k - 1)) / (n * (k + 1) + (k - 1))
 
 
@@ -196,8 +203,7 @@ def epsilon_n(n: int, k: int) -> float:
     (2k-1)/(k+1): at most 1.75 for k <= 5 and n >= 2 (1.578 at n = 10, k = 5),
     below 2 for every (n, k).
     """
-    if n < 1 or k < 2:
-        raise ValueError("need n >= 1 and k >= 2")
+    check_degree(n, k)
     return (1.0 / n ** (k - 2)) * (1.0 / (2 * k - 1)) * (1.0 / n + (k - 1))
 
 
@@ -222,9 +228,8 @@ def multi_index_table(n: int, k: int) -> np.ndarray:
 
 def coefficient_variances(n: int, k: int) -> np.ndarray:
     """Variance k!/alpha! of each coefficient under the polynomial measure."""
-    from scipy.special import gammaln
-
-    log_factorial = gammaln(np.arange(k + 1) + 1.0)
+    check_degree(n, k)
+    log_factorial = normal.log_gamma(np.arange(k + 1) + 1.0)
     with np.errstate(over="ignore"):
         var = np.exp(math.lgamma(k + 1) - np.sum(log_factorial[multi_index_table(n, k)], axis=1))
     if not np.all(np.isfinite(var)):
@@ -233,13 +238,13 @@ def coefficient_variances(n: int, k: int) -> np.ndarray:
 
 
 def coefficient_count(n: int, k: int) -> int:
+    check_degree(n, k)
     return math.comb(n + k - 1, k)
 
 
 def sample_polynomial(n: int, k: int, seed: int) -> BombieriPolynomial:
     """One draw from the Gaussian polynomial ensemble, c_a ~ N(0, k!/a!)."""
-    if n < 1 or k < 2:
-        raise ValueError("need n >= 1 and k >= 2")
+    check_degree(n, k)
     d = coefficient_count(n, k)
     # the exponent table's build sets the peak, and coefficient_variances'
     # one d x n float temporary stays below it; tracemalloc reads 53.4, 23.8
@@ -315,8 +320,7 @@ def edge_covariance(n: int, k: int, vertices=None) -> np.ndarray:
     their edge frames; no design row is built, and the cost does not depend
     on the coefficient count.
     """
-    if n < 1 or k < 2:
-        raise ValueError("need n >= 1 and k >= 2")
+    check_degree(n, k)
     geom = build_geometry(n)
     vertices = list(range(n + 1) if vertices is None else vertices)
     count = len(vertices)
@@ -360,6 +364,7 @@ def _edge_factor(n: int, k: int) -> np.ndarray:
 
 def derivative_norm_squared(n: int, k: int) -> float:
     """Analytic ||d/dv_i(a)||^2 = k ||a||^(2k-4) (||a||^2 + (k-1)/2)."""
+    check_degree(n, k)
     a_sq = n / (n + 1)
     return k * a_sq ** (k - 2) * (a_sq + (k - 1) / 2.0)
 
@@ -494,8 +499,7 @@ def gradient_correlations(
     whatever `trials` is.  `threads` must be positive but changes neither
     the result nor the cost.
     """
-    if n < 1 or k < 2:
-        raise ValueError("need n >= 1 and k >= 2")
+    check_degree(n, k)
     if trials < 2:
         raise ValueError("trials must be at least 2 for a correlation")
     if threads < 1:
@@ -539,6 +543,7 @@ def _bartlett_factor(rng: np.random.Generator, size: int, dof: int) -> np.ndarra
 
 def independent_union_approx(n: int, k: int, f: float) -> float:
     """1 - (1 - f)^(n+1), evaluated via log1p/expm1 for stability."""
+    check_degree(n, k)
     if not (0.0 <= f <= 1.0):
         raise ValueError("f must lie in [0, 1]")
     if f == 1.0:
@@ -553,8 +558,7 @@ def tv_pipeline(n: int, k: int) -> TvReport:
     the cross-vertex blocks, although the shared-edge entries exceed it;
     ``tv_exact`` evaluates the same bound on the exact blocks.
     """
-    if n < 2 or k < 2:
-        raise ValueError("need n >= 2 and k >= 2")
+    check_degree(n, k, least_n=2)
     eps = epsilon_n(n, k)
     pair = inverse_diag_offdiag(EquicorrelatedSpec(n=n, rho=rho_n(n, k)))
     tv: TvBound = tv_bound_frobenius(n, n + 1, eps, pair)
@@ -583,8 +587,7 @@ def tv_exact(n: int, k: int) -> Optional[float]:
     design D, whose rank is min(d, n(n+1)) (checked for n <= 12 and
     k = 2..8), so R is singular exactly where d < n(n+1).
     """
-    if n < 2 or k < 2:
-        raise ValueError("need n >= 2 and k >= 2")
+    check_degree(n, k, least_n=2)
     if coefficient_count(n, k) < n * (n + 1):
         return None
     rho = rho_n(n, k)

@@ -18,7 +18,6 @@ from .equicorrelated import (
     covariance_matrix,
     inverse_diag_offdiag,
     inverse_matrix,
-    sample_equicorrelated,
 )
 
 
@@ -113,30 +112,21 @@ def suite_lemma_inverse() -> list[dict]:
 
 
 def suite_sampler() -> list[dict]:
-    checks = []
-    draws_per_case = 100_000
+    # orthant.monte_carlo, through equicorrelated.orthant_hits, draws every
+    # Monte Carlo f(n, rho) the package reports; the SE is the binomial one
+    # at best_estimate's value, so a run with no hits still gets a finite z
+    draws, seed = 100_000, 20_240_601
     ok = True
     detail = []
     for n, rho in ((2, 0.3), (4, 0.6), (8, 0.9)):
-        spec = EquicorrelatedSpec(n=n, rho=rho)
-        x = sample_equicorrelated(spec, draws_per_case, seed=20_240_601)
-        emp = np.corrcoef(x, rowvar=False)
-        off = emp[np.triu_indices(n, 1)]
-        sigma = (1.0 - rho * rho) / math.sqrt(draws_per_case)
-        worst = np.max(np.abs(off - rho))
-        ok &= worst <= 3.5 * sigma
-        detail.append(f"(n={n},rho={rho}): max dev {worst:.2e} vs 3.5s={3.5 * sigma:.2e}")
-        # chi-square on the 2^n sign patterns of the first two coordinates
-        signs = (x[:, :2] > 0).astype(int)
-        cells = np.bincount(signs[:, 0] * 2 + signs[:, 1], minlength=4)
-        p_pp = orthant.closed_form(2, rho).value
-        p_pm = 0.5 - p_pp
-        probs = np.array([p_pp, p_pm, p_pm, p_pp])
-        chi2 = np.sum((cells - draws_per_case * probs) ** 2 / (draws_per_case * probs))
-        ok &= chi2 <= 16.27  # chi2(3) at 0.999
-        detail.append(f"(n={n},rho={rho}): sign chi2 {chi2:.2f}")
-    checks.append(_check("sampler_moments_and_signs", ok, "; ".join(detail)))
-    return checks
+        est = orthant.monte_carlo(n, rho, draws, seed)
+        f = orthant.best_estimate(n, rho).value
+        z = (est.value - f) / math.sqrt(f * (1.0 - f) / draws)
+        same = orthant.monte_carlo(n, rho, draws, seed, threads=2) == est
+        ok &= abs(z) <= 3.5 and same
+        detail.append(f"(n={n},rho={rho}): {z:+.2f} SE from best_estimate, "
+                      f"threads 1 and 2 {'agree' if same else 'differ'}")
+    return [_check("monte_carlo_law", ok, "; ".join(detail))]
 
 
 def suite_orthant() -> list[dict]:

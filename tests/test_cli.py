@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from simplex_orthant import cli, equicorrelated, simplex, verify
+from simplex_orthant import cli, equicorrelated, orthant, simplex, verify
 
 DATA = Path(__file__).parent / "data"
 
@@ -451,6 +451,19 @@ class TestVerifyCommand:
         assert code == 3
         assert any(name.startswith("lemma_inverse:") for name in doc["failures"])
 
+    def test_wrong_sampler_law_exit_3(self, capsys, monkeypatch):
+        # draws that drop the common factor have the law of rho = 0
+        def independent(spec, chunk, size, seed):
+            return equicorrelated.orthant_hits(
+                equicorrelated.EquicorrelatedSpec(n=spec.n, rho=0.0), chunk, size, seed
+            )
+
+        monkeypatch.setattr(orthant, "orthant_hits", independent)
+        code, out, _ = run_cli(["verify", "--suite", "sampler"], capsys)
+        doc = json.loads(out)
+        assert code == 3
+        assert doc["failures"] == ["sampler:monte_carlo_law"]
+
     def test_output_file_holds_stdout_bytes(self, capsys, tmp_path):
         args = ["verify", "--suite", "special_functions"]
         code, out, _ = run_cli(args, capsys)
@@ -461,5 +474,7 @@ class TestVerifyCommand:
         assert err.startswith("verify: ")
 
     def test_unknown_suite_rejected(self, capsys):
-        code, _, err = run_cli(["verify", "--suite", "nonsense"], capsys)
-        assert code == 2 or code != 0  # argparse exits 2 on bad choices
+        code, out, err = run_cli(["verify", "--suite", "nonsense"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: simplex-orthant verify")
+        assert "argument --suite: invalid choice: 'nonsense'" in err

@@ -13,10 +13,10 @@ from simplex_orthant.equicorrelated import (
     covariance_matrix,
     inverse_diag_offdiag,
     inverse_matrix,
-    sample_chunk,
-    sample_equicorrelated,
+    orthant_hits,
     tv_bound_frobenius,
 )
+from simplex_orthant.orthant import best_estimate, monte_carlo
 from simplex_orthant.simplex import rho_n
 
 
@@ -115,58 +115,62 @@ class TestInverse:
 
 
 class TestSampler:
-    def test_rejects_negative_rho(self):
-        with pytest.raises(ValueError):
-            sample_equicorrelated(EquicorrelatedSpec(n=3, rho=-0.1), 10, seed=0)
+    """The common-factor draw through orthant_hits, the sampler behind monte_carlo."""
 
-    def test_budget(self):
-        # 1e6 x 700 draws take 5.6 GB; the call must stop before any chunk
-        with pytest.raises(equicorrelated.ResourceBudgetError, match="1000000 x 700"):
-            sample_equicorrelated(EquicorrelatedSpec(n=700, rho=0.5), 10**6, seed=0)
+    def test_rejects_negative_rho(self):
+        with pytest.raises(ValueError, match="rho >= 0"):
+            monte_carlo(3, -0.1, 10, seed=0)
 
     def test_independent_case(self):
-        x = sample_equicorrelated(EquicorrelatedSpec(n=2, rho=0.0), 1_000_000, seed=42)
-        corr = np.corrcoef(x, rowvar=False)[0, 1]
-        assert abs(corr) <= 0.004  # 3 sigma (plus slack) around 0
+        # rho = 0: the signs are independent, f(2, 0) = 1/4
+        est = monte_carlo(2, 0.0, 1_000_000, seed=42)
+        assert abs(est.value - 0.25) <= 3.5 * est.std_error
 
     def test_strong_correlation(self):
-        x = sample_equicorrelated(EquicorrelatedSpec(n=5, rho=0.8), 1_000_000, seed=42)
-        emp = np.corrcoef(x, rowvar=False)
-        off = emp[np.triu_indices(5, 1)]
-        assert np.max(np.abs(off - 0.8)) <= 0.002
+        # Sheppard: f(2, rho) = 1/4 + asin(rho)/(2 pi) recovers rho from the hits
+        est = monte_carlo(2, 0.8, 1_000_000, seed=42)
+        slope = 2.0 * math.pi * math.sqrt(1.0 - 0.8**2)  # d rho / d f at rho = 0.8
+        rho_hat = math.sin(2.0 * math.pi * (est.value - 0.25))
+        assert abs(rho_hat - 0.8) <= 3.5 * slope * est.std_error
+        est = monte_carlo(5, 0.8, 1_000_000, seed=42)
+        assert abs(est.value - best_estimate(5, 0.8).value) <= 3.5 * est.std_error
 
     def test_orthant_frequency_rho_half(self):
         # f(3, 1/2) = 1/4
-        x = sample_equicorrelated(EquicorrelatedSpec(n=3, rho=0.5), 1_000_000, seed=42)
-        freq = np.mean(np.all(x > 0, axis=1))
-        assert abs(freq - 0.25) <= 0.0013
+        assert abs(monte_carlo(3, 0.5, 1_000_000, seed=42).value - 0.25) <= 0.0013
 
     def test_marginals_standard_normal(self):
-        x = sample_equicorrelated(EquicorrelatedSpec(n=4, rho=0.6), 500_000, seed=9)
-        assert np.max(np.abs(x.mean(axis=0))) <= 0.005
-        assert np.max(np.abs(x.std(axis=0) - 1.0)) <= 0.005
+        # n = 1: X_1 is N(0, 1) at any rho, positive with probability 1/2
+        for rho in (0.0, 0.6, 0.99):
+            est = monte_carlo(1, rho, 500_000, seed=9)
+            assert abs(est.value - 0.5) <= 3.5 * est.std_error
 
     def test_chunked_determinism(self):
         spec = EquicorrelatedSpec(n=3, rho=0.4)
-        a = sample_equicorrelated(spec, 250_000, seed=7)
-        b = sample_equicorrelated(spec, 250_000, seed=7)
-        assert np.array_equal(a, b)
+        a = monte_carlo(3, 0.4, 250_000, seed=7)
+        assert monte_carlo(3, 0.4, 250_000, seed=7) == a
+        hits = [orthant_hits(spec, c, size, seed=7)
+                for c, size in enumerate((100_000, 100_000, 50_000))]
+        assert a.value == sum(hits) / 250_000
         # chunks are independent of how many trials follow them
-        first = sample_chunk(spec, 0, 100_000, seed=7)
-        assert np.array_equal(a[:100_000], first)
+        assert monte_carlo(3, 0.4, 100_000, seed=7).value == hits[0] / 100_000
 
     def test_chunk_is_common_factor_formula(self):
+        # z0 for every row, then coordinate j's normals for the rows still positive
         spec = EquicorrelatedSpec(n=10, rho=0.3)
         rng = chunk_generator(5, 2)
-        z0 = rng.standard_normal((1000, 1))
-        z = rng.standard_normal((1000, 10))
-        expected = math.sqrt(0.3) * z0 + math.sqrt(0.7) * z
-        assert np.array_equal(sample_chunk(spec, 2, 1000, seed=5), expected)
+        u = rng.standard_normal(1000) * math.sqrt(0.3)
+        for _ in range(10):
+            x = rng.standard_normal(len(u)) * math.sqrt(0.7) + u
+            u = u[x > 0.0]
+        assert orthant_hits(spec, 2, 1000, seed=5) == len(u) > 0
 
     def test_distinct_chunks_differ(self):
         g0 = chunk_generator(3, 0).standard_normal(4)
         g1 = chunk_generator(3, 1).standard_normal(4)
         assert not np.array_equal(g0, g1)
+        spec = EquicorrelatedSpec(n=2, rho=0.5)
+        assert orthant_hits(spec, 0, 100_000, seed=3) != orthant_hits(spec, 1, 100_000, seed=3)
 
 
 class TestChunkStreams:

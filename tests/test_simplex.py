@@ -313,6 +313,40 @@ class TestRhoEpsilon:
             epsilon_n(3, 1)
 
 
+# every public function of (dimension n, degree k), with its other arguments
+DEGREE_ENTRY_POINTS = {
+    "rho_n": rho_n,
+    "epsilon_n": epsilon_n,
+    "coefficient_count": coefficient_count,
+    "coefficient_variances": coefficient_variances,
+    "derivative_norm_squared": derivative_norm_squared,
+    "analytic_vertex_probability": sx.analytic_vertex_probability,
+    "edge_covariance": edge_covariance,
+    "tv_pipeline": tv_pipeline,
+    "tv_exact": tv_exact,
+    "independent_union_approx": lambda n, k: independent_union_approx(n, k, 0.5),
+    "sample_polynomial": lambda n, k: sample_polynomial(n, k, seed=1),
+    "estimate_vertex_probability": lambda n, k: estimate_vertex_probability(n, k, 100, 1),
+    "estimate_union_probability": lambda n, k: estimate_union_probability(n, k, 100, 1),
+    "gradient_correlations": lambda n, k: gradient_correlations(n, k, 100, 1),
+}
+
+
+class TestCheckDegree:
+    @pytest.mark.parametrize("n, k", [(2.5, 3), (0, 3), (3, 1), (3, 2.5), (3, 3.0)])
+    @pytest.mark.parametrize("name", DEGREE_ENTRY_POINTS)
+    def test_bad_degree_raises_value_error(self, name, n, k):
+        # rho_n(2.5, 3) returned 0.7917, and a float k escaped math.comb as a TypeError
+        with pytest.raises(ValueError, match=rf"got \(n={n!r}, k={k!r}\)"):
+            DEGREE_ENTRY_POINTS[name](n, k)
+
+    def test_integer_types_accepted(self):
+        assert rho_n(np.int64(3), np.int32(4)) == rho_n(3, 4)
+        sx.check_degree(2, 2, least_n=2)
+        with pytest.raises(ValueError, match=r"n >= 2"):
+            sx.check_degree(1, 2, least_n=2)
+
+
 def tuple_table(n: int, k: int) -> np.ndarray:
     """The exponent table built from k-tuples and sorted: the reference order."""
     rows = []
