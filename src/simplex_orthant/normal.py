@@ -1,20 +1,233 @@
-"""Scalar special functions for the standard normal distribution.
+"""Special functions of the standard normal distribution, on math and numpy alone.
 
-The package's one import of scipy.special.  The functions here are a thin,
-strictly-validated layer over it; they accept floats or numpy arrays and
-are pure, so they are safe for concurrent use.  The quadrature hot paths in
-`orthant` take the raw ufuncs `log_ndtr`, `erfcx` and `ndtri_exp` from here
-instead, so no validation runs per node.
+The quadrature rests on three functions: log Phi (`log_ndtr`), the scaled
+complementary error function erfcx(t) = exp(t^2) erfc(t) (`erfcx`), and the
+inverse of log Phi (`ndtri_exp`).  Each has a scalar form on floats, built on
+`math`, and an array form (`*_array`) that evaluates the same formulas with
+numpy.  The scalar forms serve every per-call path: the public functions
+below and Steck's Newton peak search in `orthant`.  The array forms only
+build the two tables `orthant` caches, the Steck lattice and the density
+rule's nodes; an element's value never depends on the rest of its array.
+
+* erfcx(t) is exp(t^2) erfc(t) below t = 10, with t^2 split exactly into two
+  doubles (Dekker's product): exp(fl(t^2)) alone loses about t^2 ulp.  From
+  t = 10 on it is the asymptotic series
+  t sqrt(pi) erfcx(t) = sum_k (-1)^k (2k-1)!! / (2 t^2)^k
+  to 14 terms, whose first omitted term is below 1.3e-18 there.
+* Phi(-a) for a >= 0 is erfc(t)/2 at t = fl(a/sqrt 2), times
+  1 - 2t(a/sqrt 2 - t): the first-order factor exp(t^2 - a^2/2) for t's
+  rounding error, which Dekker's product and the low half of 1/sqrt 2 give
+  exactly.  erfc(fl(a/sqrt 2)) alone would be up to about a^2 ulp off.
+* log Phi(x) is log1p(-Phi(-x)) for x > 0, and the log of Phi(x) as above
+  down to x = -10 sqrt 2; below, where erfc nears underflow, it is
+  log(erfcx(-x/sqrt 2)/2) - x^2/2 with x^2 split as above.  No branch
+  subtracts large terms.
+* ndtri_exp(y) takes Newton steps on log Phi, from 0 where y > -2 and from
+  the asymptote -sqrt(u - log(2 pi u)), u = -2y, below.  log Phi is concave,
+  so after the first step they approach the root from below.  Above log(1/2)
+  it is -ndtri_exp(log(-expm1(y))).
+
+The public functions accept floats or numpy arrays, apply the scalar forms
+element by element, and are pure, so they are safe for concurrent use.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import special as _sp
-from scipy.special import erfcx, log_ndtr, ndtri_exp  # raw ufuncs, for orthant
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 INV_SQRT_2PI = 1.0 / SQRT_2PI
+
+_SQRT_HALF = math.sqrt(0.5)
+_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)  # Phi(q)/phi(q) = sqrt(pi/2) erfcx(-q/sqrt 2)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+_TWO_PI = 2.0 * math.pi
+_LOG_HALF = math.log(0.5)
+_SPLIT = 134217729.0  # 2^27 + 1 splits a double into two halves of 26 bits
+_SERIES_FROM = 10.0
+# (-1)^k (2k-1)!! for k = 13 down to 0, Horner's order
+_SERIES = tuple(float((-1) ** k * math.prod(range(1, 2 * k, 2))) for k in reversed(range(14)))
+NEWTON_STEPS = 50
+
+
+def _square(x: float) -> tuple[float, float]:
+    """(hi, lo) with hi + lo = x^2 exactly (Dekker's product); lo = 0 past |x| = 1e150."""
+    hi = x * x
+    if not abs(x) < 1e150:
+        return hi, 0.0
+    c = _SPLIT * x
+    head = c - (c - x)
+    tail = x - head
+    return hi, ((head * head - hi) + 2.0 * head * tail) + tail * tail
+
+
+# Dekker's halves of _SQRT_HALF, and the low half: 1/sqrt(2) - _SQRT_HALF to
+# within 1e-33, one Newton step on c^2 = 1/2 from c = _SQRT_HALF
+_SQRT_HALF_HEAD = _SPLIT * _SQRT_HALF - (_SPLIT * _SQRT_HALF - _SQRT_HALF)
+_SQRT_HALF_TAIL = _SQRT_HALF - _SQRT_HALF_HEAD
+_SQRT_HALF_LO = ((0.5 - _square(_SQRT_HALF)[0]) - _square(_SQRT_HALF)[1]) / (2.0 * _SQRT_HALF)
+
+
+def erfcx(t: float) -> float:
+    """exp(t^2) erfc(t) for a float t; below t = -26.6 math.exp raises OverflowError."""
+    if t < _SERIES_FROM:
+        hi, lo = _square(t)
+        scaled = math.exp(hi) * math.erfc(t)
+        return scaled + scaled * lo
+    u = 0.5 / (t * t)
+    acc = 0.0
+    for c in _SERIES:
+        acc = acc * u + c
+    return acc * _INV_SQRT_PI / t
+
+
+def _lower_tail(a: float) -> float:
+    """Phi(-a) for a float a >= 0."""
+    t = a * _SQRT_HALF
+    half = 0.5 * math.erfc(t)
+    if not half:
+        return half
+    c = _SPLIT * a
+    head = c - (c - a)
+    tail = a - head
+    # a/sqrt(2) - t: the rounding error of a * _SQRT_HALF, then a times the low half
+    gap = (((head * _SQRT_HALF_HEAD - t) + head * _SQRT_HALF_TAIL + tail * _SQRT_HALF_HEAD)
+           + tail * _SQRT_HALF_TAIL + a * _SQRT_HALF_LO)
+    return half - half * (2.0 * t * gap)
+
+
+def ndtr(x: float) -> float:
+    """Phi(x) for a float x."""
+    return _lower_tail(-x) if x <= 0.0 else 1.0 - _lower_tail(x)
+
+
+def log_ndtr(x: float) -> float:
+    """log Phi(x) for a float x, to a few ulp in both tails."""
+    if x > 0.0:
+        return math.log1p(-_lower_tail(x))
+    t = -x * _SQRT_HALF
+    if t < _SERIES_FROM:
+        return math.log(_lower_tail(-x))
+    if t == math.inf:
+        return -t
+    hi, lo = _square(x)
+    return (math.log(0.5 * erfcx(t)) - 0.5 * lo) - 0.5 * hi
+
+
+def ndtri_exp(y: float) -> float:
+    """The q with log Phi(q) = y, for a float y < 0."""
+    if y > _LOG_HALF:
+        return -ndtri_exp(math.log(-math.expm1(y)))
+    q = 0.0
+    if y <= -2.0:
+        u = -2.0 * y
+        q = -math.sqrt(u - math.log(_TWO_PI * u))
+    for _ in range(NEWTON_STEPS):
+        step = (log_ndtr(q) - y) * _SQRT_HALF_PI * erfcx(-q * _SQRT_HALF)
+        q, last = q - step, q
+        if abs(step) <= 1e-15 * max(1.0, -last):
+            return q
+    raise ArithmeticError(f"ndtri_exp did not converge in {NEWTON_STEPS} Newton steps at y={y!r}")
+
+
+def ndtri(p: float) -> float:
+    """Phi^{-1}(p) for a float p in (0, 1)."""
+    return ndtri_exp(math.log(p)) if p <= 0.5 else -ndtri_exp(math.log1p(-p))
+
+
+def _split_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of each |x| < 1e300 into halves of 26 bits."""
+    c = _SPLIT * x
+    head = c - (c - x)
+    return head, x - head
+
+
+def _square_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_square on a float array of |x| < 1e150."""
+    head, tail = _split_array(x)
+    hi = x * x
+    return hi, ((head * head - hi) + 2.0 * head * tail) + tail * tail
+
+
+_erfc_ufunc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def erfcx_array(t: np.ndarray) -> np.ndarray:
+    """erfcx on a float array of t >= 0, element by element."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    near = t < _SERIES_FROM
+    a = t[near]
+    hi, lo = _square_array(a)
+    scaled = np.exp(hi) * _erfc_ufunc(a).astype(float)
+    out[near] = scaled + scaled * lo
+    far = t[~near]
+    u = 0.5 / (far * far)
+    acc = np.zeros_like(far)
+    for c in _SERIES:
+        acc = acc * u + c
+    out[~near] = acc * _INV_SQRT_PI / far
+    return out
+
+
+def _lower_tail_array(a: np.ndarray) -> np.ndarray:
+    """_lower_tail on a float array of 0 <= a < 1e300."""
+    t = a * _SQRT_HALF
+    half = 0.5 * _erfc_ufunc(t).astype(float)
+    head, tail = _split_array(a)
+    gap = (((head * _SQRT_HALF_HEAD - t) + head * _SQRT_HALF_TAIL + tail * _SQRT_HALF_HEAD)
+           + tail * _SQRT_HALF_TAIL + a * _SQRT_HALF_LO)
+    return half - half * (2.0 * t * gap)
+
+
+def log_ndtr_array(x: np.ndarray) -> np.ndarray:
+    """log_ndtr on a finite float array, element by element."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    right = x > 0.0
+    out[right] = np.log1p(-_lower_tail_array(x[right]))
+    t = -x * _SQRT_HALF
+    near = ~right & (t < _SERIES_FROM)
+    out[near] = np.log(_lower_tail_array(-x[near]))
+    deep = ~right & ~near
+    hi, lo = _square_array(x[deep])
+    out[deep] = (np.log(0.5 * erfcx_array(t[deep])) - 0.5 * lo) - 0.5 * hi
+    return out
+
+
+def ndtri_exp_array(y: np.ndarray) -> np.ndarray:
+    """ndtri_exp on a float array of finite y < 0, element by element.
+
+    Each element stops at its own convergence, as the scalar form does.
+    """
+    y = np.asarray(y, dtype=float)
+    upper = y > _LOG_HALF
+    target = np.where(upper, np.log(-np.expm1(y)), y)
+    q = np.zeros_like(target)
+    deep = target <= -2.0
+    u = -2.0 * target[deep]
+    q[deep] = -np.sqrt(u - np.log(_TWO_PI * u))
+    active = np.arange(q.size)
+    for _ in range(NEWTON_STEPS):
+        last = q[active]
+        step = ((log_ndtr_array(last) - target[active]) * _SQRT_HALF_PI
+                * erfcx_array(-last * _SQRT_HALF))
+        q[active] = last - step
+        active = active[~(np.abs(step) <= 1e-15 * np.maximum(1.0, -last))]
+        if not active.size:
+            return np.where(upper, -q, q)
+    raise ArithmeticError(f"ndtri_exp did not converge in {NEWTON_STEPS} Newton steps "
+                          f"at y={y.flat[active[0]]!r}")
+
+
+def _elementwise(scalar, *args):
+    """scalar(*args) on floats, or element by element on broadcast arrays."""
+    args = [np.asarray(a, dtype=float) for a in args]
+    if all(a.ndim == 0 for a in args):
+        return scalar(*map(float, args))
+    return np.frompyfunc(scalar, len(args), 1)(*args).astype(float)
 
 
 def std_normal_pdf(x):
@@ -26,16 +239,12 @@ def std_normal_pdf(x):
 
 def std_normal_cdf(x):
     """P(Z <= x) for Z ~ N(0,1)."""
-    x = np.asarray(x, dtype=float)
-    out = _sp.ndtr(x)
-    return float(out) if out.ndim == 0 else out
+    return _elementwise(ndtr, x)
 
 
 def log_std_normal_cdf(x):
     """log P(Z <= x), accurate in the deep left tail where the cdf underflows."""
-    x = np.asarray(x, dtype=float)
-    out = _sp.log_ndtr(x)
-    return float(out) if out.ndim == 0 else out
+    return _elementwise(log_ndtr, x)
 
 
 def std_normal_quantile(p):
@@ -47,8 +256,7 @@ def std_normal_quantile(p):
     p = np.asarray(p, dtype=float)
     if np.any(~np.isfinite(p)) or np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("quantile requires 0 < p < 1")
-    out = _sp.ndtri(p)
-    return float(out) if out.ndim == 0 else out
+    return _elementwise(ndtri, p)
 
 
 def std_normal_quantile_from_log(log_p):
@@ -61,8 +269,7 @@ def std_normal_quantile_from_log(log_p):
     log_p = np.asarray(log_p, dtype=float)
     if np.any(np.isnan(log_p)) or np.any(log_p >= 0.0) or np.any(np.isinf(log_p)):
         raise ValueError("quantile requires a finite log-probability < 0")
-    out = _sp.ndtri_exp(log_p)
-    return float(out) if out.ndim == 0 else out
+    return _elementwise(ndtri_exp, log_p)
 
 
 def gordon_upper_mills(x):
@@ -88,8 +295,11 @@ def log_gamma(x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("log_gamma requires x > 0")
-    out = _sp.gammaln(x)
-    return float(out) if out.ndim == 0 else out
+    return _elementwise(math.lgamma, x)
+
+
+def _log_beta(a: float, b: float) -> float:
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
 def log_beta(a, b):
@@ -98,8 +308,11 @@ def log_beta(a, b):
     b = np.asarray(b, dtype=float)
     if np.any(a <= 0.0) or np.any(b <= 0.0):
         raise ValueError("log_beta requires a > 0 and b > 0")
-    out = _sp.gammaln(a) + _sp.gammaln(b) - _sp.gammaln(a + b)
-    return float(out) if out.ndim == 0 else out
+    return _elementwise(_log_beta, a, b)
+
+
+def _pdf_of_quantile(u: float) -> float:
+    return 0.0 if u <= 0.0 or u >= 1.0 else float(std_normal_pdf(ndtri(u)))
 
 
 def pdf_of_quantile(u):
@@ -111,7 +324,4 @@ def pdf_of_quantile(u):
     u = np.asarray(u, dtype=float)
     if np.any(u < 0.0) or np.any(u > 1.0):
         raise ValueError("pdf_of_quantile requires u in [0, 1]")
-    inner = np.clip(u, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
-    out = np.where((u <= 0.0) | (u >= 1.0), 0.0,
-                   std_normal_pdf(_sp.ndtri(inner)))
-    return float(out) if out.ndim == 0 else out
+    return _elementwise(_pdf_of_quantile, u)

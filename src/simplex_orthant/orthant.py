@@ -4,8 +4,9 @@ Four routes to f(n, rho) = P(X_1 > 0, ..., X_n > 0):
 
 * closed forms for n <= 3 and for rho in {0, 1/2};
 * the one-dimensional identity f(n, rho) = E[Phi^n(Z sqrt(s))],
-  s = rho/(1-rho), evaluated in the log domain by a trapezoid rule centred
-  at the integrand's peak;
+  s = rho/(1-rho), evaluated in the log domain by a trapezoid rule over the
+  integrand's peak, on the points of a lattice in x = z sqrt(s) whose
+  log Phi values are cached per level;
 * the density-transform integral
   f(n, rho) = (sqrt(2 pi))^(1/s - 1) / sqrt(s) *
               int_0^1 x^n [phi(Phi^{-1}(x))]^(1/s - 1) dx,
@@ -32,17 +33,19 @@ from .equicorrelated import (
     EquicorrelatedSpec,
     _chunk_sizes,
     _map_ordered,
+    check_bytes,
     check_domain,
     hit_rate,
     orthant_hits,
 )
-from .normal import erfcx, log_ndtr, ndtri_exp
+from .normal import erfcx_array, log_ndtr, log_ndtr_array, ndtri_exp_array
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# Steck's trapezoid step halves at most this often from the peak's sigma.
-# Near rho = 1 the integrand's left flank narrows like 1/sqrt(s); 12
-# halvings resolve it up to rho = 0.99999 for 60 n from 2 to 1e8.
+# Steck's trapezoid step halves at most this often from its first lattice
+# level, whose step lies between sigma/2 and sigma.  Near rho = 1 the
+# integrand's left flank narrows like 1/sqrt(s); 12 halvings resolve it up
+# to rho = 0.99999 for 59 n from 2 to 1e8.
 STECK_HALVINGS = 12
 DENSITY_HALVINGS = 12  # the density rule halves its step from 0.5 down to 0.5/4096
 
@@ -155,17 +158,53 @@ def _steck_log_peak(n: int, sqrt_s: float):
     return z, 1.0 / math.sqrt(-h)
 
 
+# level -> (first index, log Phi(x_j), x_j^2 / 2) at x_j = j 2^-level: the
+# Steck lattice, built by _steck_nodes over whole blocks of LATTICE_BLOCK indices
+_STECK_LATTICE: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+LATTICE_BLOCK = 64
+
+
+def _steck_nodes(level: int, first: int, last: int, stride: int = 1):
+    """log Phi(x_j) and x_j^2 / 2 at x_j = j 2^-level, j = first, first + stride, ..., last.
+
+    Read-only views into the lattice cache.  A level missing part of the
+    range is rebuilt over the blocks that cover it and what it held before.
+    Each value is a function of j and the level alone, so which calls built
+    the cache changes no value.
+    """
+    start, log_cdf, half_square = _STECK_LATTICE.get(level, (first, None, None))
+    if log_cdf is None or first < start or last >= start + log_cdf.size:
+        lo, hi = first, last + 1
+        if log_cdf is not None:
+            lo, hi = min(lo, start), max(hi, start + log_cdf.size)
+        lo, hi = lo // LATTICE_BLOCK * LATTICE_BLOCK, -(-hi // LATTICE_BLOCK) * LATTICE_BLOCK
+        held = sum(cdf.nbytes + square.nbytes for key, (_, cdf, square)
+                   in _STECK_LATTICE.items() if key != level)
+        check_bytes(held + 16 * (hi - lo), f"steck lattice at level {level} over indices "
+                                          f"{lo}..{hi - 1}")
+        x = np.arange(lo, hi) * math.ldexp(1.0, -level)
+        start, log_cdf, half_square = lo, log_ndtr_array(x), 0.5 * x * x
+        log_cdf.flags.writeable = half_square.flags.writeable = False
+        _STECK_LATTICE[level] = (start, log_cdf, half_square)
+    window = slice(first - start, last - start + 1, stride)
+    return log_cdf[window], half_square[window]
+
+
 def _steck_log_f(n: int, rho: float) -> tuple[float, int]:
     """log f(n, rho) by Steck's identity, and the node count of the final grid.
 
     The trapezoid rule in z on exp(L), L(z) = n log Phi(z sqrt(s)) - z^2/2,
-    centred at the Newton peak and spanning where L lies within 60 of it.
-    exp(L) is analytic, so the rule converges geometrically in its step
-    (Trefethen & Weideman, SIAM Review 56(3), 2014).  The step starts at the
-    peak's sigma and halves, adding only the new midpoints, until log f moves
-    less than 1e-13 relative.
+    over the span where L lies within 60 of its Newton peak.  exp(L) is
+    analytic, so the rule converges geometrically in its step (Trefethen &
+    Weideman, SIAM Review 56(3), 2014).  The nodes are the points
+    x_j = j 2^-level of a lattice in x = z sqrt(s), so their log Phi and x^2/2
+    come from a cache (_steck_nodes), and the integrand at them is
+    n log Phi(x_j) - x_j^2/(2s).  The first level is the coarsest whose step
+    is at most the peak's sigma; each halving adds the odd points of the next
+    level, until log f moves less than 1e-13 relative.
     """
     sqrt_s = math.sqrt(rho / (1.0 - rho))
+    inv_s = (1.0 - rho) / rho
     center, sigma = _steck_log_peak(n, sqrt_s)
 
     def log_integrand(z):
@@ -173,9 +212,12 @@ def _steck_log_f(n: int, rho: float) -> tuple[float, int]:
 
     peak = log_integrand(center)
 
-    def shifted_sum(start, step, count):
+    def shifted_sum(level, first, last, stride):
         # the Newton peak is the shift: no term overflows, and no max search
-        terms = log_integrand(start + step * np.arange(count)) - peak
+        log_cdf, half_square = _steck_nodes(level, first, last, stride)
+        terms = n * log_cdf
+        terms -= inv_s * half_square
+        terms -= peak
         return np.exp(terms, out=terms).sum()
 
     ends = []
@@ -192,16 +234,19 @@ def _steck_log_f(n: int, rho: float) -> tuple[float, int]:
                 f"at (n={n}, rho={rho})"
             )
     lo, hi = ends
-    intervals = math.ceil((hi - lo) / sigma)
-    step = (hi - lo) / intervals
-    total = shifted_sum(lo, step, intervals + 1)
+    level = 1 - math.frexp(sigma * sqrt_s)[1]  # the coarsest 2^-level <= sigma sqrt(s)
+    first = math.floor(math.ldexp(lo * sqrt_s, level))
+    last = math.ceil(math.ldexp(hi * sqrt_s, level))
+    step = math.ldexp(1.0, -level) / sqrt_s  # in z
+    total = shifted_sum(level, first, last, 1)
     log_f = peak + math.log(step * total) - LOG_SQRT_2PI
-    for _ in range(STECK_HALVINGS):
-        total += shifted_sum(lo + 0.5 * step, step, intervals)
-        step, intervals = 0.5 * step, 2 * intervals
+    for halving in range(1, STECK_HALVINGS + 1):
+        width = 2**halving
+        total += shifted_sum(level + halving, width * first + 1, width * last - 1, 2)
+        step *= 0.5
         previous, log_f = log_f, peak + math.log(step * total) - LOG_SQRT_2PI
         if abs(log_f - previous) < 1e-13 * max(1.0, abs(log_f)):
-            return log_f, intervals + 1
+            return log_f, width * (last - first) + 1
     raise ArithmeticError(
         f"steck trapezoid rule did not converge in {STECK_HALVINGS} halvings "
         f"at (n={n}, rho={rho})"
@@ -237,10 +282,8 @@ def _density_table(level: int) -> tuple:
     logit = np.pi * np.abs(np.sinh(t))
     log_max = -np.log1p(np.exp(-logit))
     log_min = log_max - logit
-    # one Newton step on log_ndtr(q) = m: ndtri_exp is up to 5e-13 off below m = -1e4
-    q = ndtri_exp(log_min)
-    q -= (log_ndtr(q) - log_min) * erfcx(-q / math.sqrt(2.0)) * math.sqrt(0.5 * math.pi)
-    log_ratio = 0.5 * math.log(2.0 / math.pi) - np.log(erfcx(-q / math.sqrt(2.0)))
+    q = ndtri_exp_array(log_min)
+    log_ratio = 0.5 * math.log(2.0 / math.pi) - np.log(erfcx_array(-q / math.sqrt(2.0)))
     table = np.stack([np.where(t < 0.0, log_min, log_max), log_ratio, log_min,
                       log_max + np.log(np.pi * np.cosh(t))])
     table.flags.writeable = False  # the cache hands these rows to every call

@@ -181,11 +181,12 @@ def derivative_inner_product(v, a, w, b, k: int) -> float:
     ) * ab ** (k - 2)
 
 
-def check_degree(n: int, k: int, least_n: int = 1) -> None:
-    """Raise ValueError, naming (n, k), unless n >= least_n and k >= 2 are integers."""
+def check_degree(n: int, k: int, least_n: int = 1, least_k: int = 2) -> None:
+    """Raise ValueError, naming (n, k), unless n >= least_n and k >= least_k are integers."""
     if not (isinstance(n, numbers.Integral) and isinstance(k, numbers.Integral)
-            and n >= least_n and k >= 2):
-        raise ValueError(f"need integers n >= {least_n} and k >= 2, got (n={n!r}, k={k!r})")
+            and n >= least_n and k >= least_k):
+        raise ValueError(f"need integers n >= {least_n} and k >= {least_k}, "
+                         f"got (n={n!r}, k={k!r})")
 
 
 def rho_n(n: int, k: int) -> float:
@@ -216,7 +217,9 @@ def multi_index_table(n: int, k: int) -> np.ndarray:
     Those tails with s - |tail| put in front are the degree-s vectors over
     m + 1 variables, in descending order; stacked for s = 0..k they are
     `lower` over m + 1 variables.  The first variable takes degree k only.
+    Degrees 0 and 1 are tables too.
     """
+    check_degree(n, k, least_k=0)
     lower = np.zeros((1, 0), dtype=np.int64)  # the one vector over no variables
     for _ in range(n - 1):
         degree = lower.sum(axis=1)

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import normal, orthant, simplex
 from .equicorrelated import (
+    CHUNK_SIZE,
     EquicorrelatedSpec,
     chunk_generator,
     covariance_matrix,
@@ -114,8 +115,9 @@ def suite_lemma_inverse() -> list[dict]:
 def suite_sampler() -> list[dict]:
     # orthant.monte_carlo, through equicorrelated.orthant_hits, draws every
     # Monte Carlo f(n, rho) the package reports; the SE is the binomial one
-    # at best_estimate's value, so a run with no hits still gets a finite z
-    draws, seed = 100_000, 20_240_601
+    # at best_estimate's value, so a run with no hits still gets a finite z.
+    # Two chunks, so threads=2 runs the threaded map and its chunk order
+    draws, seed = 2 * CHUNK_SIZE, 20_240_601
     ok = True
     detail = []
     for n, rho in ((2, 0.3), (4, 0.6), (8, 0.9)):

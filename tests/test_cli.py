@@ -31,6 +31,31 @@ SIMPLEX_HEADER = [
     "tv_paper_literal", "tv_corrected", "tv_exact", "envelope",
 ]
 
+# the CLI runs whose stdout tests/data/ holds byte for byte
+GOLDEN_RUNS = [
+    ("criterion09_compute_mc.csv",
+     ["compute", "--n", "3", "--rho", "0.4", "--method", "mc",
+      "--trials", "300000", "--seed", "90"]),
+    ("criterion09_simplex.csv",
+     ["simplex", "--n", "4", "--k", "4", "--trials", "150000", "--seed", "90"]),
+    ("simplex_n2-3_k5.json",
+     ["simplex", "--n", "2,3", "--k", "5", "--trials", "60000", "--seed", "91",
+      "--format", "json"]),
+    ("simplex_n2-3_k5_plotdata.csv",
+     ["simplex", "--n", "2,3", "--k", "5", "--trials", "60000", "--seed", "91",
+      "--format", "plotdata"]),
+    ("compute_steck.csv",
+     ["compute", "--n", "2,5,10,100,1000,10000", "--rho", "0.1:0.9:0.1",
+      "--method", "steck"]),
+    ("bounds_grid.csv",
+     ["bounds", "--n", "10,100,1000,10000,100000",
+      "--rho", "0.2,0.3,0.4,0.6,0.75,0.9"]),
+    ("compute_density.csv",
+     ["compute", "--n", "2,5,10,100,1000,10000", "--rho", "0.1:0.9:0.1",
+      "--method", "density"]),
+]
+GOLDEN_ARGS = dict(GOLDEN_RUNS)
+
 
 def run_cli(args, capsys):
     """Invoke the CLI in-process; return (exit_code, stdout, stderr)."""
@@ -295,73 +320,73 @@ class TestGoldenStdout:
     may regenerate them.
     """
 
-    @pytest.mark.parametrize(
-        "name, args",
-        [
-            ("criterion09_compute_mc.csv",
-             ["compute", "--n", "3", "--rho", "0.4", "--method", "mc",
-              "--trials", "300000", "--seed", "90"]),
-            ("criterion09_simplex.csv",
-             ["simplex", "--n", "4", "--k", "4", "--trials", "150000", "--seed", "90"]),
-            ("simplex_n2-3_k5.json",
-             ["simplex", "--n", "2,3", "--k", "5", "--trials", "60000", "--seed", "91",
-              "--format", "json"]),
-            ("simplex_n2-3_k5_plotdata.csv",
-             ["simplex", "--n", "2,3", "--k", "5", "--trials", "60000", "--seed", "91",
-              "--format", "plotdata"]),
-            ("compute_steck.csv",
-             ["compute", "--n", "2,5,10,100,1000,10000", "--rho", "0.1:0.9:0.1",
-              "--method", "steck"]),
-            ("bounds_grid.csv",
-             ["bounds", "--n", "10,100,1000,10000,100000",
-              "--rho", "0.2,0.3,0.4,0.6,0.75,0.9"]),
-            ("compute_density.csv",
-             ["compute", "--n", "2,5,10,100,1000,10000", "--rho", "0.1:0.9:0.1",
-              "--method", "density"]),
-        ],
-    )
+    @pytest.mark.parametrize("name, args", GOLDEN_RUNS)
     def test_stdout_matches_golden(self, name, args, capsys):
         code, out, _ = run_cli(args, capsys)
         assert code == 0
         assert out.encode() == (DATA / name).read_bytes()
 
 
-# runs the CLI on argv[1:], then prints the scipy.integrate modules it loaded
-# as the last line of stderr
-_CLI_AND_MODULES = """
+# runs the CLI on argv[1:] in a process where `import scipy` fails
+_WITHOUT_SCIPY = """
 import sys
+sys.modules["scipy"] = None
 from simplex_orthant import cli
-try:
-    cli.main(sys.argv[1:])
-finally:
-    print([m for m in sys.modules if m.startswith("scipy.integrate")], file=sys.stderr)
+cli.main(sys.argv[1:])
 """
 
+def fresh_process(args):
+    """Run python with `args` in a fresh process on this checkout's package; it must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, check=True, capture_output=True, timeout=300
+    )
 
-class TestColdStart:
-    """A fresh CLI process never loads scipy.integrate, the density route included."""
 
-    def fresh(self, args):
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, *args], env=env, check=True, capture_output=True, timeout=300
-        )
-        return done.stdout, done.stderr.decode()
+class TestWithoutScipy:
+    """The package runs with scipy unimportable: it is a test dependency only."""
 
-    def test_cli_import_loads_no_scipy_integrate(self):
-        out, _ = self.fresh(
-            ["-c", "import sys, simplex_orthant.cli; "
-                   "print([m for m in sys.modules if m.startswith('scipy.integrate')])"]
-        )
-        assert out.decode().strip() == "[]"
+    def test_cli_import(self):
+        fresh_process(["-c", "import sys; sys.modules['scipy'] = None; "
+                             "import simplex_orthant.cli"])
 
-    def test_density_golden_in_fresh_process(self):
-        out, err = self.fresh(
-            ["-c", _CLI_AND_MODULES, "compute", "--n", "2,5,10,100,1000,10000",
-             "--rho", "0.1:0.9:0.1", "--method", "density"]
-        )
-        assert out == (DATA / "compute_density.csv").read_bytes()
-        assert err.splitlines()[-1] == "[]"
+    @pytest.mark.parametrize("name", ["compute_steck.csv", "compute_density.csv",
+                                      "bounds_grid.csv", "criterion09_simplex.csv"])
+    def test_golden_stdout(self, name):
+        done = fresh_process(["-c", _WITHOUT_SCIPY, *GOLDEN_ARGS[name]])
+        assert done.stdout == (DATA / name).read_bytes()
+
+    def test_verify(self, capsys):
+        code, out, _ = run_cli(["verify"], capsys)
+        assert code == 0
+        assert fresh_process(["-c", _WITHOUT_SCIPY, "verify"]).stdout == out.encode()
+
+
+class TestSteckLattice:
+    """Steck's lattice cache changes no output, whatever built it."""
+
+    GROWTH = [(2, 0.999), (10**8, 0.9999), (5, 1e-9)]
+
+    def test_output_independent_of_growth(self, capsys, monkeypatch):
+        monkeypatch.setattr(orthant, "_STECK_LATTICE", {})
+        runs = [(GOLDEN_ARGS[name], (DATA / name).read_bytes())
+                for name in ("compute_steck.csv", "bounds_grid.csv")]
+        for args, golden in runs:
+            assert fresh_process(["-m", "simplex_orthant.cli", *args]).stdout == golden
+            assert run_cli(args, capsys)[1].encode() == golden
+        before = {level: (start, cdf.size)
+                  for level, (start, cdf, _) in orthant._STECK_LATTICE.items()}
+        for n, rho in self.GROWTH:
+            try:
+                orthant.steck_quadrature(n, rho)
+            except ArithmeticError:
+                pass
+        after = {level: (start, cdf.size)
+                 for level, (start, cdf, _) in orthant._STECK_LATTICE.items()}
+        assert set(after) > set(before)
+        assert any(after[level] != before[level] for level in before)
+        for args, golden in runs:
+            assert run_cli(args, capsys)[1].encode() == golden
 
 
 class TestDeterminism:
@@ -459,6 +484,22 @@ class TestVerifyCommand:
             )
 
         monkeypatch.setattr(orthant, "orthant_hits", independent)
+        code, out, _ = run_cli(["verify", "--suite", "sampler"], capsys)
+        doc = json.loads(out)
+        assert code == 3
+        assert doc["failures"] == ["sampler:monte_carlo_law"]
+
+    def test_threaded_map_fault_exit_3(self, capsys, monkeypatch):
+        # a threaded map that draws chunk 0 in every slot; the suite's two
+        # chunks make threads=2 differ from threads=1
+        original = orthant._map_ordered
+
+        def first_chunk_only(fn, n_chunks, threads, fold=list):
+            if threads == 1:
+                return original(fn, n_chunks, threads, fold)
+            return original(lambda c: fn(0), n_chunks, threads, fold)
+
+        monkeypatch.setattr(orthant, "_map_ordered", first_chunk_only)
         code, out, _ = run_cli(["verify", "--suite", "sampler"], capsys)
         doc = json.loads(out)
         assert code == 3

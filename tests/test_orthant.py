@@ -2,7 +2,7 @@
 
 Reference values were frozen from an mpmath oracle (30 digits) that
 integrates Phi^n(z sqrt(s)) phi(z) directly with mp.quad, independently of
-the scipy-based implementation under test.
+the implementation under test.
 """
 
 import csv
@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simplex_orthant import equicorrelated, orthant
+from simplex_orthant import equicorrelated, normal, orthant
+from simplex_orthant.equicorrelated import ResourceBudgetError
 from simplex_orthant.orthant import (
     OrthantEstimate,
     best_estimate,
@@ -168,23 +169,25 @@ class TestSteckQuadrature:
             steck_quadrature(10, 0.5)
 
     def test_one_peak_search_per_call(self, monkeypatch):
-        # each halving evaluates only the new midpoints, so the integrand's
-        # array evaluations together cover the final grid exactly once
+        # each halving reads only the odd points of the next lattice level, so
+        # the node arrays read together cover the final grid exactly once
         peaks, nodes = [], []
-        peak, log_ndtr = orthant._steck_log_peak, orthant.log_ndtr
+        peak, steck_nodes = orthant._steck_log_peak, orthant._steck_nodes
 
         def counted_peak(*args):
             peaks.append(args)
             return peak(*args)
 
-        def counted_log_ndtr(x):
-            if isinstance(x, np.ndarray):
-                nodes.append(x.size)
-            return log_ndtr(x)
+        def counted_nodes(*args):
+            log_cdf, half_square = steck_nodes(*args)
+            nodes.append(log_cdf.size)
+            return log_cdf, half_square
 
         monkeypatch.setattr(orthant, "_steck_log_peak", counted_peak)
-        monkeypatch.setattr(orthant, "log_ndtr", counted_log_ndtr)
-        for n, rho in [(1000, 0.99), (10**4, 0.99), (10**8, 0.4), (5, 0.3)]:
+        monkeypatch.setattr(orthant, "_steck_nodes", counted_nodes)
+        # (5, 0.3) left the list: the lattice's first step lies between sigma/2
+        # and sigma, and there one halving meets the 1e-13 stop
+        for n, rho in [(1000, 0.99), (10**4, 0.99), (10**8, 0.4), (5, 0.4)]:
             peaks.clear()
             nodes.clear()
             est = steck_quadrature(n, rho)
@@ -228,6 +231,45 @@ class TestSteckQuadrature:
                 except ArithmeticError:
                     continue
                 assert value == pytest.approx(density_integral(n, rho).value, rel=1e-10)
+
+
+class TestSteckLattice:
+    # the 120 (n, rho) points of the benchmark's orthant_grid workload
+    GRID = [(n, rho) for n in (2, 3, 5, 10, 30, 100, 10**3, 10**4, 10**5, 10**6, 10**7, 10**8)
+            for rho in (0.01, 0.05, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 0.99)]
+
+    @staticmethod
+    def lattice_bytes():
+        return sum(cdf.nbytes + square.nbytes
+                   for _, cdf, square in orthant._STECK_LATTICE.values())
+
+    def test_grid_lattice_fits_a_mebibyte(self, monkeypatch):
+        monkeypatch.setattr(orthant, "_STECK_LATTICE", {})
+        for n, rho in self.GRID:
+            try:
+                steck_quadrature(n, rho)
+            except ArithmeticError:
+                pass
+        assert 0 < self.lattice_bytes() <= 2**20
+
+    def test_values_independent_of_build_order(self, monkeypatch):
+        monkeypatch.setattr(orthant, "_STECK_LATTICE", {})
+        orthant._steck_nodes(3, 5, 9)
+        orthant._steck_nodes(3, -700, -650)
+        grown = orthant._steck_nodes(3, -700, 900)
+        monkeypatch.setattr(orthant, "_STECK_LATTICE", {})
+        direct = orthant._steck_nodes(3, -700, 900)
+        for a, b in zip(grown, direct):
+            assert np.array_equal(a, b)
+        x = np.arange(-700, 901) / 8.0
+        assert np.array_equal(direct[0], normal.log_ndtr_array(x))
+        assert np.array_equal(direct[1], 0.5 * x * x)
+
+    def test_build_past_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(orthant, "_STECK_LATTICE", {})
+        monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", 1000)
+        with pytest.raises(ResourceBudgetError, match=r"steck lattice at level \d+"):
+            steck_quadrature(10, 0.5)
 
 
 def scaled_ratio_inverse(n, rho, f):

@@ -367,6 +367,12 @@ class TestMultiIndexTable:
             assert table.dtype == np.int64
             assert np.array_equal(table, tuple_table(n, k)), (n, k)
 
+    @pytest.mark.parametrize("n, k", [(0, 3), (3, 2.5), (2.5, 3), (3, -1), (3.0, 2)])
+    def test_bad_arguments_raise(self, n, k):
+        # (0, 3) returned [[3]] and (3, 2.5) fractional exponents
+        with pytest.raises(ValueError, match=rf"got \(n={n!r}, k={k!r}\)"):
+            multi_index_table(n, k)
+
     def test_large_degree(self):
         # one tuple per row took minutes here; the direct build takes no sort
         k = 300_000
