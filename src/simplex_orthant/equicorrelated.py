@@ -9,8 +9,8 @@ rho.  Its inverse shares the same structure; the (alpha, beta) pair solving
 is returned in closed form.  The orthant Monte Carlo counts common-factor
 draws X_i = sqrt(rho) Z0 + sqrt(1-rho) Z_i, exact for this covariance when
 rho >= 0, and draws coordinate i only for the rows still in the orthant
-(`orthant_hits`).  The chunk streams, row blocks and chunk map here serve
-it and the simplex union alike.
+(`orthant_hits`).  The chunk streams and chunk map here serve it and the
+simplex union alike.
 """
 
 from __future__ import annotations
@@ -29,15 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 CHUNK_SIZE = 100_000
-# the memory a run may take, and the bytes that one row block of a Monte
-# Carlo chunk may take (its normals and what is derived from them): 2 MiB,
-# the L2 cache of the x86-64 hosts measured.  BLAS repacks a product's fixed
-# matrix for each block, so a block gets GEMM_ROWS rows where an eighth of
-# the budget holds them (132-row blocks made the union at (30, 5) 13%
-# slower, 512 did not)
+# the memory a run may take
 MEMORY_BUDGET_BYTES = 256 * 2**20
-BLOCK_BYTES = 2 * 2**20
-GEMM_ROWS = 512
 
 
 class ResourceBudgetError(Exception):
@@ -135,20 +128,6 @@ def _chunk_sizes(trials: int, chunk_size: int) -> list[int]:
         raise ValueError("trials must be positive")
     n_chunks = (trials + chunk_size - 1) // chunk_size
     return [min(chunk_size, trials - c * chunk_size) for c in range(n_chunks)]
-
-
-def _block_rows(size: int, row_bytes: int) -> list[int]:
-    """Row counts of the fewest even blocks of a size-row chunk.
-
-    A block holds BLOCK_BYTES, or GEMM_ROWS rows where that is more and an
-    eighth of MEMORY_BUDGET_BYTES holds them, and two rows at least unless
-    the chunk has one (BLAS rounds a one-row product differently).  The
-    blocks draw the chunk's stream in turn, so the split changes no normal.
-    """
-    gemm_rows = min(GEMM_ROWS, MEMORY_BUDGET_BYTES // 8 // row_bytes)
-    block = max(1, BLOCK_BYTES // row_bytes, gemm_rows)
-    blocks = max(1, min(-(-size // block), size // 2))
-    return [size // blocks + (b < size % blocks) for b in range(blocks)]
 
 
 @lru_cache(maxsize=None)

@@ -27,7 +27,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import normal
 from .equicorrelated import (
     CHUNK_SIZE,
     EquicorrelatedSpec,
@@ -116,8 +115,8 @@ def closed_form(n: int, rho: float) -> Optional[OrthantEstimate]:
         value = 1.0 / (n + 1)
     elif n == 2:
         value = 0.25 + math.asin(rho) / (2.0 * math.pi)
-    elif n == 3:
-        value = trivariate_closed_form(rho, rho, rho)
+    elif n == 3:  # David's formula; equal rho in check_domain's range is PSD
+        value = 0.125 + 3.0 * math.asin(rho) / (4.0 * math.pi)
     else:
         return None
     return OrthantEstimate(value=value, std_error=0.0, method="closed_form", count=0)
@@ -159,18 +158,21 @@ def _steck_log_peak(n: int, sqrt_s: float):
 
 
 # level -> (first index, log Phi(x_j), x_j^2 / 2) at x_j = j 2^-level: the
-# Steck lattice, built by _steck_nodes over whole blocks of LATTICE_BLOCK indices
+# Steck lattice, built by _steck_nodes over whole blocks of LATTICE_BLOCK
+# indices; the 120 points of the benchmark grid keep 0.21 MB of it
 _STECK_LATTICE: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
 LATTICE_BLOCK = 64
+LATTICE_CACHE_BYTES = 2**21
 
 
 def _steck_nodes(level: int, first: int, last: int, stride: int = 1):
     """log Phi(x_j) and x_j^2 / 2 at x_j = j 2^-level, j = first, first + stride, ..., last.
 
     Read-only views into the lattice cache.  A level missing part of the
-    range is rebuilt over the blocks that cover it and what it held before.
-    Each value is a function of j and the level alone, so which calls built
-    the cache changes no value.
+    range is rebuilt over the blocks that cover it and what it held before,
+    and kept if the cache then holds at most LATTICE_CACHE_BYTES.  Each
+    value is a function of j and the level alone, so which calls built the
+    cache changes no value.
     """
     start, log_cdf, half_square = _STECK_LATTICE.get(level, (first, None, None))
     if log_cdf is None or first < start or last >= start + log_cdf.size:
@@ -180,12 +182,13 @@ def _steck_nodes(level: int, first: int, last: int, stride: int = 1):
         lo, hi = lo // LATTICE_BLOCK * LATTICE_BLOCK, -(-hi // LATTICE_BLOCK) * LATTICE_BLOCK
         held = sum(cdf.nbytes + square.nbytes for key, (_, cdf, square)
                    in _STECK_LATTICE.items() if key != level)
-        check_bytes(held + 16 * (hi - lo), f"steck lattice at level {level} over indices "
-                                          f"{lo}..{hi - 1}")
+        need = held + 16 * (hi - lo)
+        check_bytes(need, f"steck lattice at level {level} over indices {lo}..{hi - 1}")
         x = np.arange(lo, hi) * math.ldexp(1.0, -level)
         start, log_cdf, half_square = lo, log_ndtr_array(x), 0.5 * x * x
         log_cdf.flags.writeable = half_square.flags.writeable = False
-        _STECK_LATTICE[level] = (start, log_cdf, half_square)
+        if need <= LATTICE_CACHE_BYTES:
+            _STECK_LATTICE[level] = (start, log_cdf, half_square)
     window = slice(first - start, last - start + 1, stride)
     return log_cdf[window], half_square[window]
 
@@ -376,6 +379,16 @@ def monte_carlo(
     return OrthantEstimate(value=p_hat, std_error=se, method="monte_carlo", count=trials)
 
 
+def _domain_checked(bound):
+    """`bound` behind check_domain; theorem_bounds checks once and calls `__wrapped__`."""
+    @functools.wraps(bound)
+    def checked(n: int, rho: float) -> Optional[float]:
+        check_domain(n, rho)
+        return bound(n, rho)
+    return checked
+
+
+@_domain_checked
 def bound_high_rho_lower(n: int, rho: float) -> Optional[float]:
     """Explicit lower bound for f(n, rho), rho > 1/2, n >= 2.
 
@@ -383,7 +396,6 @@ def bound_high_rho_lower(n: int, rho: float) -> Optional[float]:
     n^(1-1/rho) * 2/sqrt(2 pi) * (1 - 1/(2 sqrt(4 pi log 2)))^2
     / (sqrt(4 + 2(1/rho-1) log n) + sqrt(2(1/rho-1) log n)).
     """
-    check_domain(n, rho)
     if rho <= 0.5 or n < 2:
         return None
     ell = (1.0 / rho - 1.0) * math.log(n)
@@ -396,12 +408,13 @@ def bound_high_rho_lower(n: int, rho: float) -> Optional[float]:
     )
 
 
+@_domain_checked
 def bound_high_rho_upper(n: int, rho: float) -> Optional[float]:
     """Upper bound n^(1-1/rho) 2^(1/rho-2) sqrt((1-rho)/rho) (1 + B(2, 1/rho-1))."""
-    check_domain(n, rho)
     if rho <= 0.5 or n < 2:
         return None
-    log_b = normal.log_beta(2.0, 1.0 / rho - 1.0)
+    b = 1.0 / rho - 1.0
+    log_b = math.lgamma(b) - math.lgamma(2.0 + b)  # log B(2, b), as lgamma(2) = 0
     return (
         n ** (1.0 - 1.0 / rho)
         * 2.0 ** (1.0 / rho - 2.0)
@@ -415,16 +428,16 @@ def low_rho_gate(n: int, rho: float) -> bool:
     return n >= (1.0 / rho - 1.0) * math.log(n) / math.log(2.0)
 
 
+@_domain_checked
 def bound_low_rho_lower(n: int, rho: float) -> Optional[float]:
     """Lower bound n^(1-1/rho) 2^(1/rho-2) sqrt((1-rho)/rho) (Gamma(1/rho-1) - 1).
 
     Valid only under low_rho_gate; returns None otherwise.  May be negative
     for rho close to 1/2 (Gamma(1/rho-1) < 1), which is still a valid bound.
     """
-    check_domain(n, rho)
     if rho >= 0.5 or rho <= 0.0 or not low_rho_gate(n, rho):
         return None
-    gamma = math.exp(normal.log_gamma(1.0 / rho - 1.0))
+    gamma = math.exp(math.lgamma(1.0 / rho - 1.0))
     return (
         n ** (1.0 - 1.0 / rho)
         * 2.0 ** (1.0 / rho - 2.0)
@@ -433,6 +446,7 @@ def bound_low_rho_lower(n: int, rho: float) -> Optional[float]:
     )
 
 
+@_domain_checked
 def bound_low_rho_upper(n: int, rho: float) -> Optional[float]:
     """Asymptotic upper bound n^(1-1/rho) sqrt((1-rho)/rho) [(1/rho-1) log(n)^2]^(1/rho-2).
 
@@ -440,7 +454,6 @@ def bound_low_rho_upper(n: int, rho: float) -> Optional[float]:
     a trend envelope, not a certified bound.  Computed in the log domain:
     the bracket raised to 1/rho - 2 overflows quickly for small rho.
     """
-    check_domain(n, rho)
     if rho >= 0.5 or rho <= 0.0 or n < 2:
         return None
     log_val = (
@@ -465,9 +478,11 @@ def theorem_bounds(n: int, rho: float) -> BoundReport:
     check_domain(n, rho)
     lower = upper = None
     if rho > 0.5:
-        lower, upper = bound_high_rho_lower(n, rho), bound_high_rho_upper(n, rho)
+        lower = bound_high_rho_lower.__wrapped__(n, rho)
+        upper = bound_high_rho_upper.__wrapped__(n, rho)
     elif 0.0 < rho < 0.5:
-        lower, upper = bound_low_rho_lower(n, rho), bound_low_rho_upper(n, rho)
+        lower = bound_low_rho_lower.__wrapped__(n, rho)
+        upper = bound_low_rho_upper.__wrapped__(n, rho)
     return BoundReport(
         n=n, rho=rho, scale=n ** (1.0 - 1.0 / rho) if rho > 0 else math.nan,
         lower=lower, upper=upper,

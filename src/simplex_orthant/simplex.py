@@ -15,9 +15,9 @@ basis of the hyperplane sum(x) = 0.  A polynomial has a relative maximum at a
 vertex iff all n edge directional derivatives there are strictly positive,
 which turns vertex-maximum frequencies into orthant probabilities.
 
-The union experiment samples those n(n+1) edge derivatives directly from
-their closed-form covariance instead of drawing all C(n+k-1, k)
-coefficients.  `gradient_correlations` keeps the coefficients' law: it maps
+The union experiment samples those n(n+1) edge derivatives vertex by
+vertex from their closed-form covariance instead of drawing all
+C(n+k-1, k) coefficients.  `gradient_correlations` keeps the coefficients' law: it maps
 their centred scatter, drawn as one Wishart matrix by Bartlett's
 decomposition, through the design rows, so it stays an empirical test of
 the closed form.
@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -38,7 +37,6 @@ from .equicorrelated import (
     EquicorrelatedSpec,
     ResourceBudgetError,  # re-exported: the error of this module's budget checks
     TvBound,
-    _block_rows,
     _chunk_sizes,
     _map_ordered,
     _one_blas_thread,
@@ -49,7 +47,8 @@ from .equicorrelated import (
     tv_bound_frobenius,
 )
 
-CHUNK_SIZE = 50_000
+CHUNK_SIZE = 6_250  # the trials of a union chunk, whose arrays stay cache-sized
+FACTOR_TOL = 1e-8  # a pivot at most this share of the largest variance drops its column
 
 
 @dataclass(frozen=True)
@@ -346,23 +345,39 @@ def edge_covariance(n: int, k: int, vertices=None) -> np.ndarray:
     return cov.reshape(count * n, count * n)
 
 
-def _edge_factor(n: int, k: int) -> np.ndarray:
-    """The m x r factor F with F F^T = edge_covariance(n, k), m = n(n+1).
+def _vertex_factor(n: int, k: int) -> np.ndarray:
+    """The lower block-triangular L with L L^T = edge_covariance(n, k), in vertex order.
 
-    It keeps the eigenvalues above m * eps * w_max, so r is the covariance's
-    numerical rank: below m whenever d = C(n+k-1, k) < m, where the
-    covariance is singular and a Cholesky factor would not exist.  The
-    budget check covers every m x m array before any is built, and eigh
-    runs on one BLAS thread, so the host's thread count changes no byte.
+    A pivot-free Cholesky, one vertex's n columns at a time, in place in the
+    covariance.  It drops each column whose pivot is at most FACTOR_TOL
+    times the largest variance, so L is unique (no basis is chosen) and has
+    one column per unit of rank, min(d, n(n+1)) for d = C(n+k-1, k), also
+    where the covariance is singular (10 of 12 at (3, 3)).  For n <= 12 and
+    k = 2..8 the kept pivots exceed 0.11 of that variance, the dropped 3e-13.
     """
     m = n * (n + 1)
-    # alive at once: the covariance, eigh's copy of it, the eigenvectors,
-    # and LAPACK syevd's workspace of about two more
-    check_bytes(5 * 8 * m * m, f"5 x {m} x {m} edge-covariance arrays for (n={n}, k={k})")
+    a = edge_covariance(n, k)
+    tol = FACTOR_TOL * float(a.diagonal().max())
+    kept = []
     with _one_blas_thread():
-        w, vecs = np.linalg.eigh(edge_covariance(n, k))
-    keep = w > m * np.finfo(float).eps * w[-1]
-    return vecs[:, keep] * np.sqrt(w[keep])
+        for lo in range(0, m, n):
+            hi = lo + n
+            panel = a[lo:, lo:hi]
+            for j in range(n):
+                pivot = panel[j, j]
+                if pivot <= tol:
+                    panel[:, j] = 0.0
+                    continue
+                kept.append(lo + j)
+                column = panel[j:, j]
+                column /= math.sqrt(pivot)
+                panel[j + 1 :, j + 1 :] -= np.outer(column[1:], column[1 : n - j])
+            panel[np.triu_indices(n, 1)] = 0.0
+            a[:lo, lo:hi] = 0.0
+            # the later vertices' lower blocks, one vertex's rows at a time
+            for r in range(hi, m, n):
+                a[r : r + n, hi : r + n] -= a[r : r + n, lo:hi] @ a[hi : r + n, lo:hi].T
+    return a[:, kept]
 
 
 def derivative_norm_squared(n: int, k: int) -> float:
@@ -388,43 +403,30 @@ def is_vertex_max(P: BombieriPolynomial, geom: SimplexGeometry, vertex: int) -> 
     )
 
 
-def _projected_sums(matrix: np.ndarray, trials: int, seed: int, threads: int, reduce_block):
-    """Sums of reduce_block(z @ matrix.T) over the row blocks of `trials` iid normal rows z.
+def _union_hits(factor: np.ndarray, ends, n: int, seed: int, chunk: int, size: int):
+    """(union hits, vertex-0 hits) of the `size` trials of union chunk `chunk`.
 
-    Chunk c of CHUNK_SIZE rows draws its z from chunk_generator(seed, c) in
-    the row blocks _block_rows gives, into one z and one product buffer, so
-    a block is valid only inside reduce_block, which returns a tuple of new
-    ints or arrays.  Those are added block by block, then chunk by chunk in
-    chunk order as each chunk is done, so the thread count changes no byte.
+    The law: chunk_generator(seed, chunk) draws vertex 0's new normals for
+    every row (ends[0] a row, row by row); then, for v = 1..n, vertex v's
+    ends[v] - ends[v-1] new normals for each row that has no maximum yet,
+    in row order.  A row's derivatives at vertex v are its first ends[v]
+    normals times the factor's rows of v, a maximum when their least is
+    positive.  A row counts for the union at its first maximal vertex, and
+    vertex 0's count comes from the first block.
     """
-    m, w = matrix.shape
-    sizes = _chunk_sizes(trials, CHUNK_SIZE)
-
-    def chunk_sums(chunk: int) -> list:
-        rng = chunk_generator(seed, chunk)
-        # a row's normals, its derivatives, and a byte a derivative for what
-        # reduce_block derives from them
-        blocks = _block_rows(sizes[chunk], 8 * (w + m) + m)
-        z, prod = np.empty((blocks[0], w)), np.empty((blocks[0], m))
-        return _sum_parts(
-            reduce_block(np.matmul(rng.standard_normal(out=z[:rows]), matrix.T, out=prod[:rows]))
-            for rows in blocks
-        )
-
-    return _map_ordered(chunk_sums, len(sizes), threads, _sum_parts)
-
-
-def _sum_parts(parts) -> list:
-    """Entry-wise sums of the tuples `parts` yields, added in order into the first's entries."""
-    sums = None
-    for part in parts:
-        if sums is None:
-            sums = list(part)
-        else:
-            for i in range(len(sums)):
-                sums[i] += part[i]
-        part = None  # else its arrays would stay alive while the next part is made
-    return sums
+    rng = chunk_generator(seed, chunk)
+    z = rng.standard_normal((size, ends[0]))
+    hits = []
+    for v in range(n + 1):
+        if v:
+            # the rows still without a maximum keep their normals and draw vertex v's
+            z = z[~vertex_max]
+            if not len(z):
+                break
+            z = np.concatenate((z, rng.standard_normal((len(z), ends[v] - ends[v - 1]))), axis=1)
+        vertex_max = (factor[v * n : (v + 1) * n, : ends[v]] @ z.T).min(axis=0) > 0.0
+        hits.append(int(np.count_nonzero(vertex_max)))
+    return sum(hits), hits[0]
 
 
 def analytic_vertex_probability(n: int, k: int) -> float:
@@ -453,16 +455,26 @@ def estimate_vertex_probability(
 def estimate_union_probability(
     n: int, k: int, trials: int, seed: int, threads: int = 1
 ) -> ExperimentReport:
-    """Empirical probability of a relative maximum at some vertex, and at vertex 0."""
-    def count_hits(derivs: np.ndarray) -> tuple[int, int]:
-        # a vertex is a maximum when the least of its n edge derivatives is
-        # positive: one column sweep over the edges
-        edges = derivs.reshape(len(derivs), n + 1, n).transpose(2, 0, 1)
-        vertex_max = reduce(np.minimum, edges) > 0.0
-        return int(np.count_nonzero(vertex_max.any(1))), int(np.count_nonzero(vertex_max[:, 0]))
+    """Empirical probability of a relative maximum at some vertex, and at vertex 0.
 
-    factor = _edge_factor(n, k)
-    union_hits, vertex_hits = _projected_sums(factor, trials, seed, threads, count_hits)
+    Chunks of CHUNK_SIZE trials draw each trial's edge derivatives vertex by
+    vertex from `_vertex_factor`, up to its first maximal vertex, by the law
+    `_union_hits` states, so `threads` changes no draw.
+    """
+    check_degree(n, k)
+    m, w = n * (n + 1), min(coefficient_count(n, k), n * (n + 1))
+    sizes = _chunk_sizes(trials, CHUNK_SIZE)
+    # the larger phase: edge_covariance's two m x m arrays, or the factor with
+    # a chunk's normals twice (while copied or widened) and derivatives
+    check_bytes(8 * max(2 * m * m, m * w + sizes[0] * (2 * w + n + 1)),
+                f"2 x {m} x {m} edge-covariance arrays, or the {m} x {w} factor and "
+                f"{sizes[0]} x (2 x {w} + {n + 1}) chunk arrays, for (n={n}, k={k})")
+    factor = _vertex_factor(n, k)
+    # the columns of vertices 0..v: each column's first nonzero row is its pivot's
+    ends = np.searchsorted((factor != 0.0).argmax(axis=0), np.arange(n, m + 1, n))
+    parts = _map_ordered(lambda c: _union_hits(factor, ends, n, seed, c, sizes[c]),
+                         len(sizes), threads)
+    union_hits, vertex_hits = (sum(counts) for counts in zip(*parts))
     p_hat, se = hit_rate(union_hits, trials)
     vertex_hat, vertex_se = hit_rate(vertex_hits, trials)
     f = analytic_vertex_probability(n, k)

@@ -219,6 +219,16 @@ def suite_simplex() -> list[dict]:
     checks.append(_check("edge_covariance_law", worst <= 1e-12,
                          f"max |C - R var R^T| / max |R var R^T| = {worst:.3e}"))
 
+    # the union's factor of C, one column per unit of rank min(d, n(n+1))
+    ok, detail = True, []
+    for n, k in ((3, 3), (4, 4), (8, 2)):  # singular at (3, 3) and (8, 2)
+        cov, factor = simplex.edge_covariance(n, k), simplex._vertex_factor(n, k)
+        worst = float(np.max(np.abs(factor @ factor.T - cov)) / np.max(np.abs(cov)))
+        ok &= worst <= 1e-12 and factor.shape[1] == min(simplex.coefficient_count(n, k), n * n + n)
+        detail.append(f"(n={n},k={k}): {factor.shape[1]} columns, "
+                      f"max |L L^T - C| / max |C| = {worst:.1e}")
+    checks.append(_check("union_factor", ok, "; ".join(detail)))
+
     # the vertex-0 derivative law (R var R^T) is the same in a rotated frame
     rng = chunk_generator(99, 0)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))

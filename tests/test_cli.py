@@ -292,8 +292,8 @@ class TestSimplexCommand:
         def no_rows(*args):
             raise AssertionError("a design row was built")
 
-        def no_eigh(*args):
-            raise AssertionError("eigh ran")
+        def no_covariance(*args):
+            raise AssertionError("the covariance was built")
 
         monkeypatch.setattr(simplex, "_derivative_rows", no_rows)
         code, out, _ = run_cli(
@@ -301,14 +301,14 @@ class TestSimplexCommand:
             capsys,
         )
         assert code == 0 and len(parse_csv(out)[1]) == 1
-        # at (60, 3) five 3660 x 3660 factor arrays (536 MB) do not fit: the
-        # budget is checked before eigh runs
-        monkeypatch.setattr(simplex.np.linalg, "eigh", no_eigh)
+        # at (70, 3) two 4970 x 4970 covariance arrays (395 MB) do not fit:
+        # the budget is checked before the covariance is built
+        monkeypatch.setattr(simplex, "edge_covariance", no_covariance)
         code, _, err = run_cli(
-            ["simplex", "--n", "60", "--k", "3", "--trials", "10", "--seed", "1"],
+            ["simplex", "--n", "70", "--k", "3", "--trials", "10", "--seed", "1"],
             capsys,
         )
-        assert code == 2 and "budget" in err and "3660 x 3660" in err
+        assert code == 2 and "budget" in err and "4970 x 4970" in err
 
 
 class TestGoldenStdout:
@@ -488,6 +488,16 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert code == 3
         assert doc["failures"] == ["sampler:monte_carlo_law"]
+
+    def test_wrong_union_factor_exit_3(self, capsys, monkeypatch):
+        # a factor that drops the last kept column loses rank and no longer
+        # reproduces the edge covariance
+        original = simplex._vertex_factor
+        monkeypatch.setattr(simplex, "_vertex_factor", lambda n, k: original(n, k)[:, :-1])
+        code, out, _ = run_cli(["verify", "--suite", "simplex"], capsys)
+        doc = json.loads(out)
+        assert code == 3
+        assert doc["failures"] == ["simplex:union_factor"]
 
     def test_threaded_map_fault_exit_3(self, capsys, monkeypatch):
         # a threaded map that draws chunk 0 in every slot; the suite's two

@@ -107,6 +107,20 @@ class TestClosedForm:
         assert val == pytest.approx(0.125 + 3 * math.asin(-0.25) / (4 * math.pi))
 
 
+    def test_three_is_davids_formula_without_eigvalsh(self, monkeypatch):
+        # equal rho inside check_domain's range is a PSD correlation, so the
+        # n = 3 closed form skips trivariate_closed_form's eigvalsh and gives
+        # its value bit for bit
+        values = {rho: trivariate_closed_form(rho, rho, rho)
+                  for rho in (-0.49, -0.25, 0.05, 0.3, 0.7, 0.99)}
+
+        def no_eigvalsh(*args):
+            raise AssertionError("eigvalsh ran")
+
+        monkeypatch.setattr(orthant.np.linalg, "eigvalsh", no_eigvalsh)
+        assert all(closed_form(3, rho).value == value for rho, value in values.items())
+
+
 class TestTrivariate:
     def test_values(self):
         assert trivariate_closed_form(0.0, 0.0, 0.0) == pytest.approx(0.125, rel=1e-15)
@@ -264,6 +278,32 @@ class TestSteckLattice:
         x = np.arange(-700, 901) / 8.0
         assert np.array_equal(direct[0], normal.log_ndtr_array(x))
         assert np.array_equal(direct[1], 0.5 * x * x)
+
+    def test_cache_capped_after_extreme_calls(self, monkeypatch):
+        # near rho = 1 one call builds megabytes of lattice: 17.7 MB stayed
+        # after (1e8, 0.999999) and 38.4 MB after (3, 0.999999999) when every
+        # build was kept.  The cache stays within LATTICE_CACHE_BYTES, the
+        # grid's 9 levels stay cached, and no value changes
+        monkeypatch.setattr(orthant, "_STECK_LATTICE", {})
+        grid = {}
+        for n, rho in self.GRID:
+            try:
+                grid[n, rho] = steck_quadrature(n, rho)
+            except ArithmeticError:
+                pass
+        spans = {level: (start, start + cdf.size)
+                 for level, (start, cdf, _) in orthant._STECK_LATTICE.items()}
+        assert len(spans) == 9
+        extreme = steck_quadrature(10**8, 0.999999)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            steck_quadrature(3, 0.999999999)
+        assert self.lattice_bytes() <= orthant.LATTICE_CACHE_BYTES
+        for level, (start, end) in spans.items():
+            held, cdf, _ = orthant._STECK_LATTICE[level]
+            assert held <= start and end <= held + cdf.size
+        assert all(steck_quadrature(n, rho) == value for (n, rho), value in grid.items())
+        monkeypatch.setattr(orthant, "_STECK_LATTICE", {})
+        assert steck_quadrature(10**8, 0.999999) == extreme
 
     def test_build_past_budget_raises(self, monkeypatch):
         monkeypatch.setattr(orthant, "_STECK_LATTICE", {})
@@ -444,9 +484,10 @@ class TestMonteCarlo:
         assert one.value == four.value
 
     def test_row_blocks_change_no_hit(self, monkeypatch):
-        # the early exit draws whole columns of a chunk, never row blocks
+        # the early exit draws whole columns of a chunk, never row blocks, so
+        # a smaller memory budget changes no hit
         whole = monte_carlo(10, 0.3, 150_000, seed=12)
-        monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 80 * 800)
+        monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", 80 * 800)
         assert monte_carlo(10, 0.3, 150_000, seed=12) == whole
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -663,6 +704,39 @@ class TestTheoremBounds:
     def test_nonpositive_rho(self):
         rep = theorem_bounds(5, 0.0)
         assert not (rep.lower_applicable or rep.upper_applicable)
+
+    @pytest.mark.parametrize("n, rho", [(100, 0.75), (50, 0.25), (2, 0.05), (5, 0.0)])
+    def test_domain_checked_once(self, n, rho, monkeypatch):
+        # the report checks (n, rho) once, then calls the bounds unchecked;
+        # each bound called alone still checks
+        calls = []
+        original = orthant.check_domain
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(orthant, "check_domain", counted)
+        theorem_bounds(n, rho)
+        assert calls == [(n, rho)]
+        for bound in (bound_high_rho_lower, bound_high_rho_upper,
+                      bound_low_rho_lower, bound_low_rho_upper):
+            with pytest.raises(ValueError, match="outside"):
+                bound(3, -0.6)
+
+    def test_gamma_factors_from_math_lgamma(self):
+        # B(2, b) and Gamma(b) as normal.log_beta and normal.log_gamma give them
+        for n, rho in ((10, 0.6), (1000, 0.9), (10**8, 0.55)):
+            b = 1.0 / rho - 1.0
+            assert bound_high_rho_upper(n, rho) == (
+                n ** (1.0 - 1.0 / rho) * 2.0 ** (1.0 / rho - 2.0) * math.sqrt((1.0 - rho) / rho)
+                * (1.0 + math.exp(normal.log_beta(2.0, b)))
+            )
+        for n, rho in ((50, 0.25), (10**4, 0.05), (10**8, 0.45)):
+            assert bound_low_rho_lower(n, rho) == (
+                n ** (1.0 - 1.0 / rho) * 2.0 ** (1.0 / rho - 2.0) * math.sqrt((1.0 - rho) / rho)
+                * (math.exp(normal.log_gamma(1.0 / rho - 1.0)) - 1.0)
+            )
 
 
 class TestBoundContains:

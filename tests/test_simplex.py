@@ -57,16 +57,52 @@ def coefficient_matrix(n: int, k: int) -> np.ndarray:
     return sx._design_matrix(n, k) * np.sqrt(coefficient_variances(n, k))
 
 
-def projected_blocks(matrix: np.ndarray, trials: int, seed: int) -> list:
-    """Copies of the row blocks that _projected_sums passes on, in chunk order."""
-    blocks = []
+def replay_union(n: int, k: int, trials: int, seed: int) -> tuple[int, int, int]:
+    """(union hits, vertex-0 hits, normals drawn) of the union's stated law, replayed.
 
-    def keep(block):
-        blocks.append(block.copy())  # the driver overwrites a block with the next
-        return ()
+    Each chunk draws from chunk_generator in the stated order into a
+    size x columns array: vertex 0's columns for every row, then vertex v's
+    for the rows with no maximum yet.  Every vertex's derivatives are
+    computed for all rows, and a row counts at the first vertex where all n
+    of them are positive.
+    """
+    factor = sx._vertex_factor(n, k)
+    # the columns that vertices 0..v use
+    ends = [np.count_nonzero(np.any(factor[: (v + 1) * n] != 0.0, axis=0)) for v in range(n + 1)]
+    union = vertex = normals = 0
+    for chunk, size in enumerate(equicorrelated._chunk_sizes(trials, sx.CHUNK_SIZE)):
+        rng = equicorrelated.chunk_generator(seed, chunk)
+        z = np.zeros((size, factor.shape[1]))
+        open_rows = np.ones(size, dtype=bool)
+        for v in range(n + 1):
+            start = ends[v - 1] if v else 0
+            shape = (np.count_nonzero(open_rows), ends[v] - start)
+            z[open_rows, start : ends[v]] = rng.standard_normal(shape)
+            normals += shape[0] * shape[1]
+            derivs = z[:, : ends[v]] @ factor[v * n : (v + 1) * n, : ends[v]].T
+            maximum = open_rows & np.all(derivs > 0.0, axis=1)
+            union += np.count_nonzero(maximum)
+            vertex += np.count_nonzero(maximum) if v == 0 else 0
+            open_rows &= ~maximum
+    return union, vertex, normals
 
-    sx._projected_sums(matrix, trials, seed, 1, keep)
-    return blocks
+
+def counted_normals(monkeypatch) -> list:
+    """The sizes of the normal draws made through simplex.chunk_generator from now on."""
+    sizes = []
+    original = sx.chunk_generator
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, *args, **kwargs):
+            out = self.rng.standard_normal(*args, **kwargs)
+            sizes.append(out.size)
+            return out
+
+    monkeypatch.setattr(sx, "chunk_generator", lambda seed, chunk: Counted(original(seed, chunk)))
+    return sizes
 
 
 class TestGeometry:
@@ -192,11 +228,21 @@ class TestEdgeCovariance:
     @pytest.mark.parametrize("n,k", [(1, 3), (2, 2), (3, 3), (4, 4), (4, 5), (10, 5)])
     def test_factor_reproduces_covariance(self, n, k):
         cov = edge_covariance(n, k)
-        factor = sx._edge_factor(n, k)
+        factor = sx._vertex_factor(n, k)
         assert np.max(np.abs(factor @ factor.T - cov)) <= 1e-12 * np.max(np.abs(cov))
         # singular whenever d < n(n+1), e.g. rank 10 of 12 at (3, 3)
         assert factor.shape[1] == np.linalg.matrix_rank(sx._design_matrix(n, k))
         assert factor.shape[1] == min(coefficient_count(n, k), n * (n + 1))
+        # lower triangular in vertex order: each column is zero above a
+        # positive pivot entry, in a later row than the column before's, so
+        # vertex v's rows use only the columns kept at vertices 0..v
+        pivots = (factor != 0.0).argmax(axis=0)
+        assert np.all(np.diff(pivots) > 0)
+        assert np.all(factor[pivots, np.arange(factor.shape[1])] > 0.0)
+        assert np.all(factor[np.arange(len(factor))[:, None] < pivots] == 0.0)
+        if factor.shape[1] == len(cov):
+            # without pivoting the factor is the Cholesky factor: no basis is chosen
+            assert np.max(np.abs(factor - np.linalg.cholesky(cov))) <= 1e-12 * np.max(np.abs(cov))
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_design_rank_is_the_lesser_count(self, n):
@@ -210,6 +256,7 @@ class TestEdgeCovariance:
             d = coefficient_count(n, k)
             scaled = sx._design_matrix(n, k) * np.sqrt(coefficient_variances(n, k))
             assert np.linalg.matrix_rank(scaled) == min(d, m), (n, k)
+            assert sx._vertex_factor(n, k).shape[1] == min(d, m), (n, k)
             if n >= 2:
                 assert (tv_exact(n, k) is None) == (d < m), (n, k)
 
@@ -222,14 +269,27 @@ class TestEdgeCovariance:
         assert np.allclose(block[~np.eye(5, dtype=bool)], rho_n(5, 4), rtol=1e-13)
 
     def test_budget_checked_before_eigh(self, monkeypatch):
+        # the union factors its covariance with no eigh, and checks the budget
+        # before the covariance is built: at (70, 3) its two 4970 x 4970
+        # arrays do not fit; at (47, 5) they do, but the factor and one
+        # 6250-trial chunk's arrays (269 MB) do not, while 6000 trials fit
         def no_eigh(*args):
             raise AssertionError("eigh ran")
 
+        def no_covariance(*args):
+            raise AssertionError("the covariance was built")
+
         monkeypatch.setattr(sx.np.linalg, "eigh", no_eigh)
-        with pytest.raises(ResourceBudgetError, match=r"5 x 3660 x 3660"):
-            sx._edge_factor(60, 3)
+        assert estimate_union_probability(4, 4, 1000, seed=1).estimate > 0.0
         with pytest.raises(ResourceBudgetError, match=r"budget"):
             edge_covariance(200, 3)
+        monkeypatch.setattr(sx, "edge_covariance", no_covariance)
+        with pytest.raises(ResourceBudgetError, match=r"2 x 4970 x 4970 edge-covariance arrays"):
+            estimate_union_probability(70, 3, 10, seed=1)
+        with pytest.raises(ResourceBudgetError, match=r"6250 x \(2 x 2256 \+ 48\) chunk arrays"):
+            estimate_union_probability(47, 5, 10**6, seed=1)
+        with pytest.raises(AssertionError, match="the covariance was built"):
+            estimate_union_probability(47, 5, 6000, seed=1)
 
 
 class TestRhoEpsilon:
@@ -549,10 +609,10 @@ class TestIsVertexMax:
         # the vectorized experiment path and the per-polynomial path agree
         n, k, seed = 3, 3, 909
         geom = build_geometry(n)
-        (derivs,) = projected_blocks(coefficient_matrix(n, k), 50, seed)
         sigma = np.sqrt(coefficient_variances(n, k))
         rng = sx.chunk_generator(seed, 0)
         coeffs = rng.standard_normal((50, len(sigma))) * sigma
+        derivs = coeffs @ sx._design_matrix(n, k).T
         for t in range(0, 50, 7):
             p = BombieriPolynomial(n=n, k=k, coefficients=coeffs[t])
             expect = bool(np.all(derivs[t, :n] > 0.0))
@@ -623,16 +683,13 @@ class TestUnionProbability:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_vertex_fields_match_vertex_estimator(self, threads):
-        # three 50k chunks; the union counts vertex 0 from its own edge
-        # derivatives, while the vertex estimator samples vertex 0's
+        # twenty union chunks; the union counts vertex 0 from its own first
+        # block of normals, while the vertex estimator samples vertex 0's
         # equicorrelated block on its own streams
         n, k, trials, seed = 4, 5, 120_000, 7
         union = estimate_union_probability(n, k, trials, seed=seed, threads=threads)
         vertex = estimate_vertex_probability(n, k, trials, seed=seed, threads=threads)
-        (hits,) = sx._projected_sums(
-            sx._edge_factor(n, k), trials, seed, 1,
-            lambda derivs: (np.count_nonzero(np.all(derivs[:, :n] > 0.0, axis=1)),),
-        )
+        _, hits, _ = replay_union(n, k, trials, seed)
         assert union.vertex_estimate == hits / trials
         combined = math.hypot(union.vertex_std_error, vertex.std_error)
         assert abs(union.vertex_estimate - vertex.estimate) <= 4.0 * combined
@@ -641,75 +698,60 @@ class TestUnionProbability:
         assert union.estimate >= union.vertex_estimate
 
     def test_row_blocks_change_no_draw(self, monkeypatch):
-        # at (4, 5) a row takes 8 (20 + 20) + 20 bytes; 7000 rows' worth
-        # splits each 50k chunk into 8 blocks of 6250
+        # a union chunk is its own row block, CHUNK_SIZE trials drawn in the
+        # stated order, so neither the thread count nor a budget that still
+        # fits (2.3 MB at (4, 5)) changes a draw
         n, k, seed = 4, 5, 7
-        whole = estimate_union_probability(n, k, 120_000, seed=seed, threads=2)
-        factor = sx._edge_factor(n, k)
-        monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 340 * sx.CHUNK_SIZE)
-        (one_block,) = projected_blocks(factor, sx.CHUNK_SIZE, seed)
-        monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 340 * 7000)
-        blocks = projected_blocks(factor, sx.CHUNK_SIZE, seed)
-        assert [len(b) for b in blocks] == [6250] * 8
-        assert np.array_equal(np.concatenate(blocks), one_block)
+        whole = estimate_union_probability(n, k, 120_000, seed=seed, threads=1)
+        assert estimate_union_probability(n, k, 120_000, seed=seed, threads=2) == whole
+        monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", 3 * 2**20)
         assert estimate_union_probability(n, k, 120_000, seed=seed, threads=2) == whole
 
-    def test_row_wider_than_block_changes_no_byte(self, monkeypatch):
-        # at (3, 3) the edge factor is 12 x 10, so a row takes
-        # 8 (10 + 12) + 12 = 188 bytes; with 40-byte blocks and budget / 8,
-        # 1001 rows split into blocks of two and three rows, where one-row
-        # blocks would round differently
-        n, k, seed, size = 3, 3, 7, 1001
-        factor = sx._edge_factor(n, k)
-        assert factor.shape == (12, 10)
-        (whole,) = projected_blocks(factor, size, seed)
-        monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 40)
-        monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", 8 * 40)
-        assert set(sx._block_rows(size, 188)) == {2, 3}
-        split = projected_blocks(factor, size, seed)
-        assert np.array_equal(np.concatenate(split), whole)
-
     def test_one_normal_rows_change_no_byte(self, monkeypatch):
-        # at n = 1 the edge factor is 2 x 1 at any k, so a row takes 26 bytes
-        # and a 50k chunk is one block; GEMM_ROWS-row blocks give its bytes
-        n, k, seed, size = 1, 600, 7, 50_000
-        factor = sx._edge_factor(n, k)
-        assert factor.shape == (2, 1)
-        assert sx._block_rows(size, 26) == [size]
-        (whole,) = projected_blocks(factor, size, seed)
-        monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 8)
-        assert set(sx._block_rows(size, 26)) == {510, 511}
-        split = projected_blocks(factor, size, seed)
-        assert np.array_equal(np.concatenate(split), whole)
+        # at n = 1 the factor is 2 x 1 at any k: vertex 1 adds no column, so
+        # each trial draws one normal; at even k both vertices are maxima
+        # exactly when the one coefficient is positive
+        n, k, seed, trials = 1, 600, 7, 50_000
+        assert sx._vertex_factor(n, k).shape == (2, 1)
+        sizes = counted_normals(monkeypatch)
+        rep = estimate_union_probability(n, k, trials, seed=seed, threads=2)
+        union, vertex, normals = replay_union(n, k, trials, seed)
+        assert sum(sizes) == normals == trials
+        assert rep.estimate == rep.vertex_estimate == union / trials == vertex / trials
 
-    def test_peak_memory_cache_sized(self):
-        # one 50k chunk at (10, 5): the normals and derivatives of the block
-        # being drawn fit BLOCK_BYTES (2.0 MiB measured, the edge factor built
-        # in the call included), and the block before it is dropped first;
-        # holding it too read 2.9 MiB
-        estimate_union_probability(10, 5, 1_000, seed=3, threads=2)  # first-call imports
-        tracemalloc.start()
-        try:
-            estimate_union_probability(10, 5, 50_000, seed=3, threads=2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * equicorrelated.BLOCK_BYTES
+    def test_peak_memory_cache_sized(self, monkeypatch):
+        # 50k trials at (10, 5): tracemalloc peaks at 1.7 MiB on one thread
+        # and 3.7 MiB on two, within the figure the budget check counts (the
+        # covariance arrays, or the factor and one chunk's arrays: 11.3 MiB)
+        n, k, trials, seed = 10, 5, 50_000, 3
+        m = n * (n + 1)
+        figure = 8 * max(2 * m * m, m * m + sx.CHUNK_SIZE * (2 * m + n + 1))
+        monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", figure - 1)
+        with pytest.raises(ResourceBudgetError):
+            estimate_union_probability(n, k, trials, seed=seed)
+        monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", figure)
+        estimate_union_probability(n, k, 1_000, seed=seed, threads=2)  # first-call imports
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                estimate_union_probability(n, k, trials, seed=seed, threads=threads)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= min(figure, threads * 2.5 * 2**20)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n, k", [(1, 3), (2, 5), (3, 3), (4, 4), (8, 2)])
-    def test_row_minimum_counts_are_exact(self, n, k, threads):
-        # a vertex counts when all n of its edge derivatives are positive;
-        # (8, 2) has a singular covariance (d = 36 < 72 derivatives)
+    def test_row_minimum_counts_are_exact(self, n, k, threads, monkeypatch):
+        # the counts and the normals drawn against a replay of the stated
+        # draw order: a vertex counts when all n of its edge derivatives are
+        # positive; (8, 2) has a singular covariance (d = 36 < 72 derivatives)
         trials, seed = 60_000, 11
+        sizes = counted_normals(monkeypatch)
         rep = estimate_union_probability(n, k, trials, seed=seed, threads=threads)
-
-        def all_positive(derivs):
-            vertex_max = np.all((derivs > 0.0).reshape(len(derivs), n + 1, n), axis=2)
-            return np.count_nonzero(vertex_max.any(axis=1)), np.count_nonzero(vertex_max[:, 0])
-
-        union, vertex = sx._projected_sums(sx._edge_factor(n, k), trials, seed, 1, all_positive)
+        union, vertex, normals = replay_union(n, k, trials, seed)
         assert (rep.estimate, rep.vertex_estimate) == (union / trials, vertex / trials)
+        assert sum(sizes) == normals < trials * n * (n + 1)
 
     def test_matches_coefficient_space_reference(self):
         # the derivative-space sampler against edge derivatives of drawn
@@ -717,14 +759,45 @@ class TestUnionProbability:
         n, k, trials = 4, 5, 100_000
         union = estimate_union_probability(n, k, trials, seed=45)
 
-        def union_hits(derivs):
-            positive = derivs.reshape(len(derivs), n + 1, n) > 0.0
-            return (np.count_nonzero(np.any(np.all(positive, axis=2), axis=1)),)
-
-        (hits,) = sx._projected_sums(coefficient_matrix(n, k), trials, 4545, 1, union_hits)
+        matrix = coefficient_matrix(n, k)
+        hits = 0
+        for chunk, size in enumerate(equicorrelated._chunk_sizes(trials, 50_000)):
+            z = equicorrelated.chunk_generator(4545, chunk).standard_normal((size, matrix.shape[1]))
+            positive = (z @ matrix.T).reshape(size, n + 1, n) > 0.0
+            hits += np.count_nonzero(np.any(np.all(positive, axis=2), axis=1))
         ref = hits / trials
         ref_se = math.sqrt(ref * (1.0 - ref) / trials)
         assert abs(union.estimate - ref) <= 4.0 * math.hypot(union.std_error, ref_se)
+
+    @pytest.mark.parametrize(
+        "n, k, per_trial", [(3, 5, 6.78), (4, 4, 10.57), (10, 5, 37.0)]
+    )
+    def test_draws_stop_at_first_maximum(self, n, k, per_trial, monkeypatch):
+        # a trial draws normals only until its first maximal vertex: on
+        # average 6.8 of 12 at (3, 5), 10.6 of 20 at (4, 4) and 37 of 110 at
+        # (10, 5), as 1e5 to 2e5 trials at another seed read
+        sizes = counted_normals(monkeypatch)
+        estimate_union_probability(n, k, 50_000, seed=2301)
+        assert sum(sizes) / 50_000 == pytest.approx(per_trial, rel=0.02)
+
+    @pytest.mark.parametrize(
+        "n, k, exact, seed",
+        [(2, 5, 0.812625, 2311), (3, 5, 0.847610, 2312), (4, 4, 0.860212, 2313)],
+    )
+    def test_matches_inclusion_exclusion(self, n, k, exact, seed):
+        # the inclusion-exclusion values of ROADMAP item 12 (Genz's quadrature
+        # of the vertex orthant probabilities); the seeds were fixed before
+        # the first run
+        rep = estimate_union_probability(n, k, 200_000, seed=seed, threads=2)
+        assert abs(rep.estimate - exact) <= 3.0 * rep.std_error
+
+    def test_matches_union_reference_at_10_5(self):
+        # the benchmark's UNION_REFERENCE, 0.963789 +- 0.000187 from 1e6
+        # trials of the eigh-factor union, and the vertex count against the
+        # analytic f; the seed was fixed before the first run
+        rep = estimate_union_probability(10, 5, 10**6, seed=2321, threads=2)
+        assert abs(rep.estimate - 0.963789) <= 3.0 * math.hypot(rep.std_error, 0.000187)
+        assert abs(rep.vertex_estimate - rep.analytic_f) <= 3.0 * rep.vertex_std_error
 
     def test_trend_k5(self):
         prev, prev_se = -1.0, 0.0
@@ -803,20 +876,13 @@ class TestGradientCorrelations:
         assert cross <= 1.75 * epsilon_n(n, k) + 3.5 / math.sqrt(trials)
 
     def test_row_blocks_change_no_byte(self, monkeypatch):
-        # at (4, 5) a row of d = 56 normals and m = 20 derivatives takes
-        # 8 (56 + 20) + 20 = 628 bytes; 7000 rows' worth splits each 50k
-        # chunk into 8 blocks of 6250
+        # gradient_correlations draws one Wishart factor and no row blocks of
+        # coefficients, so neither the thread count nor a budget that still
+        # fits changes a byte
         n, k, seed, trials = 4, 5, 7, 120_000
-        whole = gradient_correlations(n, k, trials, seed=seed, threads=2)
-        matrix = coefficient_matrix(n, k)
-        monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 628 * sx.CHUNK_SIZE)
-        assert sx._block_rows(sx.CHUNK_SIZE, 628) == [sx.CHUNK_SIZE]
-        (one_block,) = projected_blocks(matrix, sx.CHUNK_SIZE, seed)
-        monkeypatch.setattr(equicorrelated, "BLOCK_BYTES", 628 * 7000)
-        assert sx._block_rows(sx.CHUNK_SIZE, 628) == [6250] * 8
-        split = projected_blocks(matrix, sx.CHUNK_SIZE, seed)
-        assert np.array_equal(np.concatenate(split), one_block)
-        # gradient_correlations draws no row blocks, so the split changes none of its bytes
+        whole = gradient_correlations(n, k, trials, seed=seed, threads=1)
+        assert np.array_equal(gradient_correlations(n, k, trials, seed=seed, threads=2), whole)
+        monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", 2**16)
         assert np.array_equal(gradient_correlations(n, k, trials, seed=seed, threads=2), whole)
 
     @pytest.mark.parametrize("n, k", [(2, 3), (3, 3), (2, 6), (4, 5)])
@@ -938,8 +1004,8 @@ class TestGradientCorrelations:
 
 
 # estimate_union_probability(10, 5, 6000, seed=11) in 2000-trial chunks on 2
-# threads, printed; the eigh of the 110 x 110 edge covariance and the K = 110
-# projection would round with the BLAS thread count
+# threads, printed; the factor of the 110 x 110 edge covariance and each
+# vertex's K <= 110 products would round with the BLAS thread count
 _UNION_CHILD = """
 from simplex_orthant import simplex
 simplex.CHUNK_SIZE = 2000
