@@ -191,21 +191,17 @@ _POOLS = {}
 os.register_at_fork(after_in_child=_POOLS.clear)  # a child has none of their threads
 
 
-def _map_ordered(fn, n_chunks: int, threads: int, fold=list):
-    """fold(iter([fn(0), ..., fn(n_chunks - 1)])), evaluated on up to `threads` threads.
-
-    The iterator yields each result once it is ready, so a fold that adds
-    them holds only those not yet added; the default fold lists them.
-    """
+def _map_ordered(fn, n_chunks: int, threads: int) -> list:
+    """[fn(0), ..., fn(n_chunks - 1)], evaluated on up to `threads` threads."""
     if threads < 1:
         raise ValueError("threads must be positive")
     with _one_blas_thread():
         if threads == 1 or n_chunks <= 1:
-            return fold(fn(c) for c in range(n_chunks))
+            return [fn(c) for c in range(n_chunks)]
         from concurrent.futures import ThreadPoolExecutor
 
         pool = _POOLS.get(threads) or _POOLS.setdefault(threads, ThreadPoolExecutor(threads))
-        return fold(pool.map(fn, range(n_chunks)))
+        return list(pool.map(fn, range(n_chunks)))
 
 
 def hit_rate(hits: int, trials: int) -> tuple[float, float]:

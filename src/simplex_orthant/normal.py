@@ -2,12 +2,11 @@
 
 The quadrature rests on three functions: log Phi (`log_ndtr`), the scaled
 complementary error function erfcx(t) = exp(t^2) erfc(t) (`erfcx`), and the
-inverse of log Phi (`ndtri_exp`).  Each has a scalar form on floats, built on
-`math`, and an array form (`*_array`) that evaluates the same formulas with
-numpy.  The scalar forms serve every per-call path: the public functions
-below and Steck's Newton peak search in `orthant`.  The array forms only
-build the two tables `orthant` caches, the Steck lattice and the density
-rule's nodes; an element's value never depends on the rest of its array.
+inverse of log Phi (`ndtri_exp`).  Each has an array form (`*_array`) on
+numpy, behind every public function below and the two tables `orthant`
+caches, the Steck lattice and the density rule's nodes; an element's value
+never depends on the rest of its array.  Scalar forms on `math` serve
+Steck's per-call Newton peak search alone: `log_ndtr` and what it calls.
 
 * erfcx(t) is exp(t^2) erfc(t) below t = 10, with t^2 split exactly into two
   doubles (Dekker's product): exp(fl(t^2)) alone loses about t^2 ulp.  From
@@ -27,8 +26,9 @@ rule's nodes; an element's value never depends on the rest of its array.
   so after the first step they approach the root from below.  Above log(1/2)
   it is -ndtri_exp(log(-expm1(y))).
 
-The public functions accept floats or numpy arrays, apply the scalar forms
-element by element, and are pure, so they are safe for concurrent use.
+The public functions take floats or arrays (a float gives a float, an array
+an array of its shape; one float costs numpy's per-call overhead, about
+0.5 ms for a quantile) and are pure, so they are safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -98,11 +98,6 @@ def _lower_tail(a: float) -> float:
     return half - half * (2.0 * t * gap)
 
 
-def ndtr(x: float) -> float:
-    """Phi(x) for a float x."""
-    return _lower_tail(-x) if x <= 0.0 else 1.0 - _lower_tail(x)
-
-
 def log_ndtr(x: float) -> float:
     """log Phi(x) for a float x, to a few ulp in both tails."""
     if x > 0.0:
@@ -114,27 +109,6 @@ def log_ndtr(x: float) -> float:
         return -t
     hi, lo = _square(x)
     return (math.log(0.5 * erfcx(t)) - 0.5 * lo) - 0.5 * hi
-
-
-def ndtri_exp(y: float) -> float:
-    """The q with log Phi(q) = y, for a float y < 0."""
-    if y > _LOG_HALF:
-        return -ndtri_exp(math.log(-math.expm1(y)))
-    q = 0.0
-    if y <= -2.0:
-        u = -2.0 * y
-        q = -math.sqrt(u - math.log(_TWO_PI * u))
-    for _ in range(NEWTON_STEPS):
-        step = (log_ndtr(q) - y) * _SQRT_HALF_PI * erfcx(-q * _SQRT_HALF)
-        q, last = q - step, q
-        if abs(step) <= 1e-15 * max(1.0, -last):
-            return q
-    raise ArithmeticError(f"ndtri_exp did not converge in {NEWTON_STEPS} Newton steps at y={y!r}")
-
-
-def ndtri(p: float) -> float:
-    """Phi^{-1}(p) for a float p in (0, 1)."""
-    return ndtri_exp(math.log(p)) if p <= 0.5 else -ndtri_exp(math.log1p(-p))
 
 
 def _split_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +147,8 @@ def erfcx_array(t: np.ndarray) -> np.ndarray:
 
 
 def _lower_tail_array(a: np.ndarray) -> np.ndarray:
-    """_lower_tail on a float array of 0 <= a < 1e300."""
+    """_lower_tail on a float array of a >= 0, inf included."""
+    a = np.minimum(a, 40.0)  # Phi(-a) is 0 before a = 40, so the clip moves no value; inf -> 0
     t = a * _SQRT_HALF
     half = 0.5 * _erfc_ufunc(t).astype(float)
     head, tail = _split_array(a)
@@ -183,7 +158,7 @@ def _lower_tail_array(a: np.ndarray) -> np.ndarray:
 
 
 def log_ndtr_array(x: np.ndarray) -> np.ndarray:
-    """log_ndtr on a finite float array, element by element."""
+    """log_ndtr on a float array, element by element, inf included."""
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     right = x > 0.0
@@ -191,17 +166,17 @@ def log_ndtr_array(x: np.ndarray) -> np.ndarray:
     t = -x * _SQRT_HALF
     near = ~right & (t < _SERIES_FROM)
     out[near] = np.log(_lower_tail_array(-x[near]))
-    deep = ~right & ~near
+    far = x < -1e150  # -x^2/2 to the last bit, as log_ndtr gives it, and -inf at -inf
+    with np.errstate(over="ignore"):  # x^2 overflows to inf past |x| = 1.3e154
+        out[far] = -0.5 * (x[far] * x[far])
+    deep = ~(right | near | far)
     hi, lo = _square_array(x[deep])
     out[deep] = (np.log(0.5 * erfcx_array(t[deep])) - 0.5 * lo) - 0.5 * hi
     return out
 
 
 def ndtri_exp_array(y: np.ndarray) -> np.ndarray:
-    """ndtri_exp on a float array of finite y < 0, element by element.
-
-    Each element stops at its own convergence, as the scalar form does.
-    """
+    """ndtri_exp on a 1-d float array of finite y < 0, each element to its own convergence."""
     y = np.asarray(y, dtype=float)
     upper = y > _LOG_HALF
     target = np.where(upper, np.log(-np.expm1(y)), y)
@@ -222,29 +197,36 @@ def ndtri_exp_array(y: np.ndarray) -> np.ndarray:
                           f"at y={y.flat[active[0]]!r}")
 
 
-def _elementwise(scalar, *args):
-    """scalar(*args) on floats, or element by element on broadcast arrays."""
-    args = [np.asarray(a, dtype=float) for a in args]
-    if all(a.ndim == 0 for a in args):
-        return scalar(*map(float, args))
-    return np.frompyfunc(scalar, len(args), 1)(*args).astype(float)
+def _ndtri_array(p: np.ndarray) -> np.ndarray:
+    """Phi^{-1}(p) on a 1-d float array of 0 < p < 1."""
+    lower = p <= 0.5
+    q = ndtri_exp_array(np.where(lower, np.log(p), np.log1p(-p)))
+    return np.where(lower, q, -q)
+
+
+def _shaped(kernel, x):
+    """kernel on x as a flat float array: a float for a float, else an array of x's shape."""
+    x = np.asarray(x, dtype=float)
+    out = kernel(x.ravel()).reshape(x.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def std_normal_pdf(x):
     """Density of N(0,1): (2*pi)^(-1/2) exp(-x^2/2)."""
-    x = np.asarray(x, dtype=float)
-    out = INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return float(out) if out.ndim == 0 else out
+    return _shaped(lambda x: INV_SQRT_2PI * np.exp(-0.5 * x * x), x)
 
 
 def std_normal_cdf(x):
     """P(Z <= x) for Z ~ N(0,1)."""
-    return _elementwise(ndtr, x)
+    def cdf(x):
+        tail = _lower_tail_array(np.abs(x))
+        return np.where(x > 0.0, 1.0 - tail, tail)
+    return _shaped(cdf, x)
 
 
 def log_std_normal_cdf(x):
     """log P(Z <= x), accurate in the deep left tail where the cdf underflows."""
-    return _elementwise(log_ndtr, x)
+    return _shaped(log_ndtr_array, x)
 
 
 def std_normal_quantile(p):
@@ -254,9 +236,9 @@ def std_normal_quantile(p):
     finite preimage.
     """
     p = np.asarray(p, dtype=float)
-    if np.any(~np.isfinite(p)) or np.any(p <= 0.0) or np.any(p >= 1.0):
+    if not np.all((0.0 < p) & (p < 1.0)):
         raise ValueError("quantile requires 0 < p < 1")
-    return _elementwise(ndtri, p)
+    return _shaped(_ndtri_array, p)
 
 
 def std_normal_quantile_from_log(log_p):
@@ -267,9 +249,9 @@ def std_normal_quantile_from_log(log_p):
     |x| <= 6 where the plain float representation of p near 1 cannot.
     """
     log_p = np.asarray(log_p, dtype=float)
-    if np.any(np.isnan(log_p)) or np.any(log_p >= 0.0) or np.any(np.isinf(log_p)):
+    if not np.all(np.isfinite(log_p) & (log_p < 0.0)):
         raise ValueError("quantile requires a finite log-probability < 0")
-    return _elementwise(ndtri_exp, log_p)
+    return _shaped(ndtri_exp_array, log_p)
 
 
 def gordon_upper_mills(x):
@@ -277,8 +259,7 @@ def gordon_upper_mills(x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("gordon_upper_mills requires x > 0")
-    out = std_normal_pdf(x) / x
-    return float(out) if np.ndim(out) == 0 else out
+    return _shaped(lambda x: std_normal_pdf(x) / x, x)
 
 
 def birnbaum_lower_mills(x):
@@ -286,33 +267,7 @@ def birnbaum_lower_mills(x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("birnbaum_lower_mills requires x >= 0")
-    out = 2.0 * std_normal_pdf(x) / (np.sqrt(4.0 + x * x) + x)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def log_gamma(x):
-    """log Gamma(x) for x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("log_gamma requires x > 0")
-    return _elementwise(math.lgamma, x)
-
-
-def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
-def log_beta(a, b):
-    """log B(a,b) for a, b > 0, computed entirely in the log domain."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.any(a <= 0.0) or np.any(b <= 0.0):
-        raise ValueError("log_beta requires a > 0 and b > 0")
-    return _elementwise(_log_beta, a, b)
-
-
-def _pdf_of_quantile(u: float) -> float:
-    return 0.0 if u <= 0.0 or u >= 1.0 else float(std_normal_pdf(ndtri(u)))
+    return _shaped(lambda x: 2.0 * std_normal_pdf(x) / (np.sqrt(4.0 + x * x) + x), x)
 
 
 def pdf_of_quantile(u):
@@ -322,6 +277,10 @@ def pdf_of_quantile(u):
     min(u, 1-u) * sqrt(2/pi).
     """
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0) or np.any(u > 1.0):
+    if not np.all((0.0 <= u) & (u <= 1.0)):
         raise ValueError("pdf_of_quantile requires u in [0, 1]")
-    return _elementwise(_pdf_of_quantile, u)
+
+    def profile(u):
+        inner = (0.0 < u) & (u < 1.0)  # the endpoints' quantiles are infinite
+        return np.where(inner, std_normal_pdf(_ndtri_array(np.where(inner, u, 0.5))), 0.0)
+    return _shaped(profile, u)

@@ -379,16 +379,6 @@ def monte_carlo(
     return OrthantEstimate(value=p_hat, std_error=se, method="monte_carlo", count=trials)
 
 
-def _domain_checked(bound):
-    """`bound` behind check_domain; theorem_bounds checks once and calls `__wrapped__`."""
-    @functools.wraps(bound)
-    def checked(n: int, rho: float) -> Optional[float]:
-        check_domain(n, rho)
-        return bound(n, rho)
-    return checked
-
-
-@_domain_checked
 def bound_high_rho_lower(n: int, rho: float) -> Optional[float]:
     """Explicit lower bound for f(n, rho), rho > 1/2, n >= 2.
 
@@ -396,6 +386,7 @@ def bound_high_rho_lower(n: int, rho: float) -> Optional[float]:
     n^(1-1/rho) * 2/sqrt(2 pi) * (1 - 1/(2 sqrt(4 pi log 2)))^2
     / (sqrt(4 + 2(1/rho-1) log n) + sqrt(2(1/rho-1) log n)).
     """
+    check_domain(n, rho)
     if rho <= 0.5 or n < 2:
         return None
     ell = (1.0 / rho - 1.0) * math.log(n)
@@ -408,9 +399,9 @@ def bound_high_rho_lower(n: int, rho: float) -> Optional[float]:
     )
 
 
-@_domain_checked
 def bound_high_rho_upper(n: int, rho: float) -> Optional[float]:
     """Upper bound n^(1-1/rho) 2^(1/rho-2) sqrt((1-rho)/rho) (1 + B(2, 1/rho-1))."""
+    check_domain(n, rho)
     if rho <= 0.5 or n < 2:
         return None
     b = 1.0 / rho - 1.0
@@ -428,13 +419,13 @@ def low_rho_gate(n: int, rho: float) -> bool:
     return n >= (1.0 / rho - 1.0) * math.log(n) / math.log(2.0)
 
 
-@_domain_checked
 def bound_low_rho_lower(n: int, rho: float) -> Optional[float]:
     """Lower bound n^(1-1/rho) 2^(1/rho-2) sqrt((1-rho)/rho) (Gamma(1/rho-1) - 1).
 
     Valid only under low_rho_gate; returns None otherwise.  May be negative
     for rho close to 1/2 (Gamma(1/rho-1) < 1), which is still a valid bound.
     """
+    check_domain(n, rho)
     if rho >= 0.5 or rho <= 0.0 or not low_rho_gate(n, rho):
         return None
     gamma = math.exp(math.lgamma(1.0 / rho - 1.0))
@@ -446,7 +437,6 @@ def bound_low_rho_lower(n: int, rho: float) -> Optional[float]:
     )
 
 
-@_domain_checked
 def bound_low_rho_upper(n: int, rho: float) -> Optional[float]:
     """Asymptotic upper bound n^(1-1/rho) sqrt((1-rho)/rho) [(1/rho-1) log(n)^2]^(1/rho-2).
 
@@ -454,6 +444,7 @@ def bound_low_rho_upper(n: int, rho: float) -> Optional[float]:
     a trend envelope, not a certified bound.  Computed in the log domain:
     the bracket raised to 1/rho - 2 overflows quickly for small rho.
     """
+    check_domain(n, rho)
     if rho >= 0.5 or rho <= 0.0 or n < 2:
         return None
     log_val = (
@@ -478,11 +469,11 @@ def theorem_bounds(n: int, rho: float) -> BoundReport:
     check_domain(n, rho)
     lower = upper = None
     if rho > 0.5:
-        lower = bound_high_rho_lower.__wrapped__(n, rho)
-        upper = bound_high_rho_upper.__wrapped__(n, rho)
+        lower = bound_high_rho_lower(n, rho)
+        upper = bound_high_rho_upper(n, rho)
     elif 0.0 < rho < 0.5:
-        lower = bound_low_rho_lower.__wrapped__(n, rho)
-        upper = bound_low_rho_upper.__wrapped__(n, rho)
+        lower = bound_low_rho_lower(n, rho)
+        upper = bound_low_rho_upper(n, rho)
     return BoundReport(
         n=n, rho=rho, scale=n ** (1.0 - 1.0 / rho) if rho > 0 else math.nan,
         lower=lower, upper=upper,

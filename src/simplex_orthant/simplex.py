@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import normal, orthant
+from . import orthant
 from .equicorrelated import (
     EquicorrelatedSpec,
     ResourceBudgetError,  # re-exported: the error of this module's budget checks
@@ -231,7 +231,7 @@ def multi_index_table(n: int, k: int) -> np.ndarray:
 def coefficient_variances(n: int, k: int) -> np.ndarray:
     """Variance k!/alpha! of each coefficient under the polynomial measure."""
     check_degree(n, k)
-    log_factorial = normal.log_gamma(np.arange(k + 1) + 1.0)
+    log_factorial = np.array([math.lgamma(j + 1.0) for j in range(k + 1)])
     with np.errstate(over="ignore"):
         var = np.exp(math.lgamma(k + 1) - np.sum(log_factorial[multi_index_table(n, k)], axis=1))
     if not np.all(np.isfinite(var)):
@@ -354,6 +354,10 @@ def _vertex_factor(n: int, k: int) -> np.ndarray:
     one column per unit of rank, min(d, n(n+1)) for d = C(n+k-1, k), also
     where the covariance is singular (10 of 12 at (3, 3)).  For n <= 12 and
     k = 2..8 the kept pivots exceed 0.11 of that variance, the dropped 3e-13.
+    The residual max |L L^T - C| / max |C| is a few eps where d >= n(n+1)
+    (1.6e-15 at (30, 5)).  Where d < n(n+1) each dropped column leaves its
+    Schur residue, so it grows with n: 1.8e-14 at (8, 2), 2.7e-13 at
+    (12, 2), 1.6e-12 at (20, 2), 1.0e-11 at (30, 2), all under (n(n+1))^2 eps.
     """
     m = n * (n + 1)
     a = edge_covariance(n, k)

@@ -51,10 +51,11 @@ def suite_special_functions() -> list[dict]:
 
     ok = True
     for s in (0.2, 0.4, 0.8, 1.5, 2.0, 4.0, 10.0):
+        b = 1.0 / s
         for n in (1, 2, 5, 20, 100, 1000):
-            lhs = normal.log_beta(n + 1.0, 1.0 / s)
-            upper = -math.log(n) / s + normal.log_gamma(1.0 / s)
-            lower = -math.log(n) / s + normal.log_beta(2.0, 1.0 / s)
+            lhs = math.lgamma(n + 1.0) + math.lgamma(b) - math.lgamma(n + 1.0 + b)
+            upper = -math.log(n) / s + math.lgamma(b)
+            lower = -math.log(n) / s + (math.lgamma(b) - math.lgamma(2.0 + b))  # lgamma(2) = 0
             ok &= lower - 1e-12 <= lhs <= upper + 1e-12
     checks.append(_check("beta_asymptotic_sandwich", ok,
                          "n^(-1/s) B(2,1/s) <= B(n+1,1/s) <= n^(-1/s) Gamma(1/s)"))
@@ -219,7 +220,9 @@ def suite_simplex() -> list[dict]:
     checks.append(_check("edge_covariance_law", worst <= 1e-12,
                          f"max |C - R var R^T| / max |R var R^T| = {worst:.3e}"))
 
-    # the union's factor of C, one column per unit of rank min(d, n(n+1))
+    # the union's factor of C, one column per unit of rank min(d, n(n+1)); the
+    # 1e-12 residual holds at these three, not for every singular (n, k):
+    # see _vertex_factor
     ok, detail = True, []
     for n, k in ((3, 3), (4, 4), (8, 2)):  # singular at (3, 3) and (8, 2)
         cov, factor = simplex.edge_covariance(n, k), simplex._vertex_factor(n, k)

@@ -504,10 +504,10 @@ class TestVerifyCommand:
         # chunks make threads=2 differ from threads=1
         original = orthant._map_ordered
 
-        def first_chunk_only(fn, n_chunks, threads, fold=list):
+        def first_chunk_only(fn, n_chunks, threads):
             if threads == 1:
-                return original(fn, n_chunks, threads, fold)
-            return original(lambda c: fn(0), n_chunks, threads, fold)
+                return original(fn, n_chunks, threads)
+            return original(lambda c: fn(0), n_chunks, threads)
 
         monkeypatch.setattr(orthant, "_map_ordered", first_chunk_only)
         code, out, _ = run_cli(["verify", "--suite", "sampler"], capsys)

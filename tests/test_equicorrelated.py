@@ -281,25 +281,6 @@ class TestChunkMap:
         with pytest.raises(ValueError, match="threads must be positive"):
             equicorrelated._map_ordered(lambda c: c, 2, threads)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_fold_takes_results_in_chunk_order_as_ready(self, threads):
-        # a fold that adds the results need not hold them all: it gets an
-        # iterator, and at one thread chunk c runs after chunk c - 1 is taken
-        ran = []
-
-        def chunk(c):
-            ran.append(c)
-            return c
-
-        def fold(results):
-            assert iter(results) is results
-            return [(c, len(ran)) for c in results]
-
-        taken = equicorrelated._map_ordered(chunk, 6, threads, fold)
-        assert [c for c, _ in taken] == list(range(6))
-        if threads == 1:
-            assert [count for _, count in taken] == [1, 2, 3, 4, 5, 6]
-
 
 class TestTvBound:
     def test_zero_epsilon(self):

@@ -706,36 +706,30 @@ class TestTheoremBounds:
         assert not (rep.lower_applicable or rep.upper_applicable)
 
     @pytest.mark.parametrize("n, rho", [(100, 0.75), (50, 0.25), (2, 0.05), (5, 0.0)])
-    def test_domain_checked_once(self, n, rho, monkeypatch):
-        # the report checks (n, rho) once, then calls the bounds unchecked;
-        # each bound called alone still checks
-        calls = []
-        original = orthant.check_domain
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(orthant, "check_domain", counted)
+    def test_domain_checked_once(self, n, rho):
+        # each bound checks (n, rho) itself, so one called alone raises
+        # outside the domain as the report does
         theorem_bounds(n, rho)
-        assert calls == [(n, rho)]
         for bound in (bound_high_rho_lower, bound_high_rho_upper,
                       bound_low_rho_lower, bound_low_rho_upper):
             with pytest.raises(ValueError, match="outside"):
                 bound(3, -0.6)
+        with pytest.raises(ValueError, match="outside"):
+            theorem_bounds(3, -0.6)
 
     def test_gamma_factors_from_math_lgamma(self):
-        # B(2, b) and Gamma(b) as normal.log_beta and normal.log_gamma give them
+        # B(2, b) and Gamma(b) from math.lgamma, as log B(a, b)
+        # = lgamma(a) + lgamma(b) - lgamma(a + b)
         for n, rho in ((10, 0.6), (1000, 0.9), (10**8, 0.55)):
             b = 1.0 / rho - 1.0
             assert bound_high_rho_upper(n, rho) == (
                 n ** (1.0 - 1.0 / rho) * 2.0 ** (1.0 / rho - 2.0) * math.sqrt((1.0 - rho) / rho)
-                * (1.0 + math.exp(normal.log_beta(2.0, b)))
+                * (1.0 + math.exp(math.lgamma(2.0) + math.lgamma(b) - math.lgamma(2.0 + b)))
             )
         for n, rho in ((50, 0.25), (10**4, 0.05), (10**8, 0.45)):
             assert bound_low_rho_lower(n, rho) == (
                 n ** (1.0 - 1.0 / rho) * 2.0 ** (1.0 / rho - 2.0) * math.sqrt((1.0 - rho) / rho)
-                * (math.exp(normal.log_gamma(1.0 / rho - 1.0)) - 1.0)
+                * (math.exp(math.lgamma(1.0 / rho - 1.0)) - 1.0)
             )
 
 
