@@ -213,7 +213,8 @@ def _shaped(kernel, x):
 
 def std_normal_pdf(x):
     """Density of N(0,1): (2*pi)^(-1/2) exp(-x^2/2)."""
-    return _shaped(lambda x: INV_SQRT_2PI * np.exp(-0.5 * x * x), x)
+    with np.errstate(over="ignore"):  # x^2 overflows past |x| = 1.3e154, where phi is 0
+        return _shaped(lambda x: INV_SQRT_2PI * np.exp(-0.5 * x * x), x)
 
 
 def std_normal_cdf(x):
@@ -267,7 +268,8 @@ def birnbaum_lower_mills(x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("birnbaum_lower_mills requires x >= 0")
-    return _shaped(lambda x: 2.0 * std_normal_pdf(x) / (np.sqrt(4.0 + x * x) + x), x)
+    with np.errstate(over="ignore"):  # 0 / inf past x = 1.3e154
+        return _shaped(lambda x: 2.0 * std_normal_pdf(x) / (np.sqrt(4.0 + x * x) + x), x)
 
 
 def pdf_of_quantile(u):

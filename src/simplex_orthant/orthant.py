@@ -20,7 +20,6 @@ up to log(n) factors.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -47,6 +46,10 @@ LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # to rho = 0.99999 for 59 n from 2 to 1e8.
 STECK_HALVINGS = 12
 DENSITY_HALVINGS = 12  # the density rule halves its step from 0.5 down to 0.5/4096
+# the halving each rule's first window reads to (_halvings), set from where
+# the rules stop on the benchmark grid (README); no value depends on them
+_STECK_BATCH = 2
+_DENSITY_BATCH = 6
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,8 @@ def closed_form(n: int, rho: float) -> Optional[OrthantEstimate]:
 
 
 def trivariate_closed_form(rho12: float, rho13: float, rho23: float) -> float:
-    """David's formula 1/8 + (arcsin r12 + arcsin r13 + arcsin r23)/(4 pi)."""
+    """David's formula 1/8 + (arcsin r12 + arcsin r13 + arcsin r23)/(4 pi); no route
+    calls it, but tests/test_acceptance.py pins it as the independent n = 3 check."""
     corr = np.array(
         [[1.0, rho12, rho13], [rho12, 1.0, rho23], [rho13, rho23, 1.0]]
     )
@@ -159,14 +163,14 @@ def _steck_log_peak(n: int, sqrt_s: float):
 
 # level -> (first index, log Phi(x_j), x_j^2 / 2) at x_j = j 2^-level: the
 # Steck lattice, built by _steck_nodes over whole blocks of LATTICE_BLOCK
-# indices; the 120 points of the benchmark grid keep 0.21 MB of it
+# indices; the 120 points of the benchmark grid keep 0.23 MB of it
 _STECK_LATTICE: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
 LATTICE_BLOCK = 64
 LATTICE_CACHE_BYTES = 2**21
 
 
-def _steck_nodes(level: int, first: int, last: int, stride: int = 1):
-    """log Phi(x_j) and x_j^2 / 2 at x_j = j 2^-level, j = first, first + stride, ..., last.
+def _steck_nodes(level: int, first: int, last: int):
+    """log Phi(x_j) and x_j^2 / 2 at x_j = j 2^-level, j = first, ..., last.
 
     Read-only views into the lattice cache.  A level missing part of the
     range is rebuilt over the blocks that cover it and what it held before,
@@ -189,8 +193,33 @@ def _steck_nodes(level: int, first: int, last: int, stride: int = 1):
         log_cdf.flags.writeable = half_square.flags.writeable = False
         if need <= LATTICE_CACHE_BYTES:
             _STECK_LATTICE[level] = (start, log_cdf, half_square)
-    window = slice(first - start, last - start + 1, stride)
+    window = slice(first - start, last - start + 1)
     return log_cdf[window], half_square[window]
+
+
+def _halvings(window, fold, log_f, lo, hi, batch, limit, name, n, rho):
+    """(log f, final node count): halve the step until log f moves < 1e-13 relative.
+
+    window(h, i, j, stride): a rule's terms at nodes i, i + stride, ..., j
+    after h halvings of its base grid lo..hi, as one array.  The first
+    window is halving b = min(batch, limit) whole, the base grid its view
+    [::2^b] and halving h <= b its view [g::2g], g = 2^(b - h), which numpy sums
+    as their copies; it reads (hi - lo)(2^b - 2^h) nodes past a final grid at
+    h < b.  fold(total, terms) adds a level's shifted sum; log_f(total, h) reads it.
+    """
+    batch = min(batch, limit)
+    whole = window(batch, lo << batch, hi << batch, 1)
+    total = fold(0.0, whole[::2**batch])
+    value = log_f(total, 0)
+    for h in range(1, limit + 1):
+        gap = 2 ** (batch - h) if h <= batch else 0
+        total = fold(total, whole[gap::2 * gap] if gap else
+                     window(h, (lo << h) + 1, (hi << h) - 1, 2))
+        previous, value = value, log_f(total, h)
+        if abs(value - previous) < 1e-13 * max(1.0, abs(value)):
+            return value, (hi - lo) * 2**h + 1
+    raise ArithmeticError(f"{name} trapezoid rule did not converge in {limit} halvings "
+                          f"at (n={n}, rho={rho})")
 
 
 def _steck_log_f(n: int, rho: float) -> tuple[float, int]:
@@ -202,9 +231,8 @@ def _steck_log_f(n: int, rho: float) -> tuple[float, int]:
     Weideman, SIAM Review 56(3), 2014).  The nodes are the points
     x_j = j 2^-level of a lattice in x = z sqrt(s), so their log Phi and x^2/2
     come from a cache (_steck_nodes), and the integrand at them is
-    n log Phi(x_j) - x_j^2/(2s).  The first level is the coarsest whose step
-    is at most the peak's sigma; each halving adds the odd points of the next
-    level, until log f moves less than 1e-13 relative.
+    n log Phi(x_j) - x_j^2/(2s).  _halvings halves the first level, the
+    coarsest whose step is at most the peak's sigma.
     """
     sqrt_s = math.sqrt(rho / (1.0 - rho))
     inv_s = (1.0 - rho) / rho
@@ -214,15 +242,6 @@ def _steck_log_f(n: int, rho: float) -> tuple[float, int]:
         return n * log_ndtr(z * sqrt_s) - 0.5 * z * z
 
     peak = log_integrand(center)
-
-    def shifted_sum(level, first, last, stride):
-        # the Newton peak is the shift: no term overflows, and no max search
-        log_cdf, half_square = _steck_nodes(level, first, last, stride)
-        terms = n * log_cdf
-        terms -= inv_s * half_square
-        terms -= peak
-        return np.exp(terms, out=terms).sum()
-
     ends = []
     # L is concave, so the first multiple that falls 60 below the peak bounds
     # it; the right tail decays no faster than exp(-z^2/2), whatever sigma is
@@ -241,19 +260,18 @@ def _steck_log_f(n: int, rho: float) -> tuple[float, int]:
     first = math.floor(math.ldexp(lo * sqrt_s, level))
     last = math.ceil(math.ldexp(hi * sqrt_s, level))
     step = math.ldexp(1.0, -level) / sqrt_s  # in z
-    total = shifted_sum(level, first, last, 1)
-    log_f = peak + math.log(step * total) - LOG_SQRT_2PI
-    for halving in range(1, STECK_HALVINGS + 1):
-        width = 2**halving
-        total += shifted_sum(level + halving, width * first + 1, width * last - 1, 2)
-        step *= 0.5
-        previous, log_f = log_f, peak + math.log(step * total) - LOG_SQRT_2PI
-        if abs(log_f - previous) < 1e-13 * max(1.0, abs(log_f)):
-            return log_f, width * (last - first) + 1
-    raise ArithmeticError(
-        f"steck trapezoid rule did not converge in {STECK_HALVINGS} halvings "
-        f"at (n={n}, rho={rho})"
-    )
+
+    def window(h, i, j, stride):
+        # the Newton peak is the shift: no term overflows, and no max search
+        log_cdf, half_square = _steck_nodes(level + h, i, j)
+        terms = n * log_cdf[::stride]
+        terms -= inv_s * half_square[::stride]
+        terms -= peak
+        return np.exp(terms, out=terms)
+
+    return _halvings(window, lambda total, terms: total + terms.sum(),
+                     lambda total, h: peak + math.log(math.ldexp(step, -h) * total) - LOG_SQRT_2PI,
+                     first, last, _STECK_BATCH, STECK_HALVINGS, "steck", n, rho)
 
 
 def steck_quadrature(n: int, rho: float) -> OrthantEstimate:
@@ -271,26 +289,37 @@ def steck_quadrature(n: int, rho: float) -> OrthantEstimate:
     return OrthantEstimate(value=value, std_error=0.0, method="steck_quadrature", count=nodes)
 
 
-@functools.cache
-def _density_table(level: int) -> tuple:
-    """(log x, M, m, R) at the nodes t in [-16, 16] that lattice level `level` adds.
+# (level, rows): the density rule's nodes at the finest level built
+_DENSITY_TABLE: tuple[int, tuple] = (-1, ())
 
-    Level 0 holds the multiples of 0.5, level k the odd multiples of 0.5/2^k.
-    With x = expit(pi sinh t) and u = min(x, 1-x): m = log u, M = log(phi(q)/u)
-    for q = Phi^{-1}(u), taken as log(sqrt(2/pi)/erfcx(-q/sqrt 2)) so that no
-    large terms cancel, and R = log max(x, 1-x) + log(pi cosh t).
+
+def _density_nodes(level: int) -> tuple[int, tuple]:
+    """(finest, (log x, M, m, R)) at t = j 0.5/2^finest - 16, j = 0, ..., 64 2^finest.
+
+    finest >= level; level k is every 2^(finest - k)-th node.  With
+    x = expit(pi sinh t) and u = min(x, 1-x): m = log u, M = log(phi(q)/u) for
+    q = Phi^{-1}(u), taken as log(sqrt(2/pi)/erfcx(-q/sqrt 2)) so that no large
+    terms cancel, and R = log max(x, 1-x) + log(pi cosh t).  Each level built
+    adds its odd nodes; a value depends on t alone, so no build order moves one.
     """
-    first, stride = (1, 2) if level else (0, 1)
-    t = np.arange(first, 64 * 2**level + 1, stride) * (0.5 / 2**level) - 16.0
-    logit = np.pi * np.abs(np.sinh(t))
-    log_max = -np.log1p(np.exp(-logit))
-    log_min = log_max - logit
-    q = ndtri_exp_array(log_min)
-    log_ratio = 0.5 * math.log(2.0 / math.pi) - np.log(erfcx_array(-q / math.sqrt(2.0)))
-    table = np.stack([np.where(t < 0.0, log_min, log_max), log_ratio, log_min,
-                      log_max + np.log(np.pi * np.cosh(t))])
-    table.flags.writeable = False  # the cache hands these rows to every call
-    return tuple(table)
+    global _DENSITY_TABLE
+    finest, rows = _DENSITY_TABLE
+    for k in range(finest + 1, level + 1):
+        t = np.arange(1 if k else 0, 64 * 2**k + 1, 2 if k else 1) * (0.5 / 2**k) - 16.0
+        logit = np.pi * np.abs(np.sinh(t))
+        log_max = -np.log1p(np.exp(-logit))
+        log_min = log_max - logit
+        q = ndtri_exp_array(log_min)
+        log_ratio = 0.5 * math.log(2.0 / math.pi) - np.log(erfcx_array(-q / math.sqrt(2.0)))
+        added = (np.where(t < 0.0, log_min, log_max), log_ratio, log_min,
+                 log_max + np.log(np.pi * np.cosh(t)))
+        rows = tuple(np.insert(old, np.arange(1, old.size), new)
+                     for old, new in zip(rows, added)) if k else added
+        for row in rows:
+            row.flags.writeable = False  # the cache hands these rows to every call
+        if _DENSITY_TABLE[0] < k:  # unless a concurrent call went finer
+            _DENSITY_TABLE = (k, rows)
+    return max(finest, level), rows
 
 
 def _density_log_f(n: int, rho: float) -> tuple[float, int]:
@@ -298,21 +327,23 @@ def _density_log_f(n: int, rho: float) -> tuple[float, int]:
 
     The trapezoid rule in t after x = expit(pi sinh t), the double-exponential
     substitution of Takahasi & Mori (Publ. RIMS 9, 1974).  The log integrand
-    n log x + e M + m/s + R, e = 1/s - 1, is linear over _density_table's
-    columns.  The span ends 60 below the level-0 peak; the step halves from 0.5
-    until log f moves less than 1e-13 relative.  Kept apart from _steck_log_f,
-    so that the two routes check each other.
+    n log x + e M + m/s + R, e = 1/s - 1, is linear over _density_nodes'
+    rows.  The span ends 60 below the level-0 peak; _halvings halves the step
+    from 0.5, shifting each level by the running maximum.  Kept apart from
+    _steck_log_f, so that the two routes check each other.
     """
     s = rho / (1.0 - rho)
     e, inv_s = 1.0 / s - 1.0, 1.0 / s
     log_pref = e * LOG_SQRT_2PI - 0.5 * math.log(s)  # log of (sqrt(2 pi))^e / sqrt(s)
 
-    def log_integrand(level, start, stop):
-        log_x, log_ratio, log_min, rest = _density_table(level)
-        return (n * log_x[start:stop] + e * log_ratio[start:stop]
-                + inv_s * log_min[start:stop] + rest[start:stop])
+    def log_integrand(level, i, j, stride):
+        finest, (log_x, log_ratio, log_min, rest) = _density_nodes(level)
+        scale = finest - level
+        nodes = slice(i << scale, (j << scale) + 1, stride << scale)
+        return (n * log_x[nodes] + e * log_ratio[nodes]
+                + inv_s * log_min[nodes] + rest[nodes])
 
-    values = log_integrand(0, 0, None)
+    values = log_integrand(0, 0, 64, 1)
     shift = float(values.max())
     if not math.isfinite(shift):
         return log_pref + shift, values.size  # density_integral raises on it
@@ -321,24 +352,18 @@ def _density_log_f(n: int, rho: float) -> tuple[float, int]:
     if lo < 0 or hi >= values.size:
         raise ArithmeticError(f"density integrand stays within 60 of its peak at "
                               f"|t| = 16 at (n={n}, rho={rho})")
-    step, nodes = 0.5, hi - lo + 1
-    total = float(np.exp(values[lo:hi + 1] - shift).sum())
-    log_f = log_pref + shift + math.log(step * total)
-    for level in range(1, DENSITY_HALVINGS + 1):
-        # the odd multiples of the new step strictly between the span's ends
-        width = 2 ** (level - 1)
-        values = log_integrand(level, width * lo, width * hi)
+
+    def fold(total, values):
+        nonlocal shift
         top = float(values.max())
         if top > shift:
             total *= math.exp(shift - top)
             shift = top
-        total += float(np.exp(values - shift).sum())
-        step, nodes = 0.5 * step, nodes + values.size
-        previous, log_f = log_f, log_pref + shift + math.log(step * total)
-        if abs(log_f - previous) < 1e-13 * max(1.0, abs(log_f)):
-            return log_f, nodes
-    raise ArithmeticError(f"density trapezoid rule did not converge in "
-                          f"{DENSITY_HALVINGS} halvings at (n={n}, rho={rho})")
+        return total + float(np.exp(values - shift).sum())
+
+    return _halvings(log_integrand, fold,
+                     lambda total, h: log_pref + shift + math.log(math.ldexp(0.5, -h) * total),
+                     lo, hi, _DENSITY_BATCH, DENSITY_HALVINGS, "density", n, rho)
 
 
 def density_integral(n: int, rho: float) -> OrthantEstimate:

@@ -86,6 +86,16 @@ def test_mills_bracketing_grid():
     assert np.all(tail < normal.gordon_upper_mills(xs))
 
 
+@pytest.mark.parametrize("x", [1e200, math.inf])
+def test_density_and_mills_zero_where_square_overflows(x):
+    # x^2 overflows past |x| = 1.3e154; the value is 0, with no overflow
+    # warning (which the suite's error::RuntimeWarning filter would raise)
+    for fn in (normal.std_normal_pdf, normal.gordon_upper_mills, normal.birnbaum_lower_mills):
+        assert fn(x) == 0.0
+        assert np.array_equal(fn(np.array([x, 1.0])), [0.0, fn(1.0)])
+    assert normal.std_normal_pdf(-x) == 0.0
+
+
 def log_beta(a, b):
     # the package's log B(a, b), on math.lgamma
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)

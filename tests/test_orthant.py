@@ -183,32 +183,43 @@ class TestSteckQuadrature:
             steck_quadrature(10, 0.5)
 
     def test_one_peak_search_per_call(self, monkeypatch):
-        # each halving reads only the odd points of the next lattice level, so
-        # the node arrays read together cover the final grid exactly once
-        peaks, nodes = [], []
-        peak, steck_nodes = orthant._steck_log_peak, orthant._steck_nodes
+        # the first window takes the exponentials of the base grid and
+        # _STECK_BATCH halvings at once, each later read those of one halving's
+        # new points: together they cover the finest grid read exactly once,
+        # the final grid is span 2^h + 1 nodes, and the nodes past it number at
+        # most span (2^batch - 2), below 2^(batch - 1) times the final count
+        peaks, sizes = [], []
+        peak, exp = orthant._steck_log_peak, np.exp
 
         def counted_peak(*args):
             peaks.append(args)
             return peak(*args)
 
-        def counted_nodes(*args):
-            log_cdf, half_square = steck_nodes(*args)
-            nodes.append(log_cdf.size)
-            return log_cdf, half_square
+        def counted_exp(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return exp(x, *args, **kwargs)
 
-        monkeypatch.setattr(orthant, "_steck_log_peak", counted_peak)
-        monkeypatch.setattr(orthant, "_steck_nodes", counted_nodes)
+        batch = min(orthant._STECK_BATCH, orthant.STECK_HALVINGS)
         # (5, 0.3) left the list: the lattice's first step lies between sigma/2
         # and sigma, and there one halving meets the 1e-13 stop
         for n, rho in [(1000, 0.99), (10**4, 0.99), (10**8, 0.4), (5, 0.4)]:
+            expected = steck_quadrature(n, rho)  # builds the lattice levels
             peaks.clear()
-            nodes.clear()
+            sizes.clear()
+            monkeypatch.setattr(orthant, "_steck_log_peak", counted_peak)
+            monkeypatch.setattr(orthant.np, "exp", counted_exp)
             est = steck_quadrature(n, rho)
-            assert len(peaks) == 1
-            assert est.count == sum(nodes)
-            # the first grid and at least two halvings of it
-            assert len(nodes) >= 3
+            monkeypatch.undo()
+            assert est == expected and len(peaks) == 1
+            span, rest = divmod(sizes[0] - 1, 2**batch)
+            finest = batch + len(sizes) - 1
+            assert rest == 0 and sizes[1:] == [span * 2 ** (h - 1)
+                                               for h in range(batch + 1, finest + 1)]
+            assert sum(sizes) == span * 2**finest + 1
+            halvings = round(math.log2((est.count - 1) / span))
+            assert est.count == span * 2**halvings + 1 and halvings >= 2
+            assert finest == max(halvings, batch)
+            assert sum(sizes) - est.count <= span * (2**batch - 2)
 
     def test_unconverged_rule_raises(self, monkeypatch):
         monkeypatch.setattr(orthant, "STECK_HALVINGS", 1)
@@ -283,7 +294,8 @@ class TestSteckLattice:
         # near rho = 1 one call builds megabytes of lattice: 17.7 MB stayed
         # after (1e8, 0.999999) and 38.4 MB after (3, 0.999999999) when every
         # build was kept.  The cache stays within LATTICE_CACHE_BYTES, the
-        # grid's 9 levels stay cached, and no value changes
+        # grid's 8 levels stay cached (each call's first window reads two
+        # levels below its base grid's), and no value changes
         monkeypatch.setattr(orthant, "_STECK_LATTICE", {})
         grid = {}
         for n, rho in self.GRID:
@@ -293,7 +305,7 @@ class TestSteckLattice:
                 pass
         spans = {level: (start, start + cdf.size)
                  for level, (start, cdf, _) in orthant._STECK_LATTICE.items()}
-        assert len(spans) == 9
+        assert len(spans) == 8
         extreme = steck_quadrature(10**8, 0.999999)
         with pytest.raises(ArithmeticError, match="did not converge"):
             steck_quadrature(3, 0.999999999)
@@ -381,12 +393,15 @@ class TestDensityIntegral:
 
     @pytest.mark.parametrize("bad", [2.0, math.nan, math.inf])
     def test_out_of_range_raises(self, bad, monkeypatch):
-        # shift R in every table so that the rule's value at (10, 0.3) is bad
+        # shift R at every node so that the rule's value at (10, 0.3) is bad
         offset = math.log(bad / density_integral(10, 0.3).value)
-        table = orthant._density_table
-        monkeypatch.setattr(
-            orthant, "_density_table", lambda level: (*table(level)[:3], table(level)[3] + offset)
-        )
+        nodes = orthant._density_nodes
+
+        def shifted(level):
+            finest, (log_x, log_ratio, log_min, rest) = nodes(level)
+            return finest, (log_x, log_ratio, log_min, rest + offset)
+
+        monkeypatch.setattr(orthant, "_density_nodes", shifted)
         with pytest.raises(ArithmeticError, match=r"outside \[0, 1\].*n=10, rho=0.3"):
             density_integral(10, 0.3)
 
@@ -401,8 +416,9 @@ class TestDensityIntegral:
             density_integral(2, 0.999999)
 
     def test_count_is_nodes_evaluated(self, monkeypatch):
-        # each halving adds only the new level's nodes, so the exponentials
-        # the rule takes cover its final grid once
+        # each level takes its exponentials when its sum is due, with its
+        # running shift, so they cover the final grid once: the first window's
+        # levels past the stop cost their log terms alone
         exp, sizes = np.exp, []
 
         def counted_exp(x, *args, **kwargs):
@@ -424,7 +440,7 @@ class TestDensityIntegral:
 _FIRST_CALL_CHILD = """
 import json, sys, threading
 from simplex_orthant import orthant
-assert orthant._density_table.cache_info().currsize == 0
+assert orthant._DENSITY_TABLE == (-1, ())
 sys.setswitchinterval(1e-6)
 barrier = threading.Barrier(4, timeout=60)
 results = [None] * 4
