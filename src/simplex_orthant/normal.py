@@ -6,7 +6,8 @@ inverse of log Phi (`ndtri_exp`).  Each has an array form (`*_array`) on
 numpy, behind every public function below and the two tables `orthant`
 caches, the Steck lattice and the density rule's nodes; an element's value
 never depends on the rest of its array.  Scalar forms on `math` serve
-Steck's per-call Newton peak search alone: `log_ndtr` and what it calls.
+Steck's per-call peak alone: `pdf_cdf_ratio` (phi/Phi) for its Newton
+search, and `log_ndtr` and what it calls for the peak's value and span.
 
 * erfcx(t) is exp(t^2) erfc(t) below t = 10, with t^2 split exactly into two
   doubles (Dekker's product): exp(fl(t^2)) alone loses about t^2 ulp.  From
@@ -21,6 +22,8 @@ Steck's per-call Newton peak search alone: `log_ndtr` and what it calls.
   down to x = -10 sqrt 2; below, where erfc nears underflow, it is
   log(erfcx(-x/sqrt 2)/2) - x^2/2 with x^2 split as above.  No branch
   subtracts large terms.
+* phi/Phi(x) is exp(-x^2/2) / (sqrt(pi/2) erfc(-x/sqrt 2)) for x > 0, where
+  erfc's value lies in (1, 2), and 1/(sqrt(pi/2) erfcx(-x/sqrt 2)) below.
 * ndtri_exp(y) takes Newton steps on log Phi, from 0 where y > -2 and from
   the asymptote -sqrt(u - log(2 pi u)), u = -2y, below.  log Phi is concave,
   so after the first step they approach the root from below.  Above log(1/2)
@@ -109,6 +112,13 @@ def log_ndtr(x: float) -> float:
         return -t
     hi, lo = _square(x)
     return (math.log(0.5 * erfcx(t)) - 0.5 * lo) - 0.5 * hi
+
+
+def pdf_cdf_ratio(x: float) -> float:
+    """phi(x)/Phi(x) for a float x; above 0, exp(-x^2/2) carries fl(x^2)'s rounding."""
+    if x > 0.0:
+        return math.exp(-0.5 * x * x) / (_SQRT_HALF_PI * math.erfc(-x * _SQRT_HALF))
+    return 1.0 / (_SQRT_HALF_PI * erfcx(-x * _SQRT_HALF))
 
 
 def _split_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

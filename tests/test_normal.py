@@ -199,6 +199,7 @@ class TestAgainstMpmath:
 
     ERFCX_ULP = 4
     LOG_NDTR_ULP = 8
+    PDF_CDF_RATIO_ULP = 8
     NDTRI_EXP_ULP = 8
     # where q is near 0 its relative error is ill-conditioned; there the
     # bound is absolute
@@ -229,6 +230,17 @@ class TestAgainstMpmath:
             ref = mp.exp(mp.mpf(t) ** 2) * mp.erfc(mp.mpf(t))
             worst = max(worst, self.ulps(normal.erfcx(t), ref), self.ulps(from_array, ref))
         assert worst <= self.ERFCX_ULP
+
+    def test_pdf_cdf_ratio(self):
+        # above 0, exp(-x^2/2) takes fl(x^2)'s rounding, up to x^2/2 ulp more
+        mp.mp.dps = 40
+        rng = np.random.default_rng(10)
+        xs = np.concatenate([[-1e6, -70.0, -14.2, -14.1, -1e-300, 0.0, 1e-300, 14.1, 37.0],
+                             rng.uniform(-70.0, 37.0, 300), rng.uniform(-3.0, 3.0, 100)])
+        for x in xs.tolist():
+            ref = mp.npdf(x) / mp.ncdf(x)
+            bound = self.PDF_CDF_RATIO_ULP + (0.5 * x * x if x > 0.0 else 0.0)
+            assert self.ulps(normal.pdf_cdf_ratio(x), ref) <= bound, x
 
     def test_log_ndtr(self):
         mp.mp.dps = 40

@@ -14,6 +14,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -178,7 +179,7 @@ class TestSteckQuadrature:
             steck_quadrature(10**6, 0.01)
 
     def test_unconverged_peak_search_raises(self, monkeypatch):
-        monkeypatch.setattr(orthant, "log_ndtr", lambda x: math.nan)
+        monkeypatch.setattr(orthant, "pdf_cdf_ratio", lambda x: math.nan)
         with pytest.raises(ArithmeticError, match="peak search did not converge"):
             steck_quadrature(10, 0.5)
 
@@ -324,6 +325,54 @@ class TestSteckLattice:
             steck_quadrature(10, 0.5)
 
 
+class TestSteckPeak:
+    """The Newton search for the maximizer of L(z) = n log Phi(z sqrt(s)) - z^2/2."""
+
+    POINTS = [(2, 1e-9), (2, 0.5), (10, 0.9), (10**8, 0.99), (10**12, 1e-6),
+              (10**12, 1.0 - 1e-9)]
+
+    @staticmethod
+    def sqrt_s(rho):
+        return math.sqrt(rho / (1.0 - rho))  # as _steck_log_f takes it
+
+    @pytest.mark.parametrize("n, rho", POINTS)
+    def test_matches_mpmath_root(self, n, rho):
+        # L'' <= -1, so the root carries at most phi/Phi's few-ulp error:
+        # at most 8 ulp from the root of L' at 40 digits, for this double sqrt(s)
+        mp.mp.dps = 40
+        sqrt_s = mp.mpf(self.sqrt_s(rho))
+        z = orthant._steck_log_peak(n, float(sqrt_s))[0]
+        root = mp.findroot(
+            lambda t: n * sqrt_s * mp.npdf(t * sqrt_s) / mp.ncdf(t * sqrt_s) - t, mp.mpf(z))
+        assert abs(z - root) <= 8 * math.ulp(float(root))
+
+    def test_evaluations_per_call(self, monkeypatch):
+        # the start lies near the peak: at most 5 phi/Phi evaluations a call on
+        # the benchmark grid (10.9 on average, up to 25, from z = 0)
+        calls, ratio = [], orthant.pdf_cdf_ratio
+
+        def counted(x):
+            calls.append(x)
+            return ratio(x)
+
+        monkeypatch.setattr(orthant, "pdf_cdf_ratio", counted)
+        counts = []
+        for n, rho in TestSteckLattice.GRID:
+            calls.clear()
+            orthant._steck_log_peak(n, self.sqrt_s(rho))
+            counts.append(len(calls))
+        assert sum(counts) / len(counts) <= 5 and max(counts) <= 8
+
+    @pytest.mark.parametrize("offset", [-50.0, 50.0])
+    def test_converges_from_far_starts(self, offset, monkeypatch):
+        # L' is convex and decreasing, so Newton converges from any start
+        points = [(n, self.sqrt_s(rho)) for n, rho in TestSteckLattice.GRID + self.POINTS]
+        peaks = {point: orthant._steck_log_peak(*point)[0] for point in points}
+        monkeypatch.setattr(orthant, "_steck_start", lambda *point: peaks[point] + offset)
+        for point, z in peaks.items():
+            assert abs(orthant._steck_log_peak(*point)[0] - z) <= 4 * math.ulp(z), point
+
+
 def scaled_ratio_inverse(n, rho, f):
     """Identity helper: f recovered from its own scaled ratio."""
     return scaled_ratio(n, rho, f) * n ** (1.0 - 1.0 / rho)
@@ -404,6 +453,28 @@ class TestDensityIntegral:
         monkeypatch.setattr(orthant, "_density_nodes", shifted)
         with pytest.raises(ArithmeticError, match=r"outside \[0, 1\].*n=10, rho=0.3"):
             density_integral(10, 0.3)
+
+    def test_node_table_capped(self, monkeypatch):
+        # this call halves to level 12, whose nodes over |t| <= 16 take
+        # 8.39 MB; the table keeps the levels within the cap, and the call
+        # computes its finer nodes over its span alone
+        levels, nodes = [], orthant._density_nodes
+
+        def spied(level):
+            levels.append(level)
+            return nodes(level)
+
+        monkeypatch.setattr(orthant, "_DENSITY_TABLE", (-1, ()))
+        monkeypatch.setattr(orthant, "_density_nodes", spied)
+        value = orthant._density_log_f(445848393, 1.43e-5)
+        finest, rows = orthant._DENSITY_TABLE
+        assert max(levels) == 12 and finest < 12
+        assert sum(row.nbytes for row in rows) <= orthant.LATTICE_CACHE_BYTES
+        assert orthant._density_log_f(445848393, 1.43e-5) == value
+        monkeypatch.setattr(orthant, "_DENSITY_TABLE", (-1, ()))
+        for n, rho in TestSteckLattice.GRID[::7]:
+            orthant._density_log_f(n, rho)
+        assert orthant._density_log_f(445848393, 1.43e-5) == value
 
     def test_unconverged_rule_raises(self, monkeypatch):
         monkeypatch.setattr(orthant, "DENSITY_HALVINGS", 1)
