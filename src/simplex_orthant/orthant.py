@@ -227,27 +227,50 @@ def _steck_nodes(level: int, first: int, last: int):
     return log_cdf[window], half_square[window]
 
 
-def _halvings(window, fold, log_f, lo, hi, batch, limit, name, n, rho):
+def _halvings(window, shift, slack, log_f, lo, hi, batch, limit, name, n, rho):
     """(log f, final node count): halve the step until log f moves < 1e-13 relative.
 
-    window(h, i, j, stride): a rule's terms at nodes i, i + stride, ..., j
-    after h halvings of its base grid lo..hi, as one array.  The first
-    window is halving b = min(batch, limit) whole, the base grid its view
-    [::2^b] and halving h <= b its view [g::2g], g = 2^(b - h), which numpy sums
-    as their copies; it reads (hi - lo)(2^b - 2^h) nodes past a final grid at
-    h < b.  fold(total, terms) adds a level's shifted sum; log_f(total, h) reads it.
+    window(h, i, j, stride): a rule's log terms at nodes i, i + stride, ..., j
+    after h halvings of its base grid lo..hi, as one fresh array.  Each level
+    adds the sum of exp(term - shift) to a total, which log_f(shift, total, h)
+    reads.  A level whose largest term passes the shift by more than slack
+    first moves the shift up to that term; with slack None the shift bounds
+    every term, and no maximum is taken.
+
+    The first window is halving b = min(batch, limit) whole: the base grid is
+    its view [::2^b] and halving h <= b its view [g::2g], g = 2^(b - h), which
+    numpy sums as their copies.  When no term of it passes the shift by more
+    than slack, it is shifted and exponentiated once, (hi - lo)(2^b - 2^h)
+    nodes past a final grid at h < b among them; otherwise its levels go one
+    at a time, as the later halvings do.
     """
     batch = min(batch, limit)
     whole = window(batch, lo << batch, hi << batch, 1)
-    total = fold(0.0, whole[::2**batch])
-    value = log_f(total, 0)
-    for h in range(1, limit + 1):
-        gap = 2 ** (batch - h) if h <= batch else 0
-        total = fold(total, whole[gap::2 * gap] if gap else
-                     window(h, (lo << h) + 1, (hi << h) - 1, 2))
-        previous, value = value, log_f(total, h)
-        if abs(value - previous) < 1e-13 * max(1.0, abs(value)):
+    # if no term of the window passes the shift by more than slack, no level of it moves it
+    once = slack is None or float(np.maximum.reduce(whole)) - shift <= slack
+    if once:
+        whole -= shift
+        np.exp(whole, out=whole)
+    total = previous = 0.0
+    for h in range(limit + 1):
+        if h <= batch:
+            gap = 2 ** (batch - h)
+            terms = whole[gap::2 * gap] if h else whole[::gap]
+        else:
+            terms = window(h, (lo << h) + 1, (hi << h) - 1, 2)
+        if h > batch or not once:
+            if slack is not None:
+                top = float(np.maximum.reduce(terms))
+                if top - shift > slack:
+                    total *= math.exp(shift - top)
+                    shift = top
+            terms = np.subtract(terms, shift, out=terms if h > batch else None)
+            np.exp(terms, out=terms)
+        total += float(np.add.reduce(terms))
+        value = log_f(shift, total, h)
+        if h and abs(value - previous) < 1e-13 * max(1.0, abs(value)):
             return value, (hi - lo) * 2**h + 1
+        previous = value
     raise ArithmeticError(f"{name} trapezoid rule did not converge in {limit} halvings "
                           f"at (n={n}, rho={rho})")
 
@@ -292,15 +315,15 @@ def _steck_log_f(n: int, rho: float) -> tuple[float, int]:
     step = math.ldexp(1.0, -level) / sqrt_s  # in z
 
     def window(h, i, j, stride):
-        # the Newton peak is the shift: no term overflows, and no max search
         log_cdf, half_square = _steck_nodes(level + h, i, j)
         terms = n * log_cdf[::stride]
         terms -= inv_s * half_square[::stride]
-        terms -= peak
-        return np.exp(terms, out=terms)
+        return terms
 
-    return _halvings(window, lambda total, terms: total + np.add.reduce(terms),
-                     lambda total, h: peak + math.log(math.ldexp(step, -h) * total) - LOG_SQRT_2PI,
+    # the Newton peak is the shift: it bounds every term, so no max search
+    return _halvings(window, peak, None,
+                     lambda shift, total, h: shift + math.log(math.ldexp(step, -h) * total)
+                     - LOG_SQRT_2PI,
                      first, last, _STECK_BATCH, STECK_HALVINGS, "steck", n, rho)
 
 
@@ -320,15 +343,19 @@ def steck_quadrature(n: int, rho: float) -> OrthantEstimate:
 
 
 # (level, rows): the density rule's nodes at the finest level built, which
-# LATTICE_CACHE_BYTES caps at level 9 (1.05 MB)
-_DENSITY_TABLE: tuple[int, tuple] = (-1, ())
+# LATTICE_CACHE_BYTES caps at level 9 (1.31 MB)
+_DENSITY_TABLE: tuple[int, np.ndarray] = (-1, ())
+_DENSITY_ROWS = 5
+# a term may pass the density rule's shift by this much before the shift moves
+# to it: the 64 2^12 + 1 nodes of a finest grid then sum below exp(613)
+_DENSITY_SLACK = 600.0
 
 
-def _density_rows(t: np.ndarray) -> tuple:
-    """(log x, M, m, R) at the nodes t.
+def _density_rows(t: np.ndarray) -> np.ndarray:
+    """The rows (log x, M, m, R, q^2/2) at the nodes t, as one array.
 
-    With x = expit(pi sinh t) and u = min(x, 1-x): m = log u, M = log(phi(q)/u)
-    for q = Phi^{-1}(u), taken as log(sqrt(2/pi)/erfcx(-q/sqrt 2)) so that no
+    With x = expit(pi sinh t) and u = min(x, 1-x): m = log u, q = Phi^{-1}(u),
+    M = log(phi(q)/u), taken as log(sqrt(2/pi)/erfcx(-q/sqrt 2)) so that no
     large terms cancel, and R = log max(x, 1-x) + log(pi cosh t).  Each value
     depends on its own t alone.
     """
@@ -337,28 +364,30 @@ def _density_rows(t: np.ndarray) -> tuple:
     log_min = log_max - logit
     q = ndtri_exp_array(log_min)
     log_ratio = 0.5 * math.log(2.0 / math.pi) - np.log(erfcx_array(-q / math.sqrt(2.0)))
-    return (np.where(t < 0.0, log_min, log_max), log_ratio, log_min,
-            log_max + np.log(np.pi * np.cosh(t)))
+    return np.stack([np.where(t < 0.0, log_min, log_max), log_ratio, log_min,
+                     log_max + np.log(np.pi * np.cosh(t)), 0.5 * q * q])
 
 
-def _density_nodes(level: int) -> tuple[int, tuple]:
+def _density_nodes(level: int) -> tuple[int, np.ndarray]:
     """(finest, _density_rows) at t = j 0.5/2^finest - 16, j = 0, ..., 64 2^finest.
 
-    Level k is every 2^(finest - k)-th node.  finest >= level unless level's
+    Level k is every 2^(finest - k)-th column.  finest >= level unless level's
     rows would pass LATTICE_CACHE_BYTES; then finest is the finest level that
     fits.  Each level built adds its odd nodes, so no build order moves a value.
     """
     global _DENSITY_TABLE
     finest, rows = _DENSITY_TABLE
     for k in range(finest + 1, level + 1):
-        if 4 * 8 * (64 * 2**k + 1) > LATTICE_CACHE_BYTES:
+        if _DENSITY_ROWS * 8 * (64 * 2**k + 1) > LATTICE_CACHE_BYTES:
             return k - 1, rows
         added = _density_rows(np.arange(1 if k else 0, 64 * 2**k + 1, 2 if k else 1)
                               * (0.5 / 2**k) - 16.0)
-        rows = tuple(np.insert(old, np.arange(1, old.size), new)
-                     for old, new in zip(rows, added)) if k else added
-        for row in rows:
-            row.flags.writeable = False  # the cache hands these rows to every call
+        if k:
+            rows, old = np.empty((_DENSITY_ROWS, 64 * 2**k + 1)), rows
+            rows[:, ::2], rows[:, 1::2] = old, added
+        else:
+            rows = added
+        rows.flags.writeable = False  # the cache hands this array to every call
         if _DENSITY_TABLE[0] < k:  # unless a concurrent call went finer
             _DENSITY_TABLE = (k, rows)
     return max(finest, level), rows
@@ -369,17 +398,25 @@ def _density_log_f(n: int, rho: float) -> tuple[float, int]:
 
     The trapezoid rule in t after x = expit(pi sinh t), the double-exponential
     substitution of Takahasi & Mori (Publ. RIMS 9, 1974).  The log integrand
-    n log x + e M + m/s + R, e = 1/s - 1, is linear over _density_rows.  The
-    span ends 60 below the level-0 peak; _halvings halves the step from 0.5,
-    shifting each level by the running maximum.  A level finer than the node
-    table computes the call's nodes alone.  Kept apart from _steck_log_f, so
-    that the two routes check each other.
+    n log x + e M + m/s + R, e = 1/s - 1, is one contraction of a coefficient
+    vector with _density_rows.  Where e > 0 it is n log x + m + R - e q^2/2:
+    e log phi(q) + e log sqrt(2 pi) = -e q^2/2 leaves no terms of size e that
+    cancel.  The span ends 60 below the level-0 peak, which is the shift
+    until a node passes it by more than _DENSITY_SLACK; _halvings halves the
+    step from 0.5.  A level finer than the node table computes the call's
+    nodes alone.  Kept apart from _steck_log_f, so that the two routes check
+    each other.
     """
     s = rho / (1.0 - rho)
-    e, inv_s = 1.0 / s - 1.0, 1.0 / s
-    log_pref = e * LOG_SQRT_2PI - 0.5 * math.log(s)  # log of (sqrt(2 pi))^e / sqrt(s)
+    e = 1.0 / s - 1.0
+    if e > 0.0:
+        coefficients = np.array([n, 0.0, 1.0, 1.0, -e])
+        log_pref = -0.5 * math.log(s)
+    else:  # here m and -e q^2/2 would cancel as u -> 0, and e M + m/s does not
+        coefficients = np.array([n, e, 1.0 / s, 1.0, 0.0])
+        log_pref = e * LOG_SQRT_2PI - 0.5 * math.log(s)  # log of (sqrt(2 pi))^e / sqrt(s)
 
-    def log_integrand(level, i, j, stride):
+    def window(level, i, j, stride):
         finest, rows = _density_nodes(level)
         if finest < level:
             rows = _density_rows(np.arange(i, j + 1, stride) * (0.5 / 2**level) - 16.0)
@@ -387,11 +424,9 @@ def _density_log_f(n: int, rho: float) -> tuple[float, int]:
         else:
             scale = finest - level
             nodes = slice(i << scale, (j << scale) + 1, stride << scale)
-        log_x, log_ratio, log_min, rest = rows
-        return (n * log_x[nodes] + e * log_ratio[nodes]
-                + inv_s * log_min[nodes] + rest[nodes])
+        return np.einsum("i,ij->j", coefficients, rows[:, nodes])
 
-    values = log_integrand(0, 0, 64, 1)
+    values = window(0, 0, 64, 1)
     shift = float(values.max())
     if not math.isfinite(shift):
         return log_pref + shift, values.size  # density_integral raises on it
@@ -400,17 +435,9 @@ def _density_log_f(n: int, rho: float) -> tuple[float, int]:
     if lo < 0 or hi >= values.size:
         raise ArithmeticError(f"density integrand stays within 60 of its peak at "
                               f"|t| = 16 at (n={n}, rho={rho})")
-
-    def fold(total, values):
-        nonlocal shift
-        top = float(np.maximum.reduce(values))
-        if top > shift:
-            total *= math.exp(shift - top)
-            shift = top
-        return total + float(np.add.reduce(np.exp(values - shift)))
-
-    return _halvings(log_integrand, fold,
-                     lambda total, h: log_pref + shift + math.log(math.ldexp(0.5, -h) * total),
+    return _halvings(window, shift, _DENSITY_SLACK,
+                     lambda shift, total, h: log_pref + shift
+                     + math.log(math.ldexp(0.5, -h) * total),
                      lo, hi, _DENSITY_BATCH, DENSITY_HALVINGS, "density", n, rho)
 
 

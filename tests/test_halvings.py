@@ -18,6 +18,7 @@ from simplex_orthant.normal import erfcx_array, log_ndtr, log_ndtr_array, ndtri_
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 HALVINGS = 12
+SLACK = 600.0
 
 # the 120 (n, rho) points of the benchmark's orthant_grid workload
 GRID = [(n, rho) for n in (2, 3, 5, 10, 30, 100, 10**3, 10**4, 10**5, 10**6, 10**7, 10**8)
@@ -86,7 +87,7 @@ def reference_steck_log_f(n, rho):
 
 @functools.cache
 def density_table(level):
-    """(log x, M, m, R) at the nodes in [-16, 16] that level `level` adds."""
+    """(log x, M, m, R, q^2/2) at the nodes in [-16, 16] that level `level` adds."""
     first, stride = (1, 2) if level else (0, 1)
     t = np.arange(first, 64 * 2**level + 1, stride) * (0.5 / 2**level) - 16.0
     logit = np.pi * np.abs(np.sinh(t))
@@ -94,38 +95,56 @@ def density_table(level):
     log_min = log_max - logit
     q = ndtri_exp_array(log_min)
     log_ratio = 0.5 * math.log(2.0 / math.pi) - np.log(erfcx_array(-q / math.sqrt(2.0)))
-    return tuple(np.stack([np.where(t < 0.0, log_min, log_max), log_ratio, log_min,
-                           log_max + np.log(np.pi * np.cosh(t))]))
+    return (np.where(t < 0.0, log_min, log_max), log_ratio, log_min,
+            log_max + np.log(np.pi * np.cosh(t)), 0.5 * q * q)
 
 
-def reference_density_log_f(n, rho):
-    """The density rule one level at a time (each halving reads its odd nodes)."""
+def density_span(n, rho):
+    """(log integrand by level, log prefactor, level-0 maximum, lo, hi) of the density rule.
+
+    lo and hi are None where the maximum is not finite.
+    """
     s = rho / (1.0 - rho)
     e, inv_s = 1.0 / s - 1.0, 1.0 / s
-    log_pref = e * LOG_SQRT_2PI - 0.5 * math.log(s)
+    log_pref = -0.5 * math.log(s) if e > 0.0 else e * LOG_SQRT_2PI - 0.5 * math.log(s)
 
     def log_integrand(level, start, stop):
-        log_x, log_ratio, log_min, rest = density_table(level)
-        return (n * log_x[start:stop] + e * log_ratio[start:stop]
-                + inv_s * log_min[start:stop] + rest[start:stop])
+        # the terms in the order in which the contraction adds them
+        log_x, log_ratio, log_min, rest, half_q2 = (row[start:stop]
+                                                    for row in density_table(level))
+        if e > 0.0:
+            return n * log_x + log_min + rest - e * half_q2
+        return n * log_x + e * log_ratio + inv_s * log_min + rest
 
     values = log_integrand(0, 0, None)
     shift = float(values.max())
     if not math.isfinite(shift):
-        return log_pref + shift, values.size
+        return log_integrand, log_pref, shift, None, None
     inside = np.flatnonzero(values >= shift - 60.0)
     lo, hi = int(inside[0]) - 1, int(inside[-1]) + 1
     if lo < 0 or hi >= values.size:
         raise ArithmeticError(f"density integrand stays within 60 of its peak at "
                               f"|t| = 16 at (n={n}, rho={rho})")
+    return log_integrand, log_pref, shift, lo, hi
+
+
+def reference_density_log_f(n, rho):
+    """The density rule one level at a time (each halving reads its odd nodes).
+
+    The level-0 maximum is the shift until a level's largest term passes it
+    by more than SLACK; then that term is.
+    """
+    log_integrand, log_pref, shift, lo, hi = density_span(n, rho)
+    if lo is None:
+        return log_pref + shift, 65  # the level-0 nodes
     step, nodes = 0.5, hi - lo + 1
-    total = float(np.exp(values[lo:hi + 1] - shift).sum())
+    total = float(np.exp(log_integrand(0, lo, hi + 1) - shift).sum())
     log_f = log_pref + shift + math.log(step * total)
     for level in range(1, HALVINGS + 1):
         width = 2 ** (level - 1)
         values = log_integrand(level, width * lo, width * hi)
         top = float(values.max())
-        if top > shift:
+        if top - shift > SLACK:
             total *= math.exp(shift - top)
             shift = top
         total += float(np.exp(values - shift).sum())
@@ -135,6 +154,18 @@ def reference_density_log_f(n, rho):
             return log_f, nodes
     raise ArithmeticError(f"density trapezoid rule did not converge in "
                           f"{HALVINGS} halvings at (n={n}, rho={rho})")
+
+
+def passes_slack(n, rho):
+    """Whether a node of the density span, to level HALVINGS, passes the level-0 maximum by
+    more than SLACK: there the first window's levels go one at a time."""
+    try:
+        log_integrand, _, shift, lo, hi = density_span(n, rho)
+    except ArithmeticError:
+        return False
+    return lo is not None and any(
+        log_integrand(level, 2 ** (level - 1) * lo, 2 ** (level - 1) * hi).max() - shift > SLACK
+        for level in range(1, HALVINGS + 1))
 
 
 def outcome(rule, n, rho):
@@ -184,10 +215,15 @@ def test_same_bytes_at_any_batch_depth(name, batch, monkeypatch):
     # HALVINGS: every halving in the first window.  That window is 4096 times
     # the base grid, about 0.1 s a Steck call on the grid and hundreds of
     # megabytes near rho = 1, so it runs on every 7th grid point (all ten rho
-    # and all twelve n among them)
+    # and all twelve n among them).  The density rule's window also runs at
+    # the random points where a node passes its shift by more than SLACK,
+    # which no grid point does, so that its levels go one at a time
     depth = 0 if batch == "level_by_level" else HALVINGS
     monkeypatch.setattr(orthant, RULES[name][2], depth)
     # fresh caches, so that the deep windows' levels do not outlive the test
     monkeypatch.setattr(orthant, "_STECK_LATTICE", {})
     monkeypatch.setattr(orthant, "_DENSITY_TABLE", (-1, ()))
-    assert mismatches(name, POINTS if depth == 0 else GRID[::7]) == []
+    points = GRID[::7]
+    if name == "density":
+        points = points + [point for point in POINTS[len(GRID):] if passes_slack(*point)]
+    assert mismatches(name, POINTS if depth == 0 else points) == []

@@ -63,6 +63,16 @@ RHO_NEAR_ONE_1E8_REFERENCE = [
     (0.995, 0.3429127062131143018408957),
     (0.999, 0.4283548315168236257036589),
 ]
+# log f(n, rho) at small rho from mpmath, dps=40, rho = mpf(rho) (the binary
+# double): quad of npdf(z) ncdf(z sqrt(s))^n over the 80 unit intervals of
+# [-40, 40], past which the tails are below exp(-600) of f; dps=50 agrees to
+# 1.1e-39.  Quad over infinite intervals is 3e-12 off at (204, 1.2e-6).
+SMALL_RHO_LOG_REFERENCE = [
+    (3, 7.6e-5, -2.079296402904737990687873),
+    (6, 1.17e-6, -4.158871910720115263131939),
+    (204, 1.2e-6, -141.3862090620438686456217),
+    (10, 1e-4, -6.928608565839057330716137),
+]
 # log f(n, rho) for every cell of compute_steck.csv and bounds_grid.csv, by
 # the same recipe at dps=60, printed to 40 digits; dps=50 agrees to 5.2e-37
 # relative.  rho is the CLI's double, which the printed decimal round-trips.
@@ -379,6 +389,24 @@ def scaled_ratio_inverse(n, rho, f):
 
 
 class TestDensityIntegral:
+    @pytest.mark.parametrize("n, rho, reference", SMALL_RHO_LOG_REFERENCE)
+    def test_small_rho_matches_mpmath(self, n, rho, reference):
+        # e = 1/s - 1 is near 1/rho, and the integrand's terms of size e must
+        # not cancel node by node; the measure is Steck's golden one
+        log_f = math.log(density_integral(n, rho).value)
+        assert abs(log_f - reference) / max(1.0, abs(reference)) <= 1e-13
+
+    def test_golden_cells_match_mpmath(self):
+        with STECK_REFERENCE.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 64
+        worst = max(
+            abs(math.log(density_integral(int(r["n"]), float(r["rho"])).value)
+                - float(r["log_f"])) / max(1.0, abs(float(r["log_f"])))
+            for r in rows
+        )
+        assert worst <= 1e-15
+
     def test_closed_form_case(self):
         assert density_integral(2, 0.5).value == pytest.approx(1.0 / 3.0, rel=1e-10)
 
@@ -447,8 +475,10 @@ class TestDensityIntegral:
         nodes = orthant._density_nodes
 
         def shifted(level):
-            finest, (log_x, log_ratio, log_min, rest) = nodes(level)
-            return finest, (log_x, log_ratio, log_min, rest + offset)
+            finest, rows = nodes(level)
+            rows = rows.copy()
+            rows[3] += offset  # R
+            return finest, rows
 
         monkeypatch.setattr(orthant, "_density_nodes", shifted)
         with pytest.raises(ArithmeticError, match=r"outside \[0, 1\].*n=10, rho=0.3"):
@@ -487,23 +517,34 @@ class TestDensityIntegral:
             density_integral(2, 0.999999)
 
     def test_count_is_nodes_evaluated(self, monkeypatch):
-        # each level takes its exponentials when its sum is due, with its
-        # running shift, so they cover the final grid once: the first window's
-        # levels past the stop cost their log terms alone
+        # the first window takes the exponentials of the base grid and
+        # _DENSITY_BATCH halvings at once, each later read those of one
+        # halving's new nodes: together they cover the finest grid read exactly
+        # once, the final grid is span 2^h + 1 nodes, and the nodes past it
+        # number at most span (2^batch - 2).  (10^7, 0.05) halves past the batch
         exp, sizes = np.exp, []
 
         def counted_exp(x, *args, **kwargs):
             sizes.append(np.size(x))
             return exp(x, *args, **kwargs)
 
-        for n, rho in [(2, 0.3), (10**4, 0.99), (10**8, 0.5)]:
-            expected = density_integral(n, rho)
+        batch = min(orthant._DENSITY_BATCH, orthant.DENSITY_HALVINGS)
+        for n, rho in [(2, 0.3), (10**4, 0.99), (10**8, 0.5), (10**7, 0.05)]:
+            expected = density_integral(n, rho)  # builds the node table
             sizes.clear()
             monkeypatch.setattr(orthant.np, "exp", counted_exp)
             est = density_integral(n, rho)
             monkeypatch.undo()
-            assert est == expected and len(sizes) >= 3
-            assert est.count == sum(sizes)
+            assert est == expected
+            span, rest = divmod(sizes[0] - 1, 2**batch)
+            finest = batch + len(sizes) - 1
+            assert rest == 0 and sizes[1:] == [span * 2 ** (h - 1)
+                                               for h in range(batch + 1, finest + 1)]
+            assert sum(sizes) == span * 2**finest + 1
+            halvings = round(math.log2((est.count - 1) / span))
+            assert est.count == span * 2**halvings + 1 and halvings >= 2
+            assert finest == max(halvings, batch)
+            assert sum(sizes) - est.count <= span * (2**batch - 2)
 
 
 # four threads make a fresh process's first density_integral call at once, so
