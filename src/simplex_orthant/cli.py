@@ -46,9 +46,11 @@ def _float_grid(text: str):
             raise argparse.ArgumentTypeError(
                 f"range {text!r} needs at most {MAX_GRID_POINTS} points"
             )
+        # the endpoint slack and the rounding follow the step's scale, so a
+        # step of 1e-13 keeps its points apart and stop + step/2 stays out
         count = int(round(quotient)) + 1
-        vals = [start + i * step for i in range(count) if start + i * step <= stop + 1e-12]
-        return [round(v, 12) for v in vals]
+        vals = [start + i * step for i in range(count) if start + i * step <= stop + 1e-9 * step]
+        return [round(v, 12 - math.floor(math.log10(step))) for v in vals]
     return [float(p) for p in text.split(",")]
 
 

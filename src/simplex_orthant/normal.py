@@ -3,9 +3,9 @@
 The quadrature rests on three functions: log Phi (`log_ndtr`), the scaled
 complementary error function erfcx(t) = exp(t^2) erfc(t) (`erfcx`), and the
 inverse of log Phi (`ndtri_exp`).  Each has an array form (`*_array`) on
-numpy, behind every public function below and the two tables `orthant`
-caches, the Steck lattice and the density rule's nodes; an element's value
-never depends on the rest of its array.  Scalar forms on `math` serve
+numpy, behind every public function below and the lattice `orthant`
+caches for Steck's rule and the density rule; an element's value never
+depends on the rest of its array.  Scalar forms on `math` serve
 Steck's per-call peak alone: `pdf_cdf_ratio` (phi/Phi) for its Newton
 search, and `log_ndtr` and what it calls for the peak's value and span.
 

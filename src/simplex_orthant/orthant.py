@@ -10,7 +10,7 @@ Four routes to f(n, rho) = P(X_1 > 0, ..., X_n > 0):
 * the density-transform integral
   f(n, rho) = (sqrt(2 pi))^(1/s - 1) / sqrt(s) *
               int_0^1 x^n [phi(Phi^{-1}(x))]^(1/s - 1) dx,
-  evaluated in the log domain by a tanh-sinh trapezoid rule on tabulated nodes;
+  evaluated in the log domain by a tanh-sinh trapezoid rule on a lattice in t;
 * Monte Carlo over common-factor draws.
 
 Plus the four two-sided rate bounds with fully explicit proof-level
@@ -191,40 +191,45 @@ def _steck_log_peak(n: int, sqrt_s: float):
     return z, 1.0 / math.sqrt(-h)
 
 
-# level -> (first index, log Phi(x_j), x_j^2 / 2) at x_j = j 2^-level: the
-# Steck lattice, built by _steck_nodes over whole blocks of LATTICE_BLOCK
-# indices; the 120 points of the benchmark grid keep 0.23 MB of it
-_STECK_LATTICE: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+# (rows, level) -> (first index, rows(x_j)) at x_j = j 2^-level: the lattice
+# both trapezoid rules read, built by _lattice over whole blocks of
+# LATTICE_BLOCK indices; the 120 points of the benchmark grid keep 0.34 MB of it
+_LATTICE: dict[tuple, tuple[int, np.ndarray]] = {}
 LATTICE_BLOCK = 64
-LATTICE_CACHE_BYTES = 2**21  # the cap of this cache and of _DENSITY_TABLE
+LATTICE_CACHE_BYTES = 2**21  # the cap of the whole lattice, both rules together
 
 
-def _steck_nodes(level: int, first: int, last: int):
-    """log Phi(x_j) and x_j^2 / 2 at x_j = j 2^-level, j = first, ..., last.
+def _lattice(rows, width: int, level: int, first: int, last: int) -> np.ndarray:
+    """rows(x_j), the `width` rows a rule reads, at x_j = j 2^-level, j = first, ..., last.
 
-    Read-only views into the lattice cache.  A level missing part of the
+    A read-only view into the lattice cache.  A level missing part of the
     range is rebuilt over the blocks that cover it and what it held before,
-    and kept if the cache then holds at most LATTICE_CACHE_BYTES.  Each
+    and kept if the whole cache then holds at most LATTICE_CACHE_BYTES.  Each
     value is a function of j and the level alone, so which calls built the
     cache changes no value.
     """
-    start, log_cdf, half_square = _STECK_LATTICE.get(level, (first, None, None))
-    if log_cdf is None or first < start or last >= start + log_cdf.size:
+    key = (rows, level)
+    start, held = _LATTICE.get(key, (first, None))
+    if held is None or first < start or last >= start + held.shape[1]:
         lo, hi = first, last + 1
-        if log_cdf is not None:
-            lo, hi = min(lo, start), max(hi, start + log_cdf.size)
+        if held is not None:
+            lo, hi = min(lo, start), max(hi, start + held.shape[1])
         lo, hi = lo // LATTICE_BLOCK * LATTICE_BLOCK, -(-hi // LATTICE_BLOCK) * LATTICE_BLOCK
-        held = sum(cdf.nbytes + square.nbytes for key, (_, cdf, square)
-                   in _STECK_LATTICE.items() if key != level)
-        need = held + 16 * (hi - lo)
-        check_bytes(need, f"steck lattice at level {level} over indices {lo}..{hi - 1}")
-        x = np.arange(lo, hi) * math.ldexp(1.0, -level)
-        start, log_cdf, half_square = lo, log_ndtr_array(x), 0.5 * x * x
-        log_cdf.flags.writeable = half_square.flags.writeable = False
+        # a snapshot of the entries, as another thread's build may add one meanwhile
+        need = 8 * width * (hi - lo) + sum(
+            table.nbytes for other, (_, table) in tuple(_LATTICE.items()) if other != key)
+        check_bytes(need, f"{rows.__name__.strip('_').removesuffix('_rows')} lattice at "
+                          f"level {level} over indices {lo}..{hi - 1}")
+        start, held = lo, rows(np.arange(lo, hi) * math.ldexp(1.0, -level))
+        held.flags.writeable = False
         if need <= LATTICE_CACHE_BYTES:
-            _STECK_LATTICE[level] = (start, log_cdf, half_square)
-    window = slice(first - start, last - start + 1)
-    return log_cdf[window], half_square[window]
+            _LATTICE[key] = (start, held)
+    return held[:, first - start:last - start + 1]
+
+
+def _steck_rows(x: np.ndarray) -> np.ndarray:
+    """The rows (log Phi(x), x^2/2) at the points x, as one array."""
+    return np.stack([log_ndtr_array(x), 0.5 * x * x])
 
 
 def _halvings(window, shift, slack, log_f, lo, hi, batch, limit, name, n, rho):
@@ -283,7 +288,7 @@ def _steck_log_f(n: int, rho: float) -> tuple[float, int]:
     analytic, so the rule converges geometrically in its step (Trefethen &
     Weideman, SIAM Review 56(3), 2014).  The nodes are the points
     x_j = j 2^-level of a lattice in x = z sqrt(s), so their log Phi and x^2/2
-    come from a cache (_steck_nodes), and the integrand at them is
+    come from the lattice cache (_lattice), and the integrand at them is
     n log Phi(x_j) - x_j^2/(2s).  _halvings halves the first level, the
     coarsest whose step is at most the peak's sigma.
     """
@@ -315,9 +320,9 @@ def _steck_log_f(n: int, rho: float) -> tuple[float, int]:
     step = math.ldexp(1.0, -level) / sqrt_s  # in z
 
     def window(h, i, j, stride):
-        log_cdf, half_square = _steck_nodes(level + h, i, j)
-        terms = n * log_cdf[::stride]
-        terms -= inv_s * half_square[::stride]
+        rows = _lattice(_steck_rows, 2, level + h, i, j)  # log Phi(x_j), x_j^2 / 2
+        terms = n * rows[0, ::stride]
+        terms -= inv_s * rows[1, ::stride]
         return terms
 
     # the Newton peak is the shift: it bounds every term, so no max search
@@ -342,10 +347,6 @@ def steck_quadrature(n: int, rho: float) -> OrthantEstimate:
     return OrthantEstimate(value=value, std_error=0.0, method="steck_quadrature", count=nodes)
 
 
-# (level, rows): the density rule's nodes at the finest level built, which
-# LATTICE_CACHE_BYTES caps at level 9 (1.31 MB)
-_DENSITY_TABLE: tuple[int, np.ndarray] = (-1, ())
-_DENSITY_ROWS = 5
 # a term may pass the density rule's shift by this much before the shift moves
 # to it: the 64 2^12 + 1 nodes of a finest grid then sum below exp(613)
 _DENSITY_SLACK = 600.0
@@ -368,31 +369,6 @@ def _density_rows(t: np.ndarray) -> np.ndarray:
                      log_max + np.log(np.pi * np.cosh(t)), 0.5 * q * q])
 
 
-def _density_nodes(level: int) -> tuple[int, np.ndarray]:
-    """(finest, _density_rows) at t = j 0.5/2^finest - 16, j = 0, ..., 64 2^finest.
-
-    Level k is every 2^(finest - k)-th column.  finest >= level unless level's
-    rows would pass LATTICE_CACHE_BYTES; then finest is the finest level that
-    fits.  Each level built adds its odd nodes, so no build order moves a value.
-    """
-    global _DENSITY_TABLE
-    finest, rows = _DENSITY_TABLE
-    for k in range(finest + 1, level + 1):
-        if _DENSITY_ROWS * 8 * (64 * 2**k + 1) > LATTICE_CACHE_BYTES:
-            return k - 1, rows
-        added = _density_rows(np.arange(1 if k else 0, 64 * 2**k + 1, 2 if k else 1)
-                              * (0.5 / 2**k) - 16.0)
-        if k:
-            rows, old = np.empty((_DENSITY_ROWS, 64 * 2**k + 1)), rows
-            rows[:, ::2], rows[:, 1::2] = old, added
-        else:
-            rows = added
-        rows.flags.writeable = False  # the cache hands this array to every call
-        if _DENSITY_TABLE[0] < k:  # unless a concurrent call went finer
-            _DENSITY_TABLE = (k, rows)
-    return max(finest, level), rows
-
-
 def _density_log_f(n: int, rho: float) -> tuple[float, int]:
     """log f(n, rho) by the density-transform identity, and the final node count.
 
@@ -403,9 +379,9 @@ def _density_log_f(n: int, rho: float) -> tuple[float, int]:
     e log phi(q) + e log sqrt(2 pi) = -e q^2/2 leaves no terms of size e that
     cancel.  The span ends 60 below the level-0 peak, which is the shift
     until a node passes it by more than _DENSITY_SLACK; _halvings halves the
-    step from 0.5.  A level finer than the node table computes the call's
-    nodes alone.  Kept apart from _steck_log_f, so that the two routes check
-    each other.
+    step from 0.5.  Halving h reads its nodes t_j = j 2^-(h + 1), j = -32 2^h,
+    ..., 32 2^h, from the lattice cache (_lattice).  Kept apart from
+    _steck_log_f, so that the two routes check each other.
     """
     s = rho / (1.0 - rho)
     e = 1.0 / s - 1.0
@@ -416,23 +392,17 @@ def _density_log_f(n: int, rho: float) -> tuple[float, int]:
         coefficients = np.array([n, e, 1.0 / s, 1.0, 0.0])
         log_pref = e * LOG_SQRT_2PI - 0.5 * math.log(s)  # log of (sqrt(2 pi))^e / sqrt(s)
 
-    def window(level, i, j, stride):
-        finest, rows = _density_nodes(level)
-        if finest < level:
-            rows = _density_rows(np.arange(i, j + 1, stride) * (0.5 / 2**level) - 16.0)
-            nodes = slice(None)
-        else:
-            scale = finest - level
-            nodes = slice(i << scale, (j << scale) + 1, stride << scale)
-        return np.einsum("i,ij->j", coefficients, rows[:, nodes])
+    def window(h, i, j, stride):
+        rows = _lattice(_density_rows, 5, h + 1, i, j)
+        return np.einsum("i,ij->j", coefficients, rows[:, ::stride])
 
-    values = window(0, 0, 64, 1)
+    values = window(0, -32, 32, 1)
     shift = float(values.max())
     if not math.isfinite(shift):
         return log_pref + shift, values.size  # density_integral raises on it
-    inside = np.flatnonzero(values >= shift - 60.0)
+    inside = np.flatnonzero(values >= shift - 60.0) - 32
     lo, hi = int(inside[0]) - 1, int(inside[-1]) + 1
-    if lo < 0 or hi >= values.size:
+    if lo < -32 or hi > 32:
         raise ArithmeticError(f"density integrand stays within 60 of its peak at "
                               f"|t| = 16 at (n={n}, rho={rho})")
     return _halvings(window, shift, _DENSITY_SLACK,

@@ -108,6 +108,15 @@ class TestGridParsing:
         ]
         assert cli._float_grid("0.3:0.3:0.1") == [0.3]
 
+    def test_ranges_at_the_steps_scale(self):
+        # rounding to 12 decimals made these points 0.0, and an endpoint slack
+        # of 1e-12 took 3e-13 into the last range
+        assert cli._float_grid("1e-13:3e-13:1e-13") == [1e-13, 2e-13, 3e-13]
+        assert cli._float_grid("1e-13:2.5e-13:1e-13") == [1e-13, 2e-13]
+        assert cli._float_grid("1e-13:2.9e-13:1e-13") == [1e-13, 2e-13]
+        assert cli._float_grid("0.123456789012345:0.123456789012346:1e-15") == [
+            0.123456789012345, 0.123456789012346]
+
     @pytest.mark.parametrize(
         "argv, value",
         [(["compute", "--n", "2.7", "--rho", "0.5", "--method", "closed"], "2.7"),
@@ -367,22 +376,26 @@ class TestSteckLattice:
 
     GROWTH = [(2, 0.999), (10**8, 0.9999), (5, 1e-9)]
 
+    @staticmethod
+    def steck_spans():
+        return {level: (start, table.shape[1])
+                for (rows, level), (start, table) in orthant._LATTICE.items()
+                if rows is orthant._steck_rows}
+
     def test_output_independent_of_growth(self, capsys, monkeypatch):
-        monkeypatch.setattr(orthant, "_STECK_LATTICE", {})
+        monkeypatch.setattr(orthant, "_LATTICE", {})
         runs = [(GOLDEN_ARGS[name], (DATA / name).read_bytes())
                 for name in ("compute_steck.csv", "bounds_grid.csv")]
         for args, golden in runs:
             assert fresh_process(["-m", "simplex_orthant.cli", *args]).stdout == golden
             assert run_cli(args, capsys)[1].encode() == golden
-        before = {level: (start, cdf.size)
-                  for level, (start, cdf, _) in orthant._STECK_LATTICE.items()}
+        before = self.steck_spans()
         for n, rho in self.GROWTH:
             try:
                 orthant.steck_quadrature(n, rho)
             except ArithmeticError:
                 pass
-        after = {level: (start, cdf.size)
-                 for level, (start, cdf, _) in orthant._STECK_LATTICE.items()}
+        after = self.steck_spans()
         assert set(after) > set(before)
         assert any(after[level] != before[level] for level in before)
         for args, golden in runs:

@@ -220,9 +220,8 @@ def test_same_bytes_at_any_batch_depth(name, batch, monkeypatch):
     # which no grid point does, so that its levels go one at a time
     depth = 0 if batch == "level_by_level" else HALVINGS
     monkeypatch.setattr(orthant, RULES[name][2], depth)
-    # fresh caches, so that the deep windows' levels do not outlive the test
-    monkeypatch.setattr(orthant, "_STECK_LATTICE", {})
-    monkeypatch.setattr(orthant, "_DENSITY_TABLE", (-1, ()))
+    # a fresh lattice, so that the deep windows' levels do not outlive the test
+    monkeypatch.setattr(orthant, "_LATTICE", {})
     points = GRID[::7]
     if name == "density":
         points = points + [point for point in POINTS[len(GRID):] if passes_slack(*point)]

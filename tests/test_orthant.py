@@ -214,6 +214,8 @@ class TestSteckQuadrature:
         # (5, 0.3) left the list: the lattice's first step lies between sigma/2
         # and sigma, and there one halving meets the 1e-13 stop
         for n, rho in [(1000, 0.99), (10**4, 0.99), (10**8, 0.4), (5, 0.4)]:
+            # a fresh lattice, which the call's levels fit, so the second reads them
+            monkeypatch.setattr(orthant, "_LATTICE", {})
             expected = steck_quadrature(n, rho)  # builds the lattice levels
             peaks.clear()
             sizes.clear()
@@ -276,27 +278,33 @@ class TestSteckLattice:
 
     @staticmethod
     def lattice_bytes():
-        return sum(cdf.nbytes + square.nbytes
-                   for _, cdf, square in orthant._STECK_LATTICE.values())
+        return sum(table.nbytes for _, table in orthant._LATTICE.values())
+
+    @staticmethod
+    def steck_spans():
+        return {level: (start, start + table.shape[1])
+                for (rows, level), (start, table) in orthant._LATTICE.items()
+                if rows is orthant._steck_rows}
 
     def test_grid_lattice_fits_a_mebibyte(self, monkeypatch):
-        monkeypatch.setattr(orthant, "_STECK_LATTICE", {})
-        for n, rho in self.GRID:
-            try:
-                steck_quadrature(n, rho)
-            except ArithmeticError:
-                pass
-        assert 0 < self.lattice_bytes() <= 2**20
+        monkeypatch.setattr(orthant, "_LATTICE", {})
+        for route in (steck_quadrature, density_integral):
+            for n, rho in self.GRID:
+                try:
+                    route(n, rho)
+                except ArithmeticError:
+                    pass
+            # Steck's levels, then both rules' together
+            assert 0 < self.lattice_bytes() <= 2**20
 
     def test_values_independent_of_build_order(self, monkeypatch):
-        monkeypatch.setattr(orthant, "_STECK_LATTICE", {})
-        orthant._steck_nodes(3, 5, 9)
-        orthant._steck_nodes(3, -700, -650)
-        grown = orthant._steck_nodes(3, -700, 900)
-        monkeypatch.setattr(orthant, "_STECK_LATTICE", {})
-        direct = orthant._steck_nodes(3, -700, 900)
-        for a, b in zip(grown, direct):
-            assert np.array_equal(a, b)
+        monkeypatch.setattr(orthant, "_LATTICE", {})
+        orthant._lattice(orthant._steck_rows, 2, 3, 5, 9)
+        orthant._lattice(orthant._steck_rows, 2, 3, -700, -650)
+        grown = orthant._lattice(orthant._steck_rows, 2, 3, -700, 900)
+        monkeypatch.setattr(orthant, "_LATTICE", {})
+        direct = orthant._lattice(orthant._steck_rows, 2, 3, -700, 900)
+        assert np.array_equal(grown, direct)
         x = np.arange(-700, 901) / 8.0
         assert np.array_equal(direct[0], normal.log_ndtr_array(x))
         assert np.array_equal(direct[1], 0.5 * x * x)
@@ -307,32 +315,46 @@ class TestSteckLattice:
         # build was kept.  The cache stays within LATTICE_CACHE_BYTES, the
         # grid's 8 levels stay cached (each call's first window reads two
         # levels below its base grid's), and no value changes
-        monkeypatch.setattr(orthant, "_STECK_LATTICE", {})
+        monkeypatch.setattr(orthant, "_LATTICE", {})
         grid = {}
         for n, rho in self.GRID:
             try:
                 grid[n, rho] = steck_quadrature(n, rho)
             except ArithmeticError:
                 pass
-        spans = {level: (start, start + cdf.size)
-                 for level, (start, cdf, _) in orthant._STECK_LATTICE.items()}
+        spans = self.steck_spans()
         assert len(spans) == 8
         extreme = steck_quadrature(10**8, 0.999999)
         with pytest.raises(ArithmeticError, match="did not converge"):
             steck_quadrature(3, 0.999999999)
         assert self.lattice_bytes() <= orthant.LATTICE_CACHE_BYTES
+        held = self.steck_spans()
         for level, (start, end) in spans.items():
-            held, cdf, _ = orthant._STECK_LATTICE[level]
-            assert held <= start and end <= held + cdf.size
+            assert held[level][0] <= start and end <= held[level][1]
         assert all(steck_quadrature(n, rho) == value for (n, rho), value in grid.items())
-        monkeypatch.setattr(orthant, "_STECK_LATTICE", {})
+        monkeypatch.setattr(orthant, "_LATTICE", {})
         assert steck_quadrature(10**8, 0.999999) == extreme
 
     def test_build_past_budget_raises(self, monkeypatch):
-        monkeypatch.setattr(orthant, "_STECK_LATTICE", {})
+        monkeypatch.setattr(orthant, "_LATTICE", {})
         monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", 1000)
         with pytest.raises(ResourceBudgetError, match=r"steck lattice at level \d+"):
             steck_quadrature(10, 0.5)
+        with pytest.raises(ResourceBudgetError, match=r"density lattice at level 1 over"):
+            density_integral(10, 0.5)
+
+    def test_growing_cache_during_size_sum(self, monkeypatch):
+        # another thread's build may add an entry while a build sums the
+        # cache's bytes: here an entry's nbytes adds one
+        class Growing:
+            @property
+            def nbytes(self):
+                orthant._LATTICE["added", 0] = (0, np.empty((1, 0)))
+                return 0
+
+        expected = steck_quadrature(10, 0.5)
+        monkeypatch.setattr(orthant, "_LATTICE", {("growing", 0): (0, Growing())})
+        assert steck_quadrature(10, 0.5) == expected
 
 
 class TestSteckPeak:
@@ -472,39 +494,41 @@ class TestDensityIntegral:
     def test_out_of_range_raises(self, bad, monkeypatch):
         # shift R at every node so that the rule's value at (10, 0.3) is bad
         offset = math.log(bad / density_integral(10, 0.3).value)
-        nodes = orthant._density_nodes
+        density_rows = orthant._density_rows
 
-        def shifted(level):
-            finest, rows = nodes(level)
-            rows = rows.copy()
+        def shifted(t):
+            rows = density_rows(t)
             rows[3] += offset  # R
-            return finest, rows
+            return rows
 
-        monkeypatch.setattr(orthant, "_density_nodes", shifted)
+        monkeypatch.setattr(orthant, "_LATTICE", {})
+        monkeypatch.setattr(orthant, "_density_rows", shifted)
         with pytest.raises(ArithmeticError, match=r"outside \[0, 1\].*n=10, rho=0.3"):
             density_integral(10, 0.3)
 
     def test_node_table_capped(self, monkeypatch):
-        # this call halves to level 12, whose nodes over |t| <= 16 take
-        # 8.39 MB; the table keeps the levels within the cap, and the call
-        # computes its finer nodes over its span alone
-        levels, nodes = [], orthant._density_nodes
+        # this call halves 12 times, to lattice level 13, whose nodes over
+        # |t| <= 16 would take 8.39 MB; the lattice holds the spans the call
+        # reads, within the cap.  Under a smaller cap the levels past it are
+        # rebuilt on each call, with the same values
+        levels, lattice = [], orthant._lattice
 
-        def spied(level):
+        def spied(rows, width, level, first, last):
             levels.append(level)
-            return nodes(level)
+            return lattice(rows, width, level, first, last)
 
-        monkeypatch.setattr(orthant, "_DENSITY_TABLE", (-1, ()))
-        monkeypatch.setattr(orthant, "_density_nodes", spied)
+        monkeypatch.setattr(orthant, "_LATTICE", {})
+        monkeypatch.setattr(orthant, "_lattice", spied)
         value = orthant._density_log_f(445848393, 1.43e-5)
-        finest, rows = orthant._DENSITY_TABLE
-        assert max(levels) == 12 and finest < 12
-        assert sum(row.nbytes for row in rows) <= orthant.LATTICE_CACHE_BYTES
+        assert max(levels) == 13
+        assert TestSteckLattice.lattice_bytes() <= orthant.LATTICE_CACHE_BYTES
         assert orthant._density_log_f(445848393, 1.43e-5) == value
-        monkeypatch.setattr(orthant, "_DENSITY_TABLE", (-1, ()))
+        monkeypatch.setattr(orthant, "_LATTICE", {})
+        monkeypatch.setattr(orthant, "LATTICE_CACHE_BYTES", 10**5)
         for n, rho in TestSteckLattice.GRID[::7]:
             orthant._density_log_f(n, rho)
         assert orthant._density_log_f(445848393, 1.43e-5) == value
+        assert TestSteckLattice.lattice_bytes() <= 10**5
 
     def test_unconverged_rule_raises(self, monkeypatch):
         monkeypatch.setattr(orthant, "DENSITY_HALVINGS", 1)
@@ -530,7 +554,9 @@ class TestDensityIntegral:
 
         batch = min(orthant._DENSITY_BATCH, orthant.DENSITY_HALVINGS)
         for n, rho in [(2, 0.3), (10**4, 0.99), (10**8, 0.5), (10**7, 0.05)]:
-            expected = density_integral(n, rho)  # builds the node table
+            # a fresh lattice, which the call's levels fit, so the second reads them
+            monkeypatch.setattr(orthant, "_LATTICE", {})
+            expected = density_integral(n, rho)  # builds the lattice levels
             sizes.clear()
             monkeypatch.setattr(orthant.np, "exp", counted_exp)
             est = density_integral(n, rho)
@@ -547,12 +573,13 @@ class TestDensityIntegral:
             assert sum(sizes) - est.count <= span * (2**batch - 2)
 
 
-# four threads make a fresh process's first density_integral call at once, so
-# all of them build the node tables; prints each thread's value or error
+# four threads make a fresh process's first density_integral and
+# steck_quadrature calls at once, so all of them build lattice levels while
+# the others do; prints each thread's values or error
 _FIRST_CALL_CHILD = """
 import json, sys, threading
 from simplex_orthant import orthant
-assert orthant._DENSITY_TABLE == (-1, ())
+assert orthant._LATTICE == {}
 sys.setswitchinterval(1e-6)
 barrier = threading.Barrier(4, timeout=60)
 results = [None] * 4
@@ -560,7 +587,8 @@ results = [None] * 4
 def first_call(i):
     barrier.wait()
     try:
-        results[i] = repr(orthant.density_integral(50, 0.3).value)
+        results[i] = [repr(orthant.density_integral(50, 0.3).value),
+                      repr(orthant.steck_quadrature(50, 0.3).value)]
     except Exception as exc:
         results[i] = repr(exc)
 
@@ -575,11 +603,11 @@ print(json.dumps(results))
 
 
 class TestDensityTables:
-    """Each node table is built by the first density call that needs its level."""
+    """Each lattice level is built by the first call that reads it."""
 
     def test_concurrent_first_calls_get_serial_value(self):
         env = dict(os.environ, PYTHONPATH=str(Path(orthant.__file__).parents[1]))
-        serial = repr(density_integral(50, 0.3).value)
+        serial = [repr(density_integral(50, 0.3).value), repr(steck_quadrature(50, 0.3).value)]
         for _ in range(3):
             out = subprocess.run(
                 [sys.executable, "-c", _FIRST_CALL_CHILD],
