@@ -40,12 +40,10 @@ from .normal import erfcx_array, log_ndtr, log_ndtr_array, ndtri_exp_array, pdf_
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# Steck's trapezoid step halves at most this often from its first lattice
-# level, whose step lies between sigma/2 and sigma.  Near rho = 1 the
-# integrand's left flank narrows like 1/sqrt(s); 12 halvings resolve it up
-# to rho = 0.99999 for 59 n from 2 to 1e8.
-STECK_HALVINGS = 12
-DENSITY_HALVINGS = 12  # the density rule halves its step from 0.5 down to 0.5/4096
+# Both trapezoid rules halve their step at most this often: the density rule's
+# from 0.5 down to 0.5/4096, Steck's from between sigma/2 and sigma, which resolves
+# its left flank, narrowing like 1/sqrt(s), up to rho = 0.99999 for 59 n from 2 to 1e8.
+HALVINGS = 12
 # the halving each rule's first window reads to (_halvings), set from where
 # the rules stop on the benchmark grid (README); no value depends on them
 _STECK_BATCH = 2
@@ -232,7 +230,7 @@ def _steck_rows(x: np.ndarray) -> np.ndarray:
     return np.stack([log_ndtr_array(x), 0.5 * x * x])
 
 
-def _halvings(window, shift, slack, log_f, lo, hi, batch, limit, name, n, rho):
+def _halvings(window, shift, slack, log_f, lo, hi, batch, name, n, rho):
     """(log f, final node count): halve the step until log f moves < 1e-13 relative.
 
     window(h, i, j, stride): a rule's log terms at nodes i, i + stride, ..., j
@@ -242,14 +240,14 @@ def _halvings(window, shift, slack, log_f, lo, hi, batch, limit, name, n, rho):
     first moves the shift up to that term; with slack None the shift bounds
     every term, and no maximum is taken.
 
-    The first window is halving b = min(batch, limit) whole: the base grid is
+    The first window is halving b = min(batch, HALVINGS) whole: the base grid is
     its view [::2^b] and halving h <= b its view [g::2g], g = 2^(b - h), which
     numpy sums as their copies.  When no term of it passes the shift by more
     than slack, it is shifted and exponentiated once, (hi - lo)(2^b - 2^h)
     nodes past a final grid at h < b among them; otherwise its levels go one
     at a time, as the later halvings do.
     """
-    batch = min(batch, limit)
+    batch = min(batch, HALVINGS)
     whole = window(batch, lo << batch, hi << batch, 1)
     # if no term of the window passes the shift by more than slack, no level of it moves it
     once = slack is None or float(np.maximum.reduce(whole)) - shift <= slack
@@ -257,7 +255,7 @@ def _halvings(window, shift, slack, log_f, lo, hi, batch, limit, name, n, rho):
         whole -= shift
         np.exp(whole, out=whole)
     total = previous = 0.0
-    for h in range(limit + 1):
+    for h in range(HALVINGS + 1):
         if h <= batch:
             gap = 2 ** (batch - h)
             terms = whole[gap::2 * gap] if h else whole[::gap]
@@ -276,7 +274,7 @@ def _halvings(window, shift, slack, log_f, lo, hi, batch, limit, name, n, rho):
         if h and abs(value - previous) < 1e-13 * max(1.0, abs(value)):
             return value, (hi - lo) * 2**h + 1
         previous = value
-    raise ArithmeticError(f"{name} trapezoid rule did not converge in {limit} halvings "
+    raise ArithmeticError(f"{name} trapezoid rule did not converge in {HALVINGS} halvings "
                           f"at (n={n}, rho={rho})")
 
 
@@ -329,22 +327,30 @@ def _steck_log_f(n: int, rho: float) -> tuple[float, int]:
     return _halvings(window, peak, None,
                      lambda shift, total, h: shift + math.log(math.ldexp(step, -h) * total)
                      - LOG_SQRT_2PI,
-                     first, last, _STECK_BATCH, STECK_HALVINGS, "steck", n, rho)
+                     first, last, _STECK_BATCH, "steck", n, rho)
+
+
+def _trapezoid_estimate(log_f_of, method: str, n: int, rho: float) -> OrthantEstimate:
+    """f(n, rho) from log_f_of(n, rho) = (log f, count); method, in words, labels each error."""
+    label = method.replace("_", " ")
+    check_domain(n, rho)
+    if not (0.0 < rho < 1.0):
+        raise ValueError(f"{label} requires 0 < rho < 1")
+    log_f, nodes = log_f_of(n, rho)
+    if not log_f <= 0.0:
+        raise ArithmeticError(f"{label} gave exp({log_f!r}), outside [0, 1], at (n={n}, rho={rho})")
+    value = math.exp(log_f)
+    if value == 0.0:
+        raise ArithmeticError(f"{label} underflowed to 0 at (n={n}, rho={rho})")
+    return OrthantEstimate(value=value, std_error=0.0, method=method, count=nodes)
 
 
 def steck_quadrature(n: int, rho: float) -> OrthantEstimate:
     """E[Phi^n(Z sqrt(s))], s = rho/(1-rho), by a trapezoid rule around its peak.
 
-    count is the rule's final node count; a value below the smallest double raises.
+    count is the rule's final node count; a non-finite value, one above 1, or 0 raises.
     """
-    check_domain(n, rho)
-    if not (0.0 < rho < 1.0):
-        raise ValueError("steck identity requires 0 < rho < 1")
-    log_f, nodes = _steck_log_f(n, rho)
-    value = math.exp(log_f)
-    if value == 0.0:
-        raise ArithmeticError(f"steck quadrature underflowed to 0 at (n={n}, rho={rho})")
-    return OrthantEstimate(value=value, std_error=0.0, method="steck_quadrature", count=nodes)
+    return _trapezoid_estimate(_steck_log_f, "steck_quadrature", n, rho)
 
 
 # a term may pass the density rule's shift by this much before the shift moves
@@ -399,7 +405,7 @@ def _density_log_f(n: int, rho: float) -> tuple[float, int]:
     values = window(0, -32, 32, 1)
     shift = float(values.max())
     if not math.isfinite(shift):
-        return log_pref + shift, values.size  # density_integral raises on it
+        return log_pref + shift, values.size  # _trapezoid_estimate raises on it
     inside = np.flatnonzero(values >= shift - 60.0) - 32
     lo, hi = int(inside[0]) - 1, int(inside[-1]) + 1
     if lo < -32 or hi > 32:
@@ -408,7 +414,7 @@ def _density_log_f(n: int, rho: float) -> tuple[float, int]:
     return _halvings(window, shift, _DENSITY_SLACK,
                      lambda shift, total, h: log_pref + shift
                      + math.log(math.ldexp(0.5, -h) * total),
-                     lo, hi, _DENSITY_BATCH, DENSITY_HALVINGS, "density", n, rho)
+                     lo, hi, _DENSITY_BATCH, "density", n, rho)
 
 
 def density_integral(n: int, rho: float) -> OrthantEstimate:
@@ -416,17 +422,7 @@ def density_integral(n: int, rho: float) -> OrthantEstimate:
 
     count is the rule's final node count; a non-finite value, one above 1, or 0 raises.
     """
-    check_domain(n, rho)
-    if not (0.0 < rho < 1.0):
-        raise ValueError("density integral requires 0 < rho < 1")
-    log_f, nodes = _density_log_f(n, rho)
-    if not log_f <= 0.0:
-        raise ArithmeticError(f"density integral gave exp({log_f!r}), outside [0, 1], "
-                              f"at (n={n}, rho={rho})")
-    value = math.exp(log_f)
-    if value == 0.0:
-        raise ArithmeticError(f"density integral underflowed to 0 at (n={n}, rho={rho})")
-    return OrthantEstimate(value=value, std_error=0.0, method="density_integral", count=nodes)
+    return _trapezoid_estimate(_density_log_f, "density_integral", n, rho)
 
 
 def monte_carlo(
@@ -484,6 +480,14 @@ def bound_high_rho_upper(n: int, rho: float) -> Optional[float]:
     )
 
 
+def _exp(x: float) -> float:
+    """exp(x), or inf where it passes the largest double, in place of OverflowError."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def low_rho_gate(n: int, rho: float) -> bool:
     """The growth condition n >= (1/rho - 1) log(n) / log(2)."""
     return n >= (1.0 / rho - 1.0) * math.log(n) / math.log(2.0)
@@ -498,7 +502,10 @@ def bound_low_rho_lower(n: int, rho: float) -> Optional[float]:
     check_domain(n, rho)
     if rho >= 0.5 or rho <= 0.0 or not low_rho_gate(n, rho):
         return None
-    gamma = math.exp(math.lgamma(1.0 / rho - 1.0))
+    gamma = _exp(math.lgamma(1.0 / rho - 1.0))
+    if gamma == math.inf:  # past 1/rho - 1 = 171.6: the whole product in logs
+        return math.exp((1.0 - 1.0 / rho) * math.log(n) + (1.0 / rho - 2.0) * math.log(2.0)
+                        + 0.5 * math.log((1.0 - rho) / rho) + math.lgamma(1.0 / rho - 1.0))
     return (
         n ** (1.0 - 1.0 / rho)
         * 2.0 ** (1.0 / rho - 2.0)
@@ -512,7 +519,7 @@ def bound_low_rho_upper(n: int, rho: float) -> Optional[float]:
 
     Holds only past an unspecified n0(rho); callers must treat the value as
     a trend envelope, not a certified bound.  Computed in the log domain:
-    the bracket raised to 1/rho - 2 overflows quickly for small rho.
+    the bracket raised to 1/rho - 2 overflows quickly for small rho; inf past it.
     """
     check_domain(n, rho)
     if rho >= 0.5 or rho <= 0.0 or n < 2:
@@ -522,35 +529,27 @@ def bound_low_rho_upper(n: int, rho: float) -> Optional[float]:
         + 0.5 * math.log((1.0 - rho) / rho)
         + (1.0 / rho - 2.0) * math.log((1.0 / rho - 1.0) * math.log(n) ** 2)
     )
-    return math.exp(log_val)
+    return _exp(log_val)
 
 
 def scaled_ratio(n: int, rho: float, f: float) -> float:
-    """f / n^(1 - 1/rho), evaluated in the log domain."""
+    """f / n^(1 - 1/rho), evaluated in the log domain; inf past the largest double."""
     if not (0.0 < f < 1.0):
         raise ValueError("f must lie in (0, 1)")
     if rho == 0.0:
         raise ValueError("scaled_ratio needs rho != 0: the scale n^(1 - 1/rho) is undefined")
-    return math.exp(math.log(f) - (1.0 - 1.0 / rho) * math.log(n))
+    return _exp(math.log(f) - (1.0 - 1.0 / rho) * math.log(n))
 
 
 def theorem_bounds(n: int, rho: float) -> BoundReport:
     """All applicable rate bounds at (n, rho) in one report."""
-    check_domain(n, rho)
-    lower = upper = None
-    if rho > 0.5:
-        lower = bound_high_rho_lower(n, rho)
-        upper = bound_high_rho_upper(n, rho)
-    elif 0.0 < rho < 0.5:
-        lower = bound_low_rho_lower(n, rho)
-        upper = bound_low_rho_upper(n, rho)
-    return BoundReport(
-        n=n, rho=rho, scale=n ** (1.0 - 1.0 / rho) if rho > 0 else math.nan,
-        lower=lower, upper=upper,
-        lower_applicable=lower is not None,
-        upper_applicable=rho > 0.5 and upper is not None,
-        upper_asymptotic=rho < 0.5 and upper is not None,
-    )
+    high = rho > 0.5  # each bound checks (n, rho) and is None outside its range
+    lower = (bound_high_rho_lower if high else bound_low_rho_lower)(n, rho)
+    upper = (bound_high_rho_upper if high else bound_low_rho_upper)(n, rho)
+    return BoundReport(n=n, rho=rho, scale=n ** (1.0 - 1.0 / rho) if rho > 0 else math.nan,
+                       lower=lower, upper=upper, lower_applicable=lower is not None,
+                       upper_applicable=high and upper is not None,
+                       upper_asymptotic=not high and upper is not None)
 
 
 def best_estimate(n: int, rho: float) -> OrthantEstimate:

@@ -136,24 +136,13 @@ def helmert_basis(n: int) -> np.ndarray:
     return basis
 
 
-def build_geometry(n: int, rotation: np.ndarray | None = None) -> SimplexGeometry:
-    """Vertices e_i - z of the zero-centered simplex, embedded into R^n.
-
-    An optional n x n orthogonal ``rotation`` is applied to the embedded
-    coordinates; the vertex-maximum law is invariant under it.
-    """
+def build_geometry(n: int) -> SimplexGeometry:
+    """Vertices e_i - z of the zero-centered simplex, embedded into R^n."""
     if int(n) != n or n < 1:
         raise ValueError("n must be a positive integer")
     center = np.full(n + 1, 1.0 / (n + 1))
     vertices = np.eye(n + 1) - center
     embedding = helmert_basis(n)
-    if rotation is not None:
-        rotation = np.asarray(rotation, dtype=float)
-        if rotation.shape != (n, n):
-            raise ValueError("rotation must be n x n")
-        if not np.allclose(rotation @ rotation.T, np.eye(n), atol=1e-10):
-            raise ValueError("rotation must be orthogonal")
-        embedding = rotation @ embedding
     embedded = vertices @ embedding.T
     return SimplexGeometry(n=n, vertices=vertices, embedding=embedding, embedded=embedded)
 

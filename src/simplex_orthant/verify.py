@@ -232,13 +232,14 @@ def suite_simplex() -> list[dict]:
                       f"max |L L^T - C| / max |C| = {worst:.1e}")
     checks.append(_check("union_factor", ok, "; ".join(detail)))
 
-    # the vertex-0 derivative law (R var R^T) is the same in a rotated frame
+    # the vertex-0 derivative law (R var R^T) is the same at a rotated vertex and frame
     rng = chunk_generator(99, 0)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     var = simplex.coefficient_variances(3, 3)
-    base, rotated = (
-        simplex._design_rows(simplex.build_geometry(3, rotation=r), 3, [0]) for r in (None, q)
-    )
+    geom = simplex.build_geometry(3)
+    base = simplex._design_rows(geom, 3, [0])
+    rotated = simplex._derivative_rows(simplex.multi_index_table(3, 3), q @ geom.embedded[0],
+                                       simplex.edge_frame(geom, 0).directions @ q.T)
     dev = float(np.max(np.abs((base * var) @ base.T - (rotated * var) @ rotated.T)))
     checks.append(_check("rotation_invariance", dev <= 1e-12,
                          f"max |R var R^T - rotated| = {dev:.3e}"))

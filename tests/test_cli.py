@@ -257,6 +257,14 @@ class TestBoundsCommand:
             assert row["f"] == f
             assert row["scale"] == row["scaled_ratio"] == row["sandwich_ok"] == "NA"
 
+    @pytest.mark.parametrize("n, rho", [("3", "0.001"), ("2", "1e-13")])
+    def test_low_rho_past_double_range(self, n, rho, capsys):
+        # the low-rho upper bound and f / n^(1 - 1/rho) pass the largest double
+        code, out, _ = run_cli(["bounds", "--n", n, "--rho", rho], capsys)
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert code == 0 and row["upper"] == row["scaled_ratio"] == "inf"
+
 
 class TestSimplexCommand:
     def test_vertex_against_david(self, capsys):

@@ -210,7 +210,7 @@ class TestSteckQuadrature:
             sizes.append(np.size(x))
             return exp(x, *args, **kwargs)
 
-        batch = min(orthant._STECK_BATCH, orthant.STECK_HALVINGS)
+        batch = min(orthant._STECK_BATCH, orthant.HALVINGS)
         # (5, 0.3) left the list: the lattice's first step lies between sigma/2
         # and sigma, and there one halving meets the 1e-13 stop
         for n, rho in [(1000, 0.99), (10**4, 0.99), (10**8, 0.4), (5, 0.4)]:
@@ -235,9 +235,16 @@ class TestSteckQuadrature:
             assert sum(sizes) - est.count <= span * (2**batch - 2)
 
     def test_unconverged_rule_raises(self, monkeypatch):
-        monkeypatch.setattr(orthant, "STECK_HALVINGS", 1)
+        monkeypatch.setattr(orthant, "HALVINGS", 1)
         with pytest.raises(ArithmeticError, match=r"converge.*n=10000, rho=0.99\)"):
             steck_quadrature(10**4, 0.99)
+
+    def test_out_of_range_raises(self, monkeypatch):
+        # the guard both rules share: a log f that is not finite or above 0
+        for bad in (math.nan, 0.1):
+            monkeypatch.setattr(orthant, "_steck_log_f", lambda n, rho: (bad, 1))
+            with pytest.raises(ArithmeticError, match=r"outside \[0, 1\].*n=10, rho=0.5"):
+                steck_quadrature(10, 0.5)
 
     @pytest.mark.parametrize("n, reference", RHO_099_REFERENCE)
     def test_rho_near_one_large_n(self, n, reference):
@@ -531,7 +538,7 @@ class TestDensityIntegral:
         assert TestSteckLattice.lattice_bytes() <= 10**5
 
     def test_unconverged_rule_raises(self, monkeypatch):
-        monkeypatch.setattr(orthant, "DENSITY_HALVINGS", 1)
+        monkeypatch.setattr(orthant, "HALVINGS", 1)
         with pytest.raises(ArithmeticError, match=r"converge.*n=10000, rho=0.99\)"):
             density_integral(10**4, 0.99)
 
@@ -552,7 +559,7 @@ class TestDensityIntegral:
             sizes.append(np.size(x))
             return exp(x, *args, **kwargs)
 
-        batch = min(orthant._DENSITY_BATCH, orthant.DENSITY_HALVINGS)
+        batch = min(orthant._DENSITY_BATCH, orthant.HALVINGS)
         for n, rho in [(2, 0.3), (10**4, 0.99), (10**8, 0.5), (10**7, 0.05)]:
             # a fresh lattice, which the call's levels fit, so the second reads them
             monkeypatch.setattr(orthant, "_LATTICE", {})
@@ -796,6 +803,20 @@ class TestLowRhoBounds:
     def test_upper_no_overflow_small_rho(self):
         assert math.isfinite(bound_low_rho_upper(100, 0.05))
 
+    def test_past_double_range(self):
+        # the upper bound passes the largest double at these points, and is inf;
+        # past 1/rho - 1 = 171.6 Gamma(1/rho - 1) does, and the lower bound is
+        # taken in logs, where it underflows to 0 at (1e5, 1e-3), about e^-4901
+        assert bound_low_rho_upper(3, 1e-3) == bound_low_rho_upper(2, 1e-13) == math.inf
+        for n, rho in [(3, 1e-3), (2, 1e-13), (10**5, 1e-3), (10**4, 0.005), (10**6, 0.003)]:
+            theorem_bounds(n, rho)
+        assert bound_low_rho_lower(10**5, 1e-3) == 0.0
+        for n, rho in [(2300, 1 / 173), (2500, 1 / 180)]:
+            with mp.workdps(40):
+                b = 1 / mp.mpf(rho) - 1
+                exact = mp.mpf(n) ** -b * 2 ** (b - 1) * mp.sqrt(b) * (mp.gamma(b) - 1)
+            assert 0.0 < bound_low_rho_lower(n, rho) == pytest.approx(float(exact), rel=1e-11)
+
 
 class TestScaledRatio:
     def test_exact_value(self):
@@ -815,6 +836,10 @@ class TestScaledRatio:
 
     def test_log_domain_survives_extremes(self):
         assert math.isfinite(scaled_ratio(10**9, 0.9, 1e-300))
+
+    def test_past_double_range_is_inf(self):
+        # f / n^(1 - 1/rho) passes 1.8e308 here
+        assert scaled_ratio(3, 1e-3, 0.125) == scaled_ratio(2, 1e-13, 0.25) == math.inf
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -130,14 +130,6 @@ class TestGeometry:
             geom.embedded @ geom.embedded.T, geom.vertices @ geom.vertices.T, atol=1e-12
         )
 
-    def test_rotation_validation(self):
-        q = np.eye(3)
-        build_geometry(3, rotation=q)
-        with pytest.raises(ValueError):
-            build_geometry(3, rotation=np.ones((3, 3)))
-        with pytest.raises(ValueError):
-            build_geometry(3, rotation=np.eye(2))
-
     def test_domain(self):
         with pytest.raises(ValueError):
             build_geometry(0)
@@ -649,13 +641,16 @@ class TestVertexProbability:
         assert a.estimate == b.estimate
 
     def test_rotation_invariance(self):
-        # the vertex-0 derivative rows change under a rotation of the frame,
-        # but their covariance R var R^T, which fixes the vertex-max law, does not
+        # the vertex-0 derivative rows change when the vertex and its edge
+        # directions are rotated, but their covariance R var R^T, which fixes
+        # the vertex-max law, does not
         rng = np.random.Generator(np.random.Philox(key=77))
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         var = coefficient_variances(3, 3)
-        base = sx._design_rows(build_geometry(3), 3, [0])
-        rotated = sx._design_rows(build_geometry(3, rotation=q), 3, [0])
+        geom = build_geometry(3)
+        base = sx._design_rows(geom, 3, [0])
+        rotated = sx._derivative_rows(multi_index_table(3, 3), q @ geom.embedded[0],
+                                      edge_frame(geom, 0).directions @ q.T)
         assert np.max(np.abs(base - rotated)) > 0.1
         cov, cov_rotated = (base * var) @ base.T, (rotated * var) @ rotated.T
         assert np.max(np.abs(cov - cov_rotated)) <= 1e-12
