@@ -9,8 +9,8 @@ verify  : run the invariant suites, emit a JSON summary
 
 Numeric output uses shortest round-trip float formatting, so identical
 configs produce byte-identical files; wall time goes to stderr only.
-Exit codes: 0 success, 1 domain error, 2 resource error, 3 verification
-failure.
+Exit codes: 0 success, 1 domain error, 2 resource or usage error,
+3 verification failure.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import time
+from functools import lru_cache
 
 from . import orthant, simplex, verify
 from .equicorrelated import ResourceBudgetError
@@ -124,8 +125,6 @@ def cmd_compute(args) -> list[dict]:
             elif args.method == "density":
                 est = orthant.density_integral(n, rho)
             else:
-                if args.seed is None:
-                    raise ValueError("--seed is required for --method mc")
                 est = orthant.monte_carlo(
                     n, rho, args.trials, args.seed, threads=args.threads
                 )
@@ -176,8 +175,6 @@ def cmd_bounds(args) -> list[dict]:
 
 
 def cmd_simplex(args) -> list[dict]:
-    if args.seed is None:
-        raise ValueError("--seed is required for the simplex experiments")
     rows = []
     for n in args.n:
         union = simplex.estimate_union_probability(
@@ -213,7 +210,9 @@ def cmd_simplex(args) -> list[dict]:
 COMMANDS = {"compute": cmd_compute, "bounds": cmd_bounds, "simplex": cmd_simplex}
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="simplex-orthant",
         description="Orthant probabilities and vertex maxima of random polynomials",
@@ -232,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("closed", "steck", "density", "mc"), default="steck")
     p.add_argument("--trials", type=_positive_int, default=1_000_000)
     p.add_argument("--seed", type=_seed, default=None)
+    p.set_defaults(_parser=p)  # run() reports a missing mc seed with its usage line
 
     p = sub.add_parser("bounds", help="rate bounds and sandwich verdicts")
     common(p)
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_grid, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=_positive_int, required=True)
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--seed", type=_seed, required=True)
 
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--output", default=None)
@@ -263,6 +263,8 @@ def _config_dict(args) -> dict:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "compute" and args.method == "mc" and args.seed is None:
+        args._parser.error("--seed is required for --method mc")
     started = time.monotonic()
     buffer = io.StringIO()
     code = 0

@@ -6,11 +6,11 @@ rho.  Its inverse shares the same structure; the (alpha, beta) pair solving
     alpha + (n-1) rho beta = 1
     rho alpha + ((n-2) rho + 1) beta = 0
 
-is returned in closed form.  The orthant Monte Carlo counts common-factor
-draws X_i = sqrt(rho) Z0 + sqrt(1-rho) Z_i, exact for this covariance when
-rho >= 0, and draws coordinate i only for the rows still in the orthant
-(`orthant_hits`).  The chunk streams and chunk map here serve it and the
-simplex union alike.
+is returned in closed form.  The orthant Monte Carlo draws X ~ N(0, A) by
+the chain rule, each coordinate from its law given the ones before it
+(`chain_law`), exact for every rho in the domain, and draws coordinate j
+only for the rows still in the orthant (`orthant_hits`).  The chunk
+streams and chunk map here serve it and the simplex union alike.
 """
 
 from __future__ import annotations
@@ -210,29 +210,49 @@ def hit_rate(hits: int, trials: int) -> tuple[float, float]:
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials)
 
 
-def orthant_hits(spec: EquicorrelatedSpec, chunk: int, size: int, seed: int) -> int:
-    """How many of a chunk's `size` common-factor draws have every coordinate positive.
+def chain_law(rho: float, j: int) -> tuple[float, float]:
+    """(c_j, sigma_j): X_j given X_1..X_{j-1} is N(c_j S_{j-1}, sigma_j^2), for j >= 2.
 
-    The draws are X_j = sqrt(rho) Z0 + sqrt(1-rho) Z_j from
-    chunk_generator(seed, chunk): first z0 for every row, then, for j = 1..n
-    in turn, one normal z for each row that passed coordinates 1..j-1, in
-    row order.  A row passes coordinate j when
-    fl(fl(sqrt(1-rho) z) + fl(sqrt(rho) z0)) > 0, so the count is the
-    number of rows with all n coordinates positive, Binomial(size, f(n, rho))
-    up to that rounding.  A row costs 1 + sum_{j<n} f(j, rho) normals
-    (f(0, rho) = 1), and a chunk holds O(size) memory at any n.
+    S_{j-1} = X_1 + ... + X_{j-1}.  Every earlier coordinate has the same
+    weight c_j = rho / (1 + (j-2) rho), and sigma_j^2 =
+    (1-rho)(1 + (j-1) rho) / (1 + (j-2) rho) is the Schur complement of the
+    equicorrelated matrix.  Both depend on j and rho alone, not on n.
+    """
+    d = 1.0 + (j - 2) * rho
+    return rho / d, math.sqrt((1.0 - rho) * (1.0 + (j - 1) * rho) / d)
+
+
+def orthant_hits(spec: EquicorrelatedSpec, chunk: int, size: int, seed: int) -> int:
+    """How many of a chunk's `size` draws of N(0, A) have every coordinate positive.
+
+    The draws come from chunk_generator(seed, chunk) by the chain rule: first
+    z_1 for every row, X_1 = z_1; then, for j = 2..n in turn, one normal z_j
+    for each row whose first j - 1 coordinates are positive, in row order,
+    and X_j = c_j S_{j-1} + sigma_j z_j with (c_j, sigma_j) = chain_law(rho, j).
+    Each open row keeps t_j = -c_j S_{j-1} in place: t_2 = fl(-rho z_1) and
+    t_{j+1} = fl(t_j - fl(c_{j+1} fl(sigma_j z_j))), and passes coordinate j
+    when fl(sigma_j z_j) > t_j, that is when fl(sigma_j z_j) - t_j > 0.  So
+    the count is the number of rows with all n coordinates positive,
+    Binomial(size, f(n, rho)) up to that rounding.  A row costs
+    sum_{j<n} f(j, rho) normals (f(0, rho) = 1), no Phi is used, and a chunk
+    holds O(size) memory at any n.
     """
     rng = chunk_generator(seed, chunk)
-    u = rng.standard_normal(size) * math.sqrt(spec.rho)
     z, keep = np.empty(size), np.empty(size, dtype=bool)
-    for _ in range(spec.n):
-        if not len(u):
+    x = rng.standard_normal(out=z)
+    t = np.extract(np.greater(x, 0.0, out=keep), x)
+    t *= -spec.rho  # c_2 = rho
+    for j in range(2, spec.n + 1):
+        if not len(t):
             break
-        x = rng.standard_normal(out=z[: len(u)])
-        x *= math.sqrt(1.0 - spec.rho)
-        x += u
-        u = np.extract(np.greater(x, 0.0, out=keep[: len(u)]), u)
-    return len(u)
+        x = rng.standard_normal(out=z[: len(t)])
+        x *= chain_law(spec.rho, j)[1]
+        passed = np.greater(x, t, out=keep[: len(t)])
+        if j < spec.n:
+            x *= chain_law(spec.rho, j + 1)[0]
+            t -= x
+        t = np.extract(passed, t)
+    return len(t)
 
 
 def tv_bound_frobenius(n: int, m: int, epsilon: float, inv: InverseDiagonalPair) -> TvBound:

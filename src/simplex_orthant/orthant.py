@@ -11,7 +11,7 @@ Four routes to f(n, rho) = P(X_1 > 0, ..., X_n > 0):
   f(n, rho) = (sqrt(2 pi))^(1/s - 1) / sqrt(s) *
               int_0^1 x^n [phi(Phi^{-1}(x))]^(1/s - 1) dx,
   evaluated in the log domain by a tanh-sinh trapezoid rule on a lattice in t;
-* Monte Carlo over common-factor draws.
+* Monte Carlo over chain-rule draws, each coordinate given the ones before it.
 
 Plus the four two-sided rate bounds with fully explicit proof-level
 constants, all of the form  f(n, rho) ~ n^(1 - 1/rho) x constant(rho)
@@ -428,9 +428,10 @@ def density_integral(n: int, rho: float) -> OrthantEstimate:
 def monte_carlo(
     n: int, rho: float, trials: int, seed: int, threads: int = 1
 ) -> OrthantEstimate:
-    """Fraction of common-factor draws with all coordinates positive.
+    """Fraction of equicorrelated normal draws with all coordinates positive.
 
-    Chunked and deterministic per (seed, chunk index); the thread count never
+    Each coordinate is drawn from its law given the ones before it.  Chunked
+    and deterministic per (seed, chunk index); the thread count never
     changes the result, only how chunks are scheduled.  Each chunk draws a
     row's next coordinate only while the row is still in the orthant
     (equicorrelated.orthant_hits), so a run at n draws the same first j
@@ -438,7 +439,7 @@ def monte_carlo(
     """
     spec = EquicorrelatedSpec(n=n, rho=rho)
     if rho < 0.0:
-        raise ValueError("monte_carlo requires rho >= 0 (sampler constraint)")
+        raise ValueError("monte_carlo requires rho >= 0")
     sizes = _chunk_sizes(trials, CHUNK_SIZE)
     hits = _map_ordered(lambda c: orthant_hits(spec, c, sizes[c], seed), len(sizes), threads)
     p_hat, se = hit_rate(sum(hits), trials)

@@ -206,7 +206,7 @@ class TestComputeCommand:
         code, _, err = run_cli(
             ["compute", "--n", "2", "--rho", "0.3", "--method", "mc"], capsys
         )
-        assert code == 1 and "seed" in err
+        assert code == 2 and "seed" in err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.csv"
@@ -293,7 +293,7 @@ class TestSimplexCommand:
         code, _, err = run_cli(
             ["simplex", "--n", "3", "--k", "3", "--trials", "10"], capsys
         )
-        assert code == 1 and "seed" in err
+        assert code == 2 and "seed" in err
 
     def test_resource_error_exit_2(self, capsys):
         code, _, err = run_cli(
@@ -481,6 +481,13 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert code == 0 and doc["all_passed"] and doc["failures"] == []
         assert set(doc["suites"]) == set(verify.SUITES) and len(verify.SUITES) == 5
+
+    def test_parser_reuse_leaks_no_suite(self, capsys):
+        # the parser is built once per process: a --suite of one run must not
+        # carry into the next run's namespace
+        run_cli(["verify", "--suite", "lemma_inverse"], capsys)
+        code, out, _ = run_cli(["verify"], capsys)
+        assert code == 0 and set(json.loads(out)["suites"]) == set(verify.SUITES)
 
     def test_injected_fault_exit_3(self, capsys, monkeypatch):
         # a sign-flipped beta in the closed-form inverse must fail the suite

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from simplex_orthant import equicorrelated
 from simplex_orthant.equicorrelated import (
     EquicorrelatedSpec,
+    chain_law,
     chunk_generator,
     covariance_matrix,
     inverse_diag_offdiag,
@@ -115,7 +116,7 @@ class TestInverse:
 
 
 class TestSampler:
-    """The common-factor draw through orthant_hits, the sampler behind monte_carlo."""
+    """The chain-rule draw through orthant_hits, the sampler behind monte_carlo."""
 
     def test_rejects_negative_rho(self):
         with pytest.raises(ValueError, match="rho >= 0"):
@@ -155,15 +156,53 @@ class TestSampler:
         # chunks are independent of how many trials follow them
         assert monte_carlo(3, 0.4, 100_000, seed=7).value == hits[0] / 100_000
 
-    def test_chunk_is_common_factor_formula(self):
-        # z0 for every row, then coordinate j's normals for the rows still positive
+    def test_chunk_is_chain_rule_formula(self):
+        # z_1 for every row, then X_j = c_j S_{j-1} + sigma_j z_j for the rows
+        # still positive, S_{j-1} the row's running sum
         spec = EquicorrelatedSpec(n=10, rho=0.3)
         rng = chunk_generator(5, 2)
-        u = rng.standard_normal(1000) * math.sqrt(0.3)
-        for _ in range(10):
-            x = rng.standard_normal(len(u)) * math.sqrt(0.7) + u
-            u = u[x > 0.0]
-        assert orthant_hits(spec, 2, 1000, seed=5) == len(u) > 0
+        x = rng.standard_normal(1000)
+        s = x[x > 0.0]
+        for j in range(2, 11):
+            c, sigma = chain_law(0.3, j)
+            x = c * s + sigma * rng.standard_normal(len(s))
+            s = (s + x)[x > 0.0]
+        assert orthant_hits(spec, 2, 1000, seed=5) == len(s) > 0
+
+    @pytest.mark.parametrize("rho", [0.0, 0.01, 0.3, 0.5, 0.9, 0.99])
+    def test_chain_law_is_conditional_law(self, rho):
+        # X_j given X_1..X_{j-1}: weights A11^{-1} a12, all equal to c_j, and
+        # variance 1 - a12 . weights = sigma_j^2, from the covariance matrix
+        for n in range(2, 13):
+            a = covariance_matrix(EquicorrelatedSpec(n=n, rho=rho))
+            weights = np.linalg.solve(a[:-1, :-1], a[:-1, -1])
+            c, sigma = chain_law(rho, n)
+            assert np.allclose(weights, c, rtol=1e-13, atol=1e-13)
+            assert sigma**2 == pytest.approx(1.0 - a[:-1, -1] @ weights, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("n, rho", [(1, 0.5), (3, 0.4), (10, 0.0), (10, 0.99), (700, 0.5)])
+    def test_normals_per_chunk(self, monkeypatch, n, rho):
+        # size normals for X_1, then one for each row open after coordinate
+        # j = 1..n-1, which is a run at j's hit count
+        size, seed = 20_000, 41
+        open_rows = [orthant_hits(EquicorrelatedSpec(n=j, rho=rho), 3, size, seed)
+                     for j in range(1, n)]
+        sizes = []
+        original = equicorrelated.chunk_generator
+
+        class Counted:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, *args, **kwargs):
+                out = self.rng.standard_normal(*args, **kwargs)
+                sizes.append(out.size)
+                return out
+
+        monkeypatch.setattr(equicorrelated, "chunk_generator",
+                            lambda seed, chunk: Counted(original(seed, chunk)))
+        orthant_hits(EquicorrelatedSpec(n=n, rho=rho), 3, size, seed)
+        assert sum(sizes) == size + sum(open_rows)
 
     def test_distinct_chunks_differ(self):
         g0 = chunk_generator(3, 0).standard_normal(4)

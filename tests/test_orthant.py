@@ -659,18 +659,21 @@ class TestMonteCarlo:
     def test_row_minimum_count_is_exact(self, monkeypatch, n, rho, threads):
         # the hits against the rows with a positive minimum, over three
         # chunks of at most 4000 rows replayed with boolean masks: each
-        # column is drawn for the rows still positive, -inf fills the rest
+        # column is drawn for the rows still positive, -inf fills the rest,
+        # and t = -c_j S_{j-1} is kept for every row
         trials, seed, chunk_size = 10_000, 31, 4_000
         monkeypatch.setattr(orthant, "CHUNK_SIZE", chunk_size)
         hits = 0
         for chunk, size in enumerate(equicorrelated._chunk_sizes(trials, chunk_size)):
             rng = equicorrelated.chunk_generator(seed, chunk)
-            u = math.sqrt(rho) * rng.standard_normal(size)
             rows = np.full((size, n), -np.inf)
+            t = np.zeros(size)
             alive = np.ones(size, dtype=bool)
             for j in range(n):
-                z = rng.standard_normal(np.count_nonzero(alive))
-                rows[alive, j] = math.sqrt(1.0 - rho) * z + u[alive]
+                sigma = equicorrelated.chain_law(rho, j + 1)[1] if j else 1.0
+                step = sigma * rng.standard_normal(np.count_nonzero(alive))
+                rows[alive, j] = step - t[alive]
+                t[alive] -= equicorrelated.chain_law(rho, j + 2)[0] * step
                 alive &= rows[:, j] > 0.0
             hits += int(np.count_nonzero(rows.min(axis=1) > 0.0))
         assert monte_carlo(n, rho, trials, seed, threads=threads).value == hits / trials
@@ -691,13 +694,13 @@ class TestMonteCarlo:
             assert abs(est.value - best_estimate(j, rho).value) <= 4.0 * est.std_error
 
     def test_deep_orthant(self):
-        # f(1000, 1/2) = 1/1001: about 100 hits, from 1 + H_1000 = 8.5 normals a row
+        # f(1000, 1/2) = 1/1001: about 100 hits, from H_1000 = 7.5 normals a row
         est = monte_carlo(1000, 0.5, 100_000, seed=1602)
         assert abs(est.value - 1.0 / 1001.0) <= 4.0 * est.std_error
 
-    # what a chunk holds on a thread: z0 scaled in place, the column's
-    # normals, its mask, and the survivors' indices and values (3.13 of
-    # these units measured at n = 10 and at n = 700)
+    # what a chunk holds on a thread: the first column's normals, their
+    # mask, the open rows' t, and the survivors' indices and values (2.30
+    # of these units measured at n = 3, 10 and 700)
     PER_THREAD = 3.5 * 8 * equicorrelated.CHUNK_SIZE
 
     def test_peak_memory_cache_sized(self):
