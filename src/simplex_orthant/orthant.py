@@ -438,8 +438,6 @@ def monte_carlo(
     coordinates as a run at j, and holds O(CHUNK_SIZE) memory at any n.
     """
     spec = EquicorrelatedSpec(n=n, rho=rho)
-    if rho < 0.0:
-        raise ValueError("monte_carlo requires rho >= 0")
     sizes = _chunk_sizes(trials, CHUNK_SIZE)
     hits = _map_ordered(lambda c: orthant_hits(spec, c, sizes[c], seed), len(sizes), threads)
     p_hat, se = hit_rate(sum(hits), trials)

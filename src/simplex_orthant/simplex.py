@@ -186,11 +186,9 @@ def rho_n(n: int, k: int) -> float:
 def epsilon_n(n: int, k: int) -> float:
     """The bound (1/n^(k-2)) (1/(2k-1)) (1/n + k - 1) on cross-vertex correlations.
 
-    It bounds every correlation between edge derivatives at two different
-    vertices except the antipodal pair along their shared edge.  That pair
-    exceeds it by a factor that falls with n from (2k-1)/k toward
-    (2k-1)/(k+1): at most 1.75 for k <= 5 and n >= 2 (1.578 at n = 10, k = 5),
-    below 2 for every (n, k).
+    It bounds every cross-vertex correlation but the shared edge's |r|
+    (`edge_correlations`), which exceeds it by a factor falling with n from
+    (2k-1)/k toward (2k-1)/(k+1), below 2 for every (n, k).
     """
     check_degree(n, k)
     return (1.0 / n ** (k - 2)) * (1.0 / (2 * k - 1)) * (1.0 / n + (k - 1))
@@ -269,8 +267,6 @@ def _derivative_rows(exponents: np.ndarray, point: np.ndarray, directions: np.nd
     for j in range(n):
         alpha_j = exponents[:, j]
         mask = alpha_j > 0
-        if not np.any(mask):
-            continue
         reduced = exponents[mask]  # a copy: boolean indexing
         reduced[:, j] -= 1
         weighted = alpha_j[mask] * np.prod(point[None, :] ** reduced, axis=1)
@@ -302,8 +298,8 @@ def _design_matrix(n: int, k: int) -> np.ndarray:
     return _design_rows(build_geometry(n), k, range(n + 1))
 
 
-def edge_covariance(n: int, k: int, vertices=None) -> np.ndarray:
-    """Covariance of the edge derivatives at the given vertices (default: all).
+def edge_covariance(n: int, k: int) -> np.ndarray:
+    """Covariance of the edge derivatives at every vertex.
 
     Row order is that of `_design_rows`.  Entry ((a, v), (b, w)) is the dual
     inner product k <v,w><a,b>^(k-1) + (k^2-k) <v,b><a,w><a,b>^(k-2),
@@ -312,26 +308,38 @@ def edge_covariance(n: int, k: int, vertices=None) -> np.ndarray:
     on the coefficient count.
     """
     check_degree(n, k)
-    geom = build_geometry(n)
-    vertices = list(range(n + 1) if vertices is None else vertices)
-    count = len(vertices)
-    # the covariance and the cross term alive at once
-    size = count * n
+    # the covariance and the cross term alive at once, counted before the geometry
+    size = n * (n + 1)
     check_bytes(
         2 * 8 * size * size, f"2 x {size} x {size} edge-covariance arrays for (n={n}, k={k})"
     )
-    base = geom.embedded[vertices]
-    frames = np.array([edge_frame(geom, v).directions for v in vertices])
+    geom = build_geometry(n)
+    base, frames = geom.embedded, np.array([edge_frame(geom, v).directions for v in range(n + 1)])
     with _one_blas_thread():
         ab = base @ base.T
         vb = frames @ base.T  # <v, b>; its transpose (2, 0, 1) is <a, w>
         vw = frames.reshape(-1, n) @ frames.reshape(-1, n).T
-    cov = vw.reshape(count, n, count, n)
+    cov = vw.reshape(n + 1, n, n + 1, n)
     cov *= (k * ab ** (k - 1))[:, None, :, None]
     cross = vb[:, :, :, None] * (vb.transpose(2, 0, 1) * ab[:, :, None] ** (k - 2))[:, None]
     cross *= k * k - k
     cov += cross
-    return cov.reshape(count * n, count * n)
+    return cov.reshape(size, size)
+
+
+def edge_correlations(n: int, k: int) -> tuple[float, float, float]:
+    """The edge derivatives' correlations (rho_n, r, t), in closed form.
+
+    D_ij, the derivative at vertex i along (a_i - a_j)/||a_i - a_j||, has
+    correlation rho_n with D_il, r with the reversed edge D_ji, t with D_lj
+    (the same far end), -t with D_jl and D_li (a chain), and 0 with a
+    disjoint pair.  With d = (k+1)n + k - 1, 1 - rho_n = n/d,
+    r = (-1)^k ((k-1)n + k + 1) / (n^(k-2) d) and t = (-1)^(k-1) / (n^(k-2) d),
+    each a correctly rounded integer ratio.
+    """
+    rho, n, k = rho_n(n, k), int(n), int(k)  # rho_n checks (n, k); Python ints stay exact
+    sign, scale = (-1) ** k, n ** (k - 2) * ((k + 1) * n + k - 1)
+    return rho, sign * ((k - 1) * n + k + 1) / scale, -sign / scale
 
 
 def _vertex_factor(n: int, k: int) -> np.ndarray:
@@ -584,26 +592,23 @@ def tv_pipeline(n: int, k: int) -> TvReport:
 
 
 def tv_exact(n: int, k: int) -> Optional[float]:
-    """Devroye-Mehrabian-Reddad bound 1.5 ||R0^-1/2 (R - R0) R0^-1/2||_F, exactly.
+    """Devroye-Mehrabian-Reddad bound 1.5 ||R0^-1/2 (R - R0) R0^-1/2||_F, in closed form.
 
     R is the correlation matrix of all n(n+1) edge derivatives and R0 its
-    block diagonal.  Every cross-vertex block has the same whitened
-    Frobenius norm, so the bound is 1.5 sqrt(n(n+1)) ||W B01 W||_F, with B01
-    the vertex-0/vertex-1 block and W = pI + qJ the inverse square root of
-    the equicorrelated block.  None where R is singular, since the bound
-    needs R positive definite.  R = D diag(var) D^T for the n(n+1) x d
-    design D, whose rank is min(d, n(n+1)) (checked for n <= 12 and
-    k = 2..8), so R is singular exactly where d < n(n+1).
+    block diagonal, whose blocks have Lemma 1's inverse A = (alpha - beta) I
+    + beta J.  Each of the n(n+1) cross-vertex blocks is, shared edge first,
+    B = [[r, -t 1^T], [-t 1, t I]] (`edge_correlations`), so the squared
+    whitened norm is tr(A B A B) = (alpha - beta)^2 (r^2 + 3(n-1) t^2)
+    + beta (2 alpha - beta) (r - (n-1) t)^2.  None where R is singular, as
+    the bound needs R positive definite: R = D diag(var) D^T for the
+    n(n+1) x d design D, of rank min(d, n(n+1)) (checked for n <= 12 and
+    k = 2..8), so exactly where d < n(n+1).
     """
     check_degree(n, k, least_n=2)
     if coefficient_count(n, k) < n * (n + 1):
         return None
-    rho = rho_n(n, k)
-    p = 1.0 / math.sqrt(1.0 - rho)
-    q = (1.0 / math.sqrt(1.0 + (n - 1) * rho) - p) / n
-    whiten = np.full((n, n), q)
-    whiten[np.diag_indices(n)] += p
-    block = edge_covariance(n, k, (0, 1))[:n, n:] / derivative_norm_squared(n, k)
-    with _one_blas_thread():
-        whitened = whiten @ block @ whiten
-    return 1.5 * math.sqrt(n * (n + 1)) * float(np.linalg.norm(whitened))
+    rho, r, t = edge_correlations(n, k)
+    pair = inverse_diag_offdiag(EquicorrelatedSpec(n=n, rho=rho))
+    squared = ((pair.alpha - pair.beta) ** 2 * (r * r + 3 * (n - 1) * t * t)
+               + pair.beta * (2 * pair.alpha - pair.beta) * (r - (n - 1) * t) ** 2)
+    return 1.5 * math.sqrt(n * (n + 1) * squared)

@@ -104,8 +104,6 @@ def suite_lemma_inverse() -> list[dict]:
     ok = True
     for n in (2, 5, 10, 25, 50):
         for rho in (-0.01, 0.0, 0.3, 0.7, 0.95):
-            if n > 1 and rho <= -1.0 / (n - 1):
-                continue
             eig = np.sort(np.linalg.eigvalsh(covariance_matrix(EquicorrelatedSpec(n=n, rho=rho))))
             expected = np.sort(np.r_[np.full(n - 1, 1.0 - rho), 1.0 + (n - 1) * rho])
             ok &= np.max(np.abs(eig - expected)) <= 1e-10
@@ -195,11 +193,9 @@ def suite_simplex() -> list[dict]:
         sigma = (1.0 - rho * rho) / math.sqrt(trials)
         worst = np.max(np.abs(same - rho))
         ok &= worst <= 3.5 * sigma
+        # the largest cross-vertex correlation is the shared edge's |r|
         cross = np.abs(corr[:n, n : 2 * n]).max()
-        eps = simplex.epsilon_n(n, k)
-        # the antipodal shared-edge pair exceeds epsilon by a factor falling
-        # in n; 1.75 caps it for k <= 5 (1.531 at (3,3), 1.562 at (5,4))
-        ok &= cross <= 1.75 * eps + 3.5 / math.sqrt(trials)
+        ok &= cross <= abs(simplex.edge_correlations(n, k)[1]) + 3.5 / math.sqrt(trials)
         detail.append(f"(n={n},k={k}): same-vertex dev {worst:.2e}, cross max {cross:.2e}")
     checks.append(_check("gradient_law", ok, "; ".join(detail)))
 

@@ -119,8 +119,11 @@ class TestSampler:
     """The chain-rule draw through orthant_hits, the sampler behind monte_carlo."""
 
     def test_rejects_negative_rho(self):
-        with pytest.raises(ValueError, match="rho >= 0"):
-            monte_carlo(3, -0.1, 10, seed=0)
+        # only past the domain's edge -1/(n-1), where A is not positive definite
+        with pytest.raises(ValueError, match="outside"):
+            monte_carlo(3, -0.5, 10, seed=0)
+        with pytest.raises(ValueError, match="outside"):
+            monte_carlo(11, -0.1, 10, seed=0)
 
     def test_independent_case(self):
         # rho = 0: the signs are independent, f(2, 0) = 1/4

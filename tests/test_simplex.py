@@ -8,6 +8,7 @@ import tracemalloc
 from itertools import combinations_with_replacement
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from simplex_orthant.simplex import (
     derivative_inner_product,
     derivative_norm_squared,
     directional_derivative,
+    edge_correlations,
     edge_covariance,
     edge_frame,
     epsilon_n,
@@ -260,11 +262,21 @@ class TestEdgeCovariance:
 
     def test_vertex_subset_is_a_block(self):
         full = edge_covariance(5, 4)
-        pair = edge_covariance(5, 4, (0, 1))
-        assert np.max(np.abs(pair - full[:10, :10])) <= 1e-14 * np.max(np.abs(full))
         # the same-vertex block is equicorrelated with rho_n
         block = full[:5, :5] / derivative_norm_squared(5, 4)
         assert np.allclose(block[~np.eye(5, dtype=bool)], rho_n(5, 4), rtol=1e-13)
+
+    def test_refused_before_geometry(self):
+        # the two 36006000-square arrays are counted before the three
+        # 6001-square geometry arrays (288 MB each) are built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceBudgetError, match="2 x 36006000 x 36006000"):
+                edge_covariance(6000, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_budget_checked_before_eigh(self, monkeypatch):
         # the union factors its covariance with no eigh, and checks the budget
@@ -380,6 +392,7 @@ DEGREE_ENTRY_POINTS = {
     "derivative_norm_squared": derivative_norm_squared,
     "analytic_vertex_probability": sx.analytic_vertex_probability,
     "edge_covariance": edge_covariance,
+    "edge_correlations": edge_correlations,
     "tv_pipeline": tv_pipeline,
     "tv_exact": tv_exact,
     "independent_union_approx": lambda n, k: independent_union_approx(n, k, 0.5),
@@ -1113,6 +1126,32 @@ class TestBetaSequence:
             )
 
 
+class TestEdgeCorrelations:
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_matches_edge_covariance(self, k):
+        # D_ij against D_lm by how the ordered pairs overlap: the same pair 1,
+        # the same vertex rho_n, the reversed edge r, the same far end t, a
+        # chain -t, disjoint 0
+        for n in range(1, 31):
+            corr = edge_covariance(n, k) / derivative_norm_squared(n, k)
+            rho, r, t = edge_correlations(n, k)
+            i = np.repeat(np.arange(n + 1), n)
+            j = (np.arange(n)[None, :] + (np.arange(n)[None, :] >= np.arange(n + 1)[:, None])).ravel()
+            same_i, same_j = i[:, None] == i[None, :], j[:, None] == j[None, :]
+            reversed_ = (i[:, None] == j[None, :]) & (j[:, None] == i[None, :])
+            chain = (i[:, None] == j[None, :]) ^ (j[:, None] == i[None, :])
+            expected = np.select(
+                [same_i & same_j, same_i, reversed_, same_j, chain], [1.0, rho, r, t, -t], 0.0
+            )
+            assert np.max(np.abs(corr - expected)) <= 1e-14, (n, k)
+
+    def test_values(self):
+        # 1 - rho_n = n / d with d = (k+1)n + k - 1
+        assert edge_correlations(10, 5) == (0.84375, -7.1875e-4, 1.5625e-5)
+        assert edge_correlations(3, 3) == pytest.approx((11 / 14, -10 / 42, 1 / 42), rel=1e-15)
+        assert edge_correlations(8, 2) == pytest.approx((17 / 25, 0.44, -0.04), rel=1e-15)
+
+
 class TestTvExact:
     def test_reference_values(self):
         assert tv_exact(10, 5) == pytest.approx(0.0625, rel=1e-4)
@@ -1140,7 +1179,7 @@ class TestTvExact:
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     @pytest.mark.parametrize("n", [4, 6, 10, 20])
     def test_below_frobenius_chain_with_exact_cross_max(self, n, k):
-        cross = edge_covariance(n, k, (0, 1))[:n, n:] / derivative_norm_squared(n, k)
+        cross = edge_covariance(n, k)[:n, n : 2 * n] / derivative_norm_squared(n, k)
         r_max = float(np.max(np.abs(cross)))
         pair = equicorrelated.inverse_diag_offdiag(
             equicorrelated.EquicorrelatedSpec(n=n, rho=rho_n(n, k))
@@ -1148,6 +1187,43 @@ class TestTvExact:
         chain = tv_bound_frobenius(n, n + 1, r_max, pair)
         exact = tv_exact(n, k)
         assert exact is not None and 0.0 < exact <= chain.corrected
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_matches_mpmath(self, k):
+        # 50 digits from the explicit blocks: Lemma 1's (alpha, beta) solved,
+        # and tr(A B A B) summed entry by entry, with no trace identity
+        def reference(n):
+            d = (k + 1) * n + k - 1
+            rho = mpmath.mpf(n * k + k - 1) / d
+            r = mpmath.mpf((-1) ** k * ((k - 1) * n + k + 1)) / (n ** (k - 2) * d)
+            t = mpmath.mpf((-1) ** (k - 1)) / (n ** (k - 2) * d)
+            alpha, beta = mpmath.lu_solve(
+                mpmath.matrix([[1, (n - 1) * rho], [rho, (n - 2) * rho + 1]]), mpmath.matrix([1, 0])
+            )
+            b = [[r] + [-t] * (n - 1)] + [
+                [-t] + [t if i == j else 0 for j in range(1, n)] for i in range(1, n)
+            ]
+            sums = [mpmath.fsum(row[j] for row in b) for j in range(n)]
+            ab = [[(alpha - beta) * b[i][j] + beta * sums[j] for j in range(n)] for i in range(n)]
+            squared = mpmath.fsum(ab[i][j] * ab[j][i] for i in range(n) for j in range(n))
+            return 1.5 * mpmath.sqrt(n * (n + 1) * squared)
+
+        with mpmath.workdps(50):
+            for n in range(2, 61):
+                got = tv_exact(n, k)
+                if got is not None:
+                    exact = reference(n)
+                    assert abs(got - exact) <= 1e-14 * exact, (n, k)
+
+    @pytest.mark.parametrize("n, k", [(10**4, 4), (10**6, 5)])
+    def test_large_n_builds_no_array(self, monkeypatch, n, k):
+        # past the dense path's n = 2048 wall; no numpy call, and the bound
+        # tends to 1.5 (k - 1) n^(3 - k)
+        monkeypatch.setattr(sx, "np", None)
+        monkeypatch.setattr(equicorrelated, "np", None)
+        got = tv_exact(n, k)
+        assert math.isfinite(got)
+        assert got == pytest.approx(1.5 * (k - 1) * n ** (3 - k), rel=1e-3)
 
     def test_in_union_report(self):
         rep = estimate_union_probability(4, 4, 1000, seed=1)
