@@ -8,9 +8,10 @@ rho.  Its inverse shares the same structure; the (alpha, beta) pair solving
 
 is returned in closed form.  The orthant Monte Carlo draws X ~ N(0, A) by
 the chain rule, each coordinate from its law given the ones before it
-(`chain_law`), exact for every rho in the domain, and draws coordinate j
-only for the rows still in the orthant (`orthant_hits`).  The chunk
-streams and chunk map here serve it and the simplex union alike.
+(`chain_law`), exact for every rho in the domain.  It takes the rows with
+X_1 > 0 as one Binomial(size, 1/2) count with half-normal X_1, and draws
+coordinate j only for the rows still in the orthant (`orthant_hits`).  The
+chunk streams and chunk map here serve it and the simplex union alike.
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ def inverse_diag_offdiag(spec: EquicorrelatedSpec) -> InverseDiagonalPair:
     n, rho = spec.n, spec.rho
     if n == 1:
         return InverseDiagonalPair(alpha=1.0, beta=0.0)
-    den = (n - 2) * rho + 1.0 - rho * rho * (n - 1)
+    # (n-2) rho + 1 - (n-1) rho^2 factored, so that its terms do not cancel
+    den = (1.0 - rho) * (1.0 + (n - 1) * rho)
     if den == 0.0:
         raise ValueError("singular covariance: denominator vanished")
     return InverseDiagonalPair(alpha=((n - 2) * rho + 1.0) / den, beta=-rho / den)
@@ -225,23 +227,25 @@ def chain_law(rho: float, j: int) -> tuple[float, float]:
 def orthant_hits(spec: EquicorrelatedSpec, chunk: int, size: int, seed: int) -> int:
     """How many of a chunk's `size` draws of N(0, A) have every coordinate positive.
 
-    The draws come from chunk_generator(seed, chunk) by the chain rule: first
-    z_1 for every row, X_1 = z_1; then, for j = 2..n in turn, one normal z_j
-    for each row whose first j - 1 coordinates are positive, in row order,
-    and X_j = c_j S_{j-1} + sigma_j z_j with (c_j, sigma_j) = chain_law(rho, j).
-    Each open row keeps t_j = -c_j S_{j-1} in place: t_2 = fl(-rho z_1) and
-    t_{j+1} = fl(t_j - fl(c_{j+1} fl(sigma_j z_j))), and passes coordinate j
-    when fl(sigma_j z_j) > t_j, that is when fl(sigma_j z_j) - t_j > 0.  So
-    the count is the number of rows with all n coordinates positive,
-    Binomial(size, f(n, rho)) up to that rounding.  A row costs
-    sum_{j<n} f(j, rho) normals (f(0, rho) = 1), no Phi is used, and a chunk
-    holds O(size) memory at any n.
+    The draws come from chunk_generator(seed, chunk) by the chain rule.
+    X_1 > 0 with probability 1/2, and given that X_1 is half-normal, so the
+    chunk first draws the number of rows with X_1 > 0 as K = Binomial(size,
+    1/2) and their X_1 = |z_1| from K normals; the other rows have left the
+    orthant.  Then, for j = 2..n in turn, it draws one normal z_j for each
+    row whose first j - 1 coordinates are positive, in row order, and
+    X_j = c_j S_{j-1} + sigma_j z_j with (c_j, sigma_j) = chain_law(rho, j).
+    Each open row keeps t_j = -c_j S_{j-1} in place: t_2 = fl(-rho |z_1|)
+    and t_{j+1} = fl(t_j - fl(c_{j+1} fl(sigma_j z_j))), and passes
+    coordinate j when fl(sigma_j z_j) > t_j, that is when fl(sigma_j z_j) -
+    t_j > 0.  So the count is the number of rows with all n coordinates
+    positive, Binomial(size, f(n, rho)) up to that rounding.  A row costs
+    1/2 + sum_{1<=j<n} f(j, rho) normals, no Phi is used, and a chunk holds
+    O(K) memory at any n.
     """
     rng = chunk_generator(seed, chunk)
-    z, keep = np.empty(size), np.empty(size, dtype=bool)
-    x = rng.standard_normal(out=z)
-    t = np.extract(np.greater(x, 0.0, out=keep), x)
+    t = np.abs(rng.standard_normal(rng.binomial(size, 0.5)))
     t *= -spec.rho  # c_2 = rho
+    z, keep = np.empty(len(t)), np.empty(len(t), dtype=bool)
     for j in range(2, spec.n + 1):
         if not len(t):
             break

@@ -432,10 +432,12 @@ def monte_carlo(
 
     Each coordinate is drawn from its law given the ones before it.  Chunked
     and deterministic per (seed, chunk index); the thread count never
-    changes the result, only how chunks are scheduled.  Each chunk draws a
-    row's next coordinate only while the row is still in the orthant
-    (equicorrelated.orthant_hits), so a run at n draws the same first j
-    coordinates as a run at j, and holds O(CHUNK_SIZE) memory at any n.
+    changes the result, only how chunks are scheduled.  Each chunk
+    (equicorrelated.orthant_hits) takes its rows with X_1 > 0 as one
+    Binomial(size, 1/2) count with half-normal X_1, and draws a row's next
+    coordinate only while the row is still in the orthant, so a run at n
+    draws the same first j coordinates as a run at j, and holds
+    O(CHUNK_SIZE) memory at any n.
     """
     spec = EquicorrelatedSpec(n=n, rho=rho)
     sizes = _chunk_sizes(trials, CHUNK_SIZE)

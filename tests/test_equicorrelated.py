@@ -1,5 +1,6 @@
 import math
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -114,6 +115,20 @@ class TestInverse:
         assert pair.beta == pytest.approx(beta_rat, rel=1e-10)
         assert pair.beta == pytest.approx(beta_quadratic, rel=1e-10)
 
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_exact_at_rounded_rho_n(self, k):
+        # against the Fractions of the rounded rho_n: the factored denominator
+        # (1 - rho)(1 + (n-1) rho) does not cancel, so alpha and beta lie
+        # within 2.5e-16 relative (the expanded (n-2) rho + 1 - (n-1) rho^2
+        # was 1.65e-15 off)
+        for n in range(2, 61):
+            rho = rho_n(n, k)
+            r = Fraction(rho)
+            den = (1 - r) * (1 + (n - 1) * r)
+            pair = inverse_diag_offdiag(EquicorrelatedSpec(n=n, rho=rho))
+            for got, exact in ((pair.alpha, ((n - 2) * r + 1) / den), (pair.beta, -r / den)):
+                assert abs(Fraction(got) - exact) <= Fraction(2.5e-16) * abs(exact), (n, k)
+
 
 class TestSampler:
     """The chain-rule draw through orthant_hits, the sampler behind monte_carlo."""
@@ -160,12 +175,12 @@ class TestSampler:
         assert monte_carlo(3, 0.4, 100_000, seed=7).value == hits[0] / 100_000
 
     def test_chunk_is_chain_rule_formula(self):
-        # z_1 for every row, then X_j = c_j S_{j-1} + sigma_j z_j for the rows
-        # still positive, S_{j-1} the row's running sum
+        # K ~ Binomial(1000, 1/2) rows with X_1 = |z_1| > 0, then
+        # X_j = c_j S_{j-1} + sigma_j z_j for the rows still positive, S_{j-1}
+        # the row's running sum
         spec = EquicorrelatedSpec(n=10, rho=0.3)
         rng = chunk_generator(5, 2)
-        x = rng.standard_normal(1000)
-        s = x[x > 0.0]
+        s = np.abs(rng.standard_normal(rng.binomial(1000, 0.5)))
         for j in range(2, 11):
             c, sigma = chain_law(0.3, j)
             x = c * s + sigma * rng.standard_normal(len(s))
@@ -183,19 +198,31 @@ class TestSampler:
             assert np.allclose(weights, c, rtol=1e-13, atol=1e-13)
             assert sigma**2 == pytest.approx(1.0 - a[:-1, -1] @ weights, rel=1e-13, abs=1e-13)
 
+    def test_first_count_is_binomial_draw(self):
+        # n = 1: the hit count is the chunk generator's first draw,
+        # Binomial(size, 1/2), at any rho
+        for seed, chunk, size in ((41, 3, 20_000), (90, 0, 100_000), (7, 12, 1)):
+            count = chunk_generator(seed, chunk).binomial(size, 0.5)
+            for rho in (-0.9, 0.0, 0.4, 0.99):
+                assert orthant_hits(EquicorrelatedSpec(n=1, rho=rho), chunk, size, seed) == count
+
     @pytest.mark.parametrize("n, rho", [(1, 0.5), (3, 0.4), (10, 0.0), (10, 0.99), (700, 0.5)])
     def test_normals_per_chunk(self, monkeypatch, n, rho):
-        # size normals for X_1, then one for each row open after coordinate
-        # j = 1..n-1, which is a run at j's hit count
+        # the n = 1 hit count for X_1, then one for each row open after
+        # coordinate j = 1..n-1, which is a run at j's hit count
         size, seed = 20_000, 41
         open_rows = [orthant_hits(EquicorrelatedSpec(n=j, rho=rho), 3, size, seed)
                      for j in range(1, n)]
+        first = orthant_hits(EquicorrelatedSpec(n=1, rho=rho), 3, size, seed)
         sizes = []
         original = equicorrelated.chunk_generator
 
         class Counted:
             def __init__(self, rng):
                 self.rng = rng
+
+            def binomial(self, *args, **kwargs):
+                return self.rng.binomial(*args, **kwargs)
 
             def standard_normal(self, *args, **kwargs):
                 out = self.rng.standard_normal(*args, **kwargs)
@@ -205,7 +232,7 @@ class TestSampler:
         monkeypatch.setattr(equicorrelated, "chunk_generator",
                             lambda seed, chunk: Counted(original(seed, chunk)))
         orthant_hits(EquicorrelatedSpec(n=n, rho=rho), 3, size, seed)
-        assert sum(sizes) == size + sum(open_rows)
+        assert sum(sizes) == first + sum(open_rows)
 
     def test_distinct_chunks_differ(self):
         g0 = chunk_generator(3, 0).standard_normal(4)

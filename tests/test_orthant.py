@@ -658,9 +658,10 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 79, 81, 700])
     def test_row_minimum_count_is_exact(self, monkeypatch, n, rho, threads):
         # the hits against the rows with a positive minimum, over three
-        # chunks of at most 4000 rows replayed with boolean masks: each
-        # column is drawn for the rows still positive, -inf fills the rest,
-        # and t = -c_j S_{j-1} is kept for every row
+        # chunks of at most 4000 rows replayed with boolean masks: the first
+        # Binomial(size, 1/2) rows get X_1 = |z_1|, each later column is
+        # drawn for the rows still positive, -inf fills the rest, and
+        # t = -c_j S_{j-1} is kept for every row
         trials, seed, chunk_size = 10_000, 31, 4_000
         monkeypatch.setattr(orthant, "CHUNK_SIZE", chunk_size)
         hits = 0
@@ -668,10 +669,12 @@ class TestMonteCarlo:
             rng = equicorrelated.chunk_generator(seed, chunk)
             rows = np.full((size, n), -np.inf)
             t = np.zeros(size)
-            alive = np.ones(size, dtype=bool)
+            alive = np.arange(size) < rng.binomial(size, 0.5)
             for j in range(n):
                 sigma = equicorrelated.chain_law(rho, j + 1)[1] if j else 1.0
                 step = sigma * rng.standard_normal(np.count_nonzero(alive))
+                if not j:
+                    step = np.abs(step)
                 rows[alive, j] = step - t[alive]
                 t[alive] -= equicorrelated.chain_law(rho, j + 2)[0] * step
                 alive &= rows[:, j] > 0.0
@@ -679,7 +682,7 @@ class TestMonteCarlo:
         assert monte_carlo(n, rho, trials, seed, threads=threads).value == hits / trials
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("rho", [0.0, 0.01, 0.5, 0.99])
+    @pytest.mark.parametrize("rho", [-0.1, -0.05, 0.0, 0.01, 0.5, 0.99])
     def test_nested_in_n(self, rho, threads):
         # a run at n draws the same first j columns as a run at j, so its
         # orthant lies inside theirs draw by draw
@@ -698,12 +701,13 @@ class TestMonteCarlo:
         est = monte_carlo(1000, 0.5, 100_000, seed=1602)
         assert abs(est.value - 1.0 / 1001.0) <= 4.0 * est.std_error
 
-    # what a chunk holds on a thread: the first column's normals, their
-    # mask, the open rows' t, and the survivors' indices and values (2.27 to
-    # 2.30 of these units measured at n = 3, 10 and 700, and 3.6 to 3.9 for
-    # two threads).  Each test runs once before it measures, so the modules
-    # a process's first draw imports (0.95 units) are not counted
-    PER_THREAD = 2.75 * 8 * equicorrelated.CHUNK_SIZE
+    # what a chunk holds on a thread: the t of its Binomial(size, 1/2)
+    # rows with X_1 > 0, a normal buffer and a mask as long, and the
+    # survivors' indices and values (1.72 to 1.74 of these units measured
+    # at n = 3, 10 and 700, and 1.75 to 3.4 for two threads).  Each test
+    # runs once before it measures, so the modules a process's first draw
+    # imports (0.95 units) are not counted
+    PER_THREAD = 2.25 * 8 * equicorrelated.CHUNK_SIZE
 
     def test_peak_memory_cache_sized(self):
         monte_carlo(10, 0.5, 10, seed=8, threads=2)

@@ -1191,7 +1191,8 @@ class TestTvExact:
     @pytest.mark.parametrize("k", range(2, 9))
     def test_matches_mpmath(self, k):
         # 50 digits from the explicit blocks: Lemma 1's (alpha, beta) solved,
-        # and tr(A B A B) summed entry by entry, with no trace identity
+        # and tr(A B A B) summed entry by entry, with no trace identity; the
+        # worst error is 8.2e-16 relative, at (25, 7)
         def reference(n):
             d = (k + 1) * n + k - 1
             rho = mpmath.mpf(n * k + k - 1) / d
@@ -1213,7 +1214,7 @@ class TestTvExact:
                 got = tv_exact(n, k)
                 if got is not None:
                     exact = reference(n)
-                    assert abs(got - exact) <= 1e-14 * exact, (n, k)
+                    assert abs(got - exact) <= 1e-15 * exact, (n, k)
 
     @pytest.mark.parametrize("n, k", [(10**4, 4), (10**6, 5)])
     def test_large_n_builds_no_array(self, monkeypatch, n, k):
