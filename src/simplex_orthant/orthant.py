@@ -300,8 +300,9 @@ def _steck_log_f(n: int, rho: float) -> tuple[float, int]:
     peak = log_integrand(center)
     ends = []
     # L is concave, so the first multiple that falls 60 below the peak bounds
-    # it; the right tail decays no faster than exp(-z^2/2), whatever sigma is
-    for unit in (-sigma, max(sigma, 1.0)):
+    # it; the right tail decays no faster than exp(-z^2/2), and the unit 1 is at least
+    # sigma: L'' = n s (log Phi)''(z sqrt(s)) - 1 <= -1, as log Phi is concave
+    for unit in (-sigma, 1.0):
         for multiple in (8.0, 16.0, 32.0, 64.0):
             if log_integrand(center + multiple * unit) <= peak - 60.0:
                 ends.append(center + multiple * unit)

@@ -57,7 +57,7 @@ class SimplexGeometry:
 
     vertices: (n+1) x (n+1) rows e_i - z in the ambient hyperplane.
     embedding: n x (n+1) orthonormal rows spanning sum(x) = 0.
-    embedded: (n+1) x n vertex coordinates in R^n.
+    embedded: (n+1) x n vertex coordinates in R^n, the embedding's transpose.
     """
 
     n: int
@@ -127,35 +127,28 @@ class TvReport:
 
 
 def helmert_basis(n: int) -> np.ndarray:
-    """Orthonormal rows spanning the hyperplane sum(x) = 0 in R^{n+1}."""
-    basis = np.zeros((n, n + 1))
-    for i in range(1, n + 1):
-        basis[i - 1, :i] = 1.0
-        basis[i - 1, i] = -float(i)
-        basis[i - 1] /= math.sqrt(i * (i + 1))
-    return basis
+    """Orthonormal rows (1, ..., 1, -i, 0, ..., 0) / sqrt(i(i+1)), i = 1..n, spanning sum(x) = 0."""
+    i = np.arange(1, n + 1)
+    basis = np.tri(n, n + 1)
+    basis[i - 1, i] = -i
+    return basis / np.sqrt(i * (i + 1.0))[:, None]
 
 
 def build_geometry(n: int) -> SimplexGeometry:
-    """Vertices e_i - z of the zero-centered simplex, embedded into R^n."""
+    """Vertices e_i - z of the simplex, at embedding[:, i] in R^n: its rows are orthogonal to 1."""
     if int(n) != n or n < 1:
         raise ValueError("n must be a positive integer")
-    center = np.full(n + 1, 1.0 / (n + 1))
-    vertices = np.eye(n + 1) - center
     embedding = helmert_basis(n)
-    embedded = vertices @ embedding.T
-    return SimplexGeometry(n=n, vertices=vertices, embedding=embedding, embedded=embedded)
+    return SimplexGeometry(n=n, vertices=np.eye(n + 1) - 1.0 / (n + 1),
+                           embedding=embedding, embedded=embedding.T)
 
 
 def edge_frame(geom: SimplexGeometry, vertex: int) -> EdgeFrame:
-    """Unit edge directions v_i = (a - a_i)/||a - a_i|| at one vertex."""
+    """Unit edge directions v_i = (a - a_i)/sqrt(2) at one vertex; every edge has length sqrt(2)."""
     if not 0 <= vertex <= geom.n:
         raise ValueError(f"vertex index {vertex} out of range 0..{geom.n}")
-    a = geom.embedded[vertex]
     others = np.delete(geom.embedded, vertex, axis=0)
-    diffs = a[None, :] - others
-    directions = diffs / np.linalg.norm(diffs, axis=1, keepdims=True)
-    return EdgeFrame(vertex=vertex, directions=directions)
+    return EdgeFrame(vertex=vertex, directions=(geom.embedded[vertex] - others) / math.sqrt(2.0))
 
 
 def derivative_inner_product(v, a, w, b, k: int) -> float:
@@ -299,32 +292,36 @@ def _design_matrix(n: int, k: int) -> np.ndarray:
 
 
 def edge_covariance(n: int, k: int) -> np.ndarray:
-    """Covariance of the edge derivatives at every vertex.
+    """Covariance of the edge derivatives at every vertex, from exact inner products.
 
-    Row order is that of `_design_rows`.  Entry ((a, v), (b, w)) is the dual
-    inner product k <v,w><a,b>^(k-1) + (k^2-k) <v,b><a,w><a,b>^(k-2),
-    evaluated at once over the Gram matrices of the embedded vertices and
-    their edge frames; no design row is built, and the cost does not depend
-    on the coefficient count.
+    Row p = i n + j is the edge at vertex i toward its j-th other vertex l, as
+    in `_design_rows`.  Entry ((a, v), (b, w)) is the dual inner product
+    k <v,w><a,b>^(k-1) + (k^2-k) <v,b><a,w><a,b>^(k-2).  With E the 0/+-1 table
+    of rows e_i - e_l, 2 <v_p, v_q> = (E E^T)_pq, sqrt(2) <v_p, a_j> = E_pj and
+    <a_i, a_j> = [i = j] - 1/(n+1): the first term is E E^T scaled blockwise,
+    the second nonzero only on a vertex's own block and on reversed edges.
+    Each scale is a correctly rounded integer ratio; at most six values occur.
     """
     check_degree(n, k)
-    # the covariance and the cross term alive at once, counted before the geometry
-    size = n * (n + 1)
-    check_bytes(
-        2 * 8 * size * size, f"2 x {size} x {size} edge-covariance arrays for (n={n}, k={k})"
-    )
-    geom = build_geometry(n)
-    base, frames = geom.embedded, np.array([edge_frame(geom, v).directions for v in range(n + 1)])
-    with _one_blas_thread():
-        ab = base @ base.T
-        vb = frames @ base.T  # <v, b>; its transpose (2, 0, 1) is <a, w>
-        vw = frames.reshape(-1, n) @ frames.reshape(-1, n).T
-    cov = vw.reshape(n + 1, n, n + 1, n)
-    cov *= (k * ab ** (k - 1))[:, None, :, None]
-    cross = vb[:, :, :, None] * (vb.transpose(2, 0, 1) * ab[:, :, None] ** (k - 2))[:, None]
-    cross *= k * k - k
-    cov += cross
-    return cov.reshape(size, size)
+    n, k, c = int(n), int(k), int(n) + 1  # Python ints keep the ratios exact
+    size = n * c
+    check_bytes(8 * size * (size + c), f"{size} x {size} edge-covariance array and "
+                f"{size} x {c} edge table for (n={n}, k={k})")
+    rows = np.arange(size)
+    vertex, far = rows // n, rows % n
+    far += far >= vertex
+    edges = np.zeros((size, c))
+    edges[rows, vertex], edges[rows, far] = 1.0, -1.0
+    cov = edges @ edges.T  # 2 <v_p, v_q>: small integers, so every sum is exact
+    # k <a_i, a_j>^(k-1) / 2 on block (i, j); then the second term, k(k-1)/2
+    # times <a_i, a_j>^(k-2), on each vertex's block and on reversed edges
+    scale = np.full((c, c), k * (-1) ** (k - 1) / (2 * c ** (k - 1)))
+    np.fill_diagonal(scale, k * n ** (k - 1) / (2 * c ** (k - 1)))
+    cov.reshape(c, n, c, n)[...] *= scale[:, None, :, None]
+    for lo in range(0, size, n):
+        cov[lo : lo + n, lo : lo + n] += k * (k - 1) * n ** (k - 2) / (2 * c ** (k - 2))
+    cov[rows, far * n + vertex - (vertex > far)] += k * (k - 1) * (-1) ** k / (2 * c ** (k - 2))
+    return cov
 
 
 def edge_correlations(n: int, k: int) -> tuple[float, float, float]:
@@ -352,9 +349,9 @@ def _vertex_factor(n: int, k: int) -> np.ndarray:
     where the covariance is singular (10 of 12 at (3, 3)).  For n <= 12 and
     k = 2..8 the kept pivots exceed 0.11 of that variance, the dropped 3e-13.
     The residual max |L L^T - C| / max |C| is a few eps where d >= n(n+1)
-    (1.6e-15 at (30, 5)).  Where d < n(n+1) each dropped column leaves its
-    Schur residue, so it grows with n: 1.8e-14 at (8, 2), 2.7e-13 at
-    (12, 2), 1.6e-12 at (20, 2), 1.0e-11 at (30, 2), all under (n(n+1))^2 eps.
+    (1.7e-15 at (30, 5)).  Where d < n(n+1) each dropped column leaves its
+    Schur residue, so it grows with n: 3.0e-14 at (8, 2), 2.8e-13 at
+    (12, 2), 9.1e-13 at (20, 2), 3.1e-12 at (30, 2), all under (n(n+1))^2 eps.
     """
     m = n * (n + 1)
     a = edge_covariance(n, k)
@@ -382,10 +379,10 @@ def _vertex_factor(n: int, k: int) -> np.ndarray:
 
 
 def derivative_norm_squared(n: int, k: int) -> float:
-    """Analytic ||d/dv_i(a)||^2 = k ||a||^(2k-4) (||a||^2 + (k-1)/2)."""
+    """||d/dv_i(a)||^2 = k ||a||^(2k-4) (||a||^2 + (k-1)/2), ||a||^2 = n/(n+1), exactly rounded."""
     check_degree(n, k)
-    a_sq = n / (n + 1)
-    return k * a_sq ** (k - 2) * (a_sq + (k - 1) / 2.0)
+    n, k = int(n), int(k)
+    return k * n ** (k - 2) * ((k + 1) * n + k - 1) / (2 * (n + 1) ** (k - 1))
 
 
 def is_vertex_max(P: BombieriPolynomial, geom: SimplexGeometry, vertex: int) -> bool:
@@ -465,8 +462,8 @@ def estimate_union_probability(
     check_degree(n, k)
     m, w = n * (n + 1), min(coefficient_count(n, k), n * (n + 1))
     sizes = _chunk_sizes(trials, CHUNK_SIZE)
-    # the larger phase: edge_covariance's two m x m arrays, or the factor with
-    # a chunk's normals twice (while copied or widened) and derivatives
+    # the larger phase: the covariance and its compacted factor, or the factor
+    # with a chunk's normals twice (while copied or widened) and derivatives
     check_bytes(8 * max(2 * m * m, m * w + sizes[0] * (2 * w + n + 1)),
                 f"2 x {m} x {m} edge-covariance arrays, or the {m} x {w} factor and "
                 f"{sizes[0]} x (2 x {w} + {n + 1}) chunk arrays, for (n={n}, k={k})")

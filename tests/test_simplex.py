@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -57,6 +58,35 @@ def dot_product_polynomial(n: int, k: int, u: np.ndarray) -> BombieriPolynomial:
 def coefficient_matrix(n: int, k: int) -> np.ndarray:
     """Design rows times sigma: B, whose B z are the derivatives of coefficients sigma * z."""
     return sx._design_matrix(n, k) * np.sqrt(coefficient_variances(n, k))
+
+
+def edge_index(n: int, i: int, l: int) -> int:
+    """Row of the edge derivative at vertex i toward vertex l, in `_design_rows` order."""
+    return i * n + l - (l > i)
+
+
+def exact_edge_covariance(n: int, k: int) -> list:
+    """The dual inner product formula in Fractions, over the ambient simplex.
+
+    a_i = e_i - z and v = (e_i - e_l)/sqrt(2), so <v,w> and <v,b><a,w> are
+    rational halves of rational dot products.
+    """
+    def dot(x, y):
+        return sum(p * q for p, q in zip(x, y))
+
+    vertices = [[Fraction(int(i == j)) - Fraction(1, n + 1) for j in range(n + 1)]
+                for i in range(n + 1)]
+    edges = [(i, [int(j == i) - int(j == l) for j in range(n + 1)])
+             for i in range(n + 1) for l in range(n + 1) if l != i]
+    rows = []
+    for i, v in edges:
+        row = []
+        for j, w in edges:
+            ab = dot(vertices[i], vertices[j])
+            vb_aw = dot(v, vertices[j]) * dot(vertices[i], w) / 2
+            row.append(k * Fraction(dot(v, w), 2) * ab ** (k - 1) + (k * k - k) * vb_aw * ab ** (k - 2))
+        rows.append(row)
+    return rows
 
 
 def replay_union(n: int, k: int, trials: int, seed: int) -> tuple[int, int, int]:
@@ -131,6 +161,18 @@ class TestGeometry:
         assert np.allclose(
             geom.embedded @ geom.embedded.T, geom.vertices @ geom.vertices.T, atol=1e-12
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    def test_helmert_rows_and_embedded_vertices(self, n):
+        # row i - 1 is (1, ..., 1, -i, 0, ...) / sqrt(i(i+1)), entry by entry;
+        # e_i - z has coordinates embedding[:, i], as the rows are orthogonal to 1
+        geom = build_geometry(n)
+        for i in range(1, n + 1):
+            row = np.zeros(n + 1)
+            row[:i], row[i] = 1.0, -float(i)
+            assert np.array_equal(geom.embedding[i - 1], row / math.sqrt(i * (i + 1)))
+        assert np.array_equal(geom.embedded, geom.embedding.T)
+        assert np.max(np.abs(geom.vertices @ geom.embedding.T - geom.embedded)) <= 4 * np.finfo(float).eps
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -224,8 +266,8 @@ class TestEdgeCovariance:
     def test_factor_reproduces_covariance(self, n, k):
         cov = edge_covariance(n, k)
         factor = sx._vertex_factor(n, k)
-        # the residual grows with the dropped columns where d < m: 1.0e-11 at
-        # (30, 2), a 19th of the bound
+        # the residual grows with the dropped columns where d < m: 3.1e-12 at
+        # (30, 2), a 62nd of the bound
         m = n * (n + 1)
         eps = np.finfo(float).eps
         assert np.max(np.abs(factor @ factor.T - cov)) <= m * m * eps * np.max(np.abs(cov))
@@ -266,12 +308,111 @@ class TestEdgeCovariance:
         block = full[:5, :5] / derivative_norm_squared(5, 4)
         assert np.allclose(block[~np.eye(5, dtype=bool)], rho_n(5, 4), rtol=1e-13)
 
-    def test_refused_before_geometry(self):
-        # the two 36006000-square arrays are counted before the three
-        # 6001-square geometry arrays (288 MB each) are built
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_matches_exact_rationals(self, n, k):
+        # the formula evaluated in Fractions on the ambient simplex: each entry
+        # within 2.3e-16 of the largest
+        exact = exact_edge_covariance(n, k)
+        cov = edge_covariance(n, k)
+        largest = max(abs(x) for row in exact for x in row)
+        worst = max(abs(Fraction(float(cov[p, q])) - x)
+                    for p, row in enumerate(exact) for q, x in enumerate(row))
+        assert worst <= Fraction(2.3e-16) * largest
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_takes_the_pattern_values(self, k):
+        # one value per overlap class (the same pair, the same vertex, reversed,
+        # the same far end, a chain, disjoint): 6 for n >= 3, 5 at n = 2 and 2
+        # at n = 1, except where two classes' rationals coincide, at (2, 2)
+        # and at n = 1 for even k
+        for n in range(1, 31):
+            exact = exact_edge_covariance(n, k) if n <= 4 else None
+            distinct = len(np.unique(edge_covariance(n, k)))
+            if exact is not None:
+                assert distinct == len({x for row in exact for x in row}), (n, k)
+            expected = {1: 2 - (k % 2 == 0), 2: 5 - (k == 2)}.get(n, 6)
+            assert distinct == expected, (n, k)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 30])
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_matches_helmert_geometry(self, n, k):
+        # each overlap class against the dual inner product of the embedded
+        # vertices and edge frames: edge (i, l) at vertex i toward vertex l
+        geom = build_geometry(n)
+        cov = edge_covariance(n, k)
+
+        def functional(i, l):
+            direction = edge_frame(geom, i).directions[l - (l > i)]
+            return direction, geom.embedded[i]
+
+        a, b, c, d = 0, n, 1, 2
+        pairs = [((a, b), (a, b)), ((a, b), (a, c)), ((a, b), (b, a)),
+                 ((a, b), (c, b)), ((a, b), (b, c)), ((a, b), (c, a))]
+        if n >= 3:
+            pairs.append(((a, b), (c, d)))
+        for p, q in pairs:
+            expected = derivative_inner_product(*functional(*p), *functional(*q), k)
+            got = cov[edge_index(n, *p), edge_index(n, *q)]
+            assert abs(got - expected) <= 1e-14 * derivative_norm_squared(n, k), (p, q)
+
+    def test_one_array_peak(self):
+        # the covariance is the one n(n+1)-square array; the edge table is
+        # n(n+1) x (n+1)
+        n, k = 30, 5
+        m = n * (n + 1)
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceBudgetError, match="2 x 36006000 x 36006000"):
+            edge_covariance(n, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * 8 * m * m
+
+    def test_budget_counts_one_array(self, monkeypatch):
+        n, k = 6, 4
+        m = n * (n + 1)
+        need = 8 * m * (m + n + 1)
+        monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", need - 1)
+        with pytest.raises(ResourceBudgetError, match=f"{m} x {m} edge-covariance array"):
+            edge_covariance(n, k)
+        monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", need)
+        assert edge_covariance(n, k).shape == (m, m)
+
+    def test_wall_is_n_76(self, monkeypatch):
+        # n = 75 fits the budget (5700 x 5776 words) and n = 76 does not;
+        # the n = 75 figure is read without building anything
+        with pytest.raises(ResourceBudgetError, match="5852 x 5852 edge-covariance array"):
+            edge_covariance(76, 3)
+
+        class Counted(Exception):
+            pass
+
+        def record(need, what):
+            raise Counted(need)
+
+        monkeypatch.setattr(sx, "check_bytes", record)
+        with pytest.raises(Counted) as counted:
+            edge_covariance(75, 3)
+        assert counted.value.args[0] == 8 * 5700 * 5776 <= equicorrelated.MEMORY_BUDGET_BYTES
+
+    def test_no_geometry_or_blas_pin(self, monkeypatch):
+        expected = edge_covariance(6, 4)
+
+        def refuse(*args):
+            raise AssertionError("edge_covariance left the exact inner products")
+
+        for name in ("build_geometry", "edge_frame", "_one_blas_thread"):
+            monkeypatch.setattr(sx, name, refuse)
+        assert np.array_equal(edge_covariance(6, 4), expected)
+
+    def test_refused_before_geometry(self):
+        # the 36006000-square array and the edge table are counted before
+        # either is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceBudgetError,
+                               match="36006000 x 36006000 edge-covariance array and 36006000 x 6001 edge table"):
                 edge_covariance(6000, 4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -1080,13 +1221,14 @@ class TestBlasThreadInvariance:
                 estimate_vertex_probability(3, 3, 120_000, seed=8, threads=2),
                 estimate_union_probability(3, 3, 120_000, seed=8, threads=2),
                 gradient_correlations(3, 3, 120_000, seed=8, threads=2),
+                edge_covariance(20, 4),
             )
 
-        vertex, union, corr = run()
+        vertex, union, corr, cov = run()
         monkeypatch.setattr(equicorrelated, "_openblas", lambda: None)
-        vertex_plain, union_plain, corr_plain = run()
+        vertex_plain, union_plain, corr_plain, cov_plain = run()
         assert vertex == vertex_plain and union == union_plain
-        assert np.array_equal(corr, corr_plain)
+        assert np.array_equal(corr, corr_plain) and np.array_equal(cov, cov_plain)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_nonpositive_threads_raise(self, threads):
@@ -1143,7 +1285,7 @@ class TestEdgeCorrelations:
             expected = np.select(
                 [same_i & same_j, same_i, reversed_, same_j, chain], [1.0, rho, r, t, -t], 0.0
             )
-            assert np.max(np.abs(corr - expected)) <= 1e-14, (n, k)
+            assert np.max(np.abs(corr - expected)) <= 4.5e-16, (n, k)
 
     def test_values(self):
         # 1 - rho_n = n / d with d = (k+1)n + k - 1
