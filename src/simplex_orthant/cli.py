@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io
 import json
 import math
@@ -29,36 +30,41 @@ from .equicorrelated import ResourceBudgetError
 
 NA = "NA"
 MAX_GRID_POINTS = 10**6
+# grid values and range points are exact decimals: one that 1000 digits and
+# exponents of +-999 cannot hold raises instead of rounding
+_EXACT = decimal.Context(prec=1000, Emax=999, Emin=-999, traps=[
+    decimal.InvalidOperation, decimal.Inexact, decimal.Overflow, decimal.DivisionByZero])
+
+
+def _grid(text: str) -> list:
+    """Exact decimals of 'a,b,c' lists and 'start:stop:step' ranges (stop inclusive)."""
+    try:
+        with decimal.localcontext(_EXACT):
+            values = [+decimal.Decimal(p) for p in text.split(":" if ":" in text else ",")]
+            if ":" not in text:
+                return values
+            start, stop, step = values
+            # also rejects nan; with these bounds the grid holds at least start
+            if not (all(v.is_finite() for v in values) and step > 0 and start <= stop):
+                raise argparse.ArgumentTypeError(
+                    f"range {text!r} needs finite start <= stop and step > 0")
+            # size the range before building it: it has floor((stop - start) / step) + 1 points
+            if (stop - start) / MAX_GRID_POINTS >= step:
+                raise argparse.ArgumentTypeError(
+                    f"range {text!r} needs at most {MAX_GRID_POINTS} points")
+            return [start + i * step for i in range(int((stop - start) // step) + 1)]
+    except decimal.DecimalException:
+        raise ValueError(text) from None
 
 
 def _float_grid(text: str):
-    """Accept 'a,b,c' lists and 'start:stop:step' ranges (stop inclusive)."""
-    if ":" in text:
-        start, stop, step = (float(p) for p in text.split(":"))
-        # also rejects nan; with these bounds the grid holds at least start
-        if not (step > 0.0 and -math.inf < start <= stop < math.inf):
-            raise argparse.ArgumentTypeError(
-                f"range {text!r} needs finite start <= stop and step > 0"
-            )
-        # size the range before building it: a tiny step overflows the
-        # quotient or asks for more points than memory holds
-        quotient = (stop - start) / step
-        if not (math.isfinite(quotient) and round(quotient) < MAX_GRID_POINTS):
-            raise argparse.ArgumentTypeError(
-                f"range {text!r} needs at most {MAX_GRID_POINTS} points"
-            )
-        # the endpoint slack and the rounding follow the step's scale, so a
-        # step of 1e-13 keeps its points apart and stop + step/2 stays out
-        count = int(round(quotient)) + 1
-        vals = [start + i * step for i in range(count) if start + i * step <= stop + 1e-9 * step]
-        return [round(v, 12 - math.floor(math.log10(step))) for v in vals]
-    return [float(p) for p in text.split(",")]
+    return [float(value) for value in _grid(text)]
 
 
 def _int_grid(text: str):
-    values = _float_grid(text)
+    values = _grid(text)
     for value in values:
-        if not value.is_integer():
+        if not (value.is_finite() and value == value.to_integral_value()):
             raise argparse.ArgumentTypeError(f"{value} is not an integer")
     return [int(value) for value in values]
 

@@ -38,12 +38,13 @@ class ResourceBudgetError(Exception):
     """Raised when an array a call would build exceeds the memory budget."""
 
 
-def check_bytes(need: int, what: str) -> None:
-    """Raise ResourceBudgetError, naming `what`, unless `need` bytes fit the budget."""
+def check_bytes(need: int, what: str) -> int:
+    """The bytes the budget leaves beside `need`; ResourceBudgetError, naming `what`, past it."""
     if need > MEMORY_BUDGET_BYTES:
         raise ResourceBudgetError(
             f"{what} ({need} bytes) would not fit the {MEMORY_BUDGET_BYTES}-byte budget"
         )
+    return MEMORY_BUDGET_BYTES - need
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from . import orthant
 from .equicorrelated import (
     EquicorrelatedSpec,
     ResourceBudgetError,  # re-exported: the error of this module's budget checks
-    TvBound,
     _chunk_sizes,
     _map_ordered,
     _one_blas_thread,
@@ -339,8 +338,8 @@ def edge_correlations(n: int, k: int) -> tuple[float, float, float]:
     return rho, sign * ((k - 1) * n + k + 1) / scale, -sign / scale
 
 
-def _vertex_factor(n: int, k: int) -> np.ndarray:
-    """The lower block-triangular L with L L^T = edge_covariance(n, k), in vertex order.
+def _vertex_factor(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(L, ends): L L^T = edge_covariance(n, k), L lower block-triangular in vertex order.
 
     A pivot-free Cholesky, one vertex's n columns at a time, in place in the
     covariance.  It drops each column whose pivot is at most FACTOR_TOL
@@ -348,6 +347,8 @@ def _vertex_factor(n: int, k: int) -> np.ndarray:
     one column per unit of rank, min(d, n(n+1)) for d = C(n+k-1, k), also
     where the covariance is singular (10 of 12 at (3, 3)).  For n <= 12 and
     k = 2..8 the kept pivots exceed 0.11 of that variance, the dropped 3e-13.
+    The kept columns then move to the front of that array, so L is a view of
+    it, and ends[v] counts the columns of vertices 0..v, all that v's rows use.
     The residual max |L L^T - C| / max |C| is a few eps where d >= n(n+1)
     (1.7e-15 at (30, 5)).  Where d < n(n+1) each dropped column leaves its
     Schur residue, so it grows with n: 3.0e-14 at (8, 2), 2.8e-13 at
@@ -375,7 +376,10 @@ def _vertex_factor(n: int, k: int) -> np.ndarray:
             # the later vertices' lower blocks, one vertex's rows at a time
             for r in range(hi, m, n):
                 a[r : r + n, hi : r + n] -= a[r : r + n, lo:hi] @ a[hi : r + n, lo:hi].T
-    return a[:, kept]
+    kept = np.array(kept)
+    for p in np.flatnonzero(kept != np.arange(len(kept))):  # after a dropped pivot
+        a[:, p] = a[:, kept[p]]
+    return a[:, : len(kept)], np.searchsorted(kept, np.arange(n, m + 1, n))
 
 
 def derivative_norm_squared(n: int, k: int) -> float:
@@ -457,21 +461,22 @@ def estimate_union_probability(
 
     Chunks of CHUNK_SIZE trials draw each trial's edge derivatives vertex by
     vertex from `_vertex_factor`, up to its first maximal vertex, by the law
-    `_union_hits` states, so `threads` changes no draw.
+    `_union_hits` states.  At most `threads` chunks run at once, fewer where
+    the memory budget holds fewer, so `threads` changes no draw and not
+    whether a call fits.
     """
     check_degree(n, k)
     m, w = n * (n + 1), min(coefficient_count(n, k), n * (n + 1))
     sizes = _chunk_sizes(trials, CHUNK_SIZE)
-    # the larger phase: the covariance and its compacted factor, or the factor
-    # with a chunk's normals twice (while copied or widened) and derivatives
-    check_bytes(8 * max(2 * m * m, m * w + sizes[0] * (2 * w + n + 1)),
-                f"2 x {m} x {m} edge-covariance arrays, or the {m} x {w} factor and "
-                f"{sizes[0]} x (2 x {w} + {n + 1}) chunk arrays, for (n={n}, k={k})")
-    factor = _vertex_factor(n, k)
-    # the columns of vertices 0..v: each column's first nonzero row is its pivot's
-    ends = np.searchsorted((factor != 0.0).argmax(axis=0), np.arange(n, m + 1, n))
+    # the covariance with its edge table, then for each chunk in flight its normals
+    # twice (while copied or widened) and its derivatives: as many as the budget holds
+    fixed, chunk = 8 * m * (m + n + 1), 8 * sizes[0] * (2 * w + n + 1)
+    spare = check_bytes(fixed + chunk, f"{m} x {m} edge-covariance array, its {m} x {n + 1} edge "
+                        f"table and one chunk's {sizes[0]} x (2 x {w} + {n + 1}) arrays "
+                        f"for (n={n}, k={k})")
+    factor, ends = _vertex_factor(n, k)
     parts = _map_ordered(lambda c: _union_hits(factor, ends, n, seed, c, sizes[c]),
-                         len(sizes), threads)
+                         len(sizes), min(threads, len(sizes), 1 + spare // chunk))
     union_hits, vertex_hits = (sum(counts) for counts in zip(*parts))
     p_hat, se = hit_rate(union_hits, trials)
     vertex_hat, vertex_se = hit_rate(vertex_hits, trials)
@@ -480,18 +485,12 @@ def estimate_union_probability(
     # blocks; for the segment (n = 1) only the independence numbers apply
     tv = tv_pipeline(n, k) if n >= 2 else None
     return ExperimentReport(
-        estimate=p_hat,
-        std_error=se,
-        trials=trials,
-        seed=seed,
-        analytic_f=f,
-        vertex_estimate=vertex_hat,
-        vertex_std_error=vertex_se,
+        estimate=p_hat, std_error=se, trials=trials, seed=seed, analytic_f=f,
+        vertex_estimate=vertex_hat, vertex_std_error=vertex_se,
         independence_approx=independent_union_approx(n, k, f),
         tv_paper_literal=tv.paper_literal if tv else None,
         tv_corrected=tv.corrected if tv else None,
-        tv_exact=tv_exact(n, k) if tv else None,
-        envelope=tv.envelope if tv else None,
+        tv_exact=tv_exact(n, k) if tv else None, envelope=tv.envelope if tv else None,
     )
 
 
@@ -574,18 +573,10 @@ def tv_pipeline(n: int, k: int) -> TvReport:
     check_degree(n, k, least_n=2)
     eps = epsilon_n(n, k)
     pair = inverse_diag_offdiag(EquicorrelatedSpec(n=n, rho=rho_n(n, k)))
-    tv: TvBound = tv_bound_frobenius(n, n + 1, eps, pair)
-    envelope = (k + 1) ** 2 / n ** (2 * k - 8)
-    return TvReport(
-        n=n,
-        k=k,
-        epsilon=eps,
-        alpha=pair.alpha,
-        beta=pair.beta,
-        paper_literal=tv.paper_literal,
-        corrected=tv.corrected,
-        envelope=envelope,
-    )
+    tv = tv_bound_frobenius(n, n + 1, eps, pair)
+    return TvReport(n=n, k=k, epsilon=eps, alpha=pair.alpha, beta=pair.beta,
+                    paper_literal=tv.paper_literal, corrected=tv.corrected,
+                    envelope=(k + 1) ** 2 / n ** (2 * k - 8))
 
 
 def tv_exact(n: int, k: int) -> Optional[float]:

@@ -221,7 +221,7 @@ def suite_simplex() -> list[dict]:
     # see _vertex_factor
     ok, detail = True, []
     for n, k in ((3, 3), (4, 4), (8, 2)):  # singular at (3, 3) and (8, 2)
-        cov, factor = simplex.edge_covariance(n, k), simplex._vertex_factor(n, k)
+        cov, (factor, _) = simplex.edge_covariance(n, k), simplex._vertex_factor(n, k)
         worst = float(np.max(np.abs(factor @ factor.T - cov)) / np.max(np.abs(cov)))
         ok &= worst <= 1e-12 and factor.shape[1] == min(simplex.coefficient_count(n, k), n * n + n)
         detail.append(f"(n={n},k={k}): {factor.shape[1]} columns, "

@@ -117,6 +117,32 @@ class TestGridParsing:
         assert cli._float_grid("0.123456789012345:0.123456789012346:1e-15") == [
             0.123456789012345, 0.123456789012346]
 
+    def test_ranges_are_exact_decimals(self):
+        # a range's count and points are exact decimals, each read as the
+        # double nearest it, and an integer past 2^53 stays itself
+        assert cli._float_grid("0.1:0.7:0.3") == [0.1, 0.4, 0.7]
+        assert cli._float_grid("1e-300:1e-300:1") == [1e-300]
+        assert cli._int_grid("9007199254740993") == [2**53 + 1]
+        assert cli._int_grid("9007199254740993:9007199254740995:1") == [
+            2**53 + 1, 2**53 + 2, 2**53 + 3]
+        assert cli._int_grid("5.0,1e1") == [5, 10]
+
+    def test_n_past_two_to_the_53(self, capsys):
+        # float parsing ran 2^53 + 1 as 2^53
+        code, out, _ = run_cli(
+            ["compute", "--n", "9007199254740993", "--rho", "0.5", "--method", "closed"], capsys
+        )
+        header, rows = parse_csv(out)
+        assert code == 0 and rows[0][header.index("n")] == "9007199254740993"
+
+    @pytest.mark.parametrize("text", ["abc", "1e-2000", "1e1000", "1,,2", "snan", "1e-1500:1:0.5"])
+    def test_value_past_exact_decimals_exit_2(self, text, capsys):
+        # a value, or a range point, that 1000 digits and exponents of +-999
+        # cannot hold exactly is refused, not rounded
+        code, out, err = run_cli(["compute", "--n", "5", "--rho", text], capsys)
+        assert code == 2 and out == ""
+        assert f"argument --rho: invalid _float_grid value: '{text}'" in err
+
     @pytest.mark.parametrize(
         "argv, value",
         [(["compute", "--n", "2.7", "--rho", "0.5", "--method", "closed"], "2.7"),
@@ -174,6 +200,13 @@ class TestComputeCommand:
         code, out, err = run_cli(["compute", "--n", "2", "--rho", "1.2"], capsys)
         assert code == 1
         assert "rho" in err and "error" in err
+
+    def test_no_closed_form_exit_1(self, capsys):
+        code, out, err = run_cli(
+            ["compute", "--n", "5", "--rho", "0.3", "--method", "closed"], capsys
+        )
+        assert code == 1 and out == ""
+        assert err == "error: no closed form for (n=5, rho=0.3)\n"
 
     def test_steck_underflow_exit_1(self, capsys):
         code, out, err = run_cli(
@@ -318,14 +351,14 @@ class TestSimplexCommand:
             capsys,
         )
         assert code == 0 and len(parse_csv(out)[1]) == 1
-        # at (70, 3) two 4970 x 4970 covariance arrays (395 MB) do not fit:
-        # the budget is checked before the covariance is built
+        # at (76, 3) the 5852 x 5852 covariance and its edge table (278 MB)
+        # do not fit: the budget is checked before the covariance is built
         monkeypatch.setattr(simplex, "edge_covariance", no_covariance)
         code, _, err = run_cli(
-            ["simplex", "--n", "70", "--k", "3", "--trials", "10", "--seed", "1"],
+            ["simplex", "--n", "76", "--k", "3", "--trials", "1", "--seed", "1"],
             capsys,
         )
-        assert code == 2 and "budget" in err and "4970 x 4970" in err
+        assert code == 2 and "budget" in err and "5852 x 5852" in err
 
 
 class TestGoldenStdout:
@@ -519,9 +552,15 @@ class TestVerifyCommand:
 
     def test_wrong_union_factor_exit_3(self, capsys, monkeypatch):
         # a factor that drops the last kept column loses rank and no longer
-        # reproduces the edge covariance
+        # reproduces the edge covariance; its column ends stay consistent, so
+        # the union still runs on it
         original = simplex._vertex_factor
-        monkeypatch.setattr(simplex, "_vertex_factor", lambda n, k: original(n, k)[:, :-1])
+
+        def short_factor(n, k):
+            factor, ends = original(n, k)
+            return factor[:, :-1], ends.clip(max=factor.shape[1] - 1)
+
+        monkeypatch.setattr(simplex, "_vertex_factor", short_factor)
         code, out, _ = run_cli(["verify", "--suite", "simplex"], capsys)
         doc = json.loads(out)
         assert code == 3

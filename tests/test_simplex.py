@@ -98,7 +98,7 @@ def replay_union(n: int, k: int, trials: int, seed: int) -> tuple[int, int, int]
     computed for all rows, and a row counts at the first vertex where all n
     of them are positive.
     """
-    factor = sx._vertex_factor(n, k)
+    factor, _ = sx._vertex_factor(n, k)
     # the columns that vertices 0..v use
     ends = [np.count_nonzero(np.any(factor[: (v + 1) * n] != 0.0, axis=0)) for v in range(n + 1)]
     union = vertex = normals = 0
@@ -117,6 +117,37 @@ def replay_union(n: int, k: int, trials: int, seed: int) -> tuple[int, int, int]
             vertex += np.count_nonzero(maximum) if v == 0 else 0
             open_rows &= ~maximum
     return union, vertex, normals
+
+
+def copied_factor(n: int, k: int):
+    """`_vertex_factor`'s Cholesky, its kept columns copied out and its ends read off the pivots.
+
+    The same blocked pivot-free loop in the same order, so its columns are
+    bit-equal to the ones `_vertex_factor` compacts in place.
+    """
+    m = n * (n + 1)
+    a = edge_covariance(n, k)
+    tol = sx.FACTOR_TOL * float(a.diagonal().max())
+    kept = []
+    with equicorrelated._one_blas_thread():
+        for lo in range(0, m, n):
+            hi = lo + n
+            panel = a[lo:, lo:hi]
+            for j in range(n):
+                pivot = panel[j, j]
+                if pivot <= tol:
+                    panel[:, j] = 0.0
+                    continue
+                kept.append(lo + j)
+                column = panel[j:, j]
+                column /= math.sqrt(pivot)
+                panel[j + 1 :, j + 1 :] -= np.outer(column[1:], column[1 : n - j])
+            panel[np.triu_indices(n, 1)] = 0.0
+            a[:lo, lo:hi] = 0.0
+            for r in range(hi, m, n):
+                a[r : r + n, hi : r + n] -= a[r : r + n, lo:hi] @ a[hi : r + n, lo:hi].T
+    factor = a[:, kept]
+    return factor, np.searchsorted((factor != 0.0).argmax(axis=0), np.arange(n, m + 1, n))
 
 
 def counted_normals(monkeypatch) -> list:
@@ -265,7 +296,7 @@ class TestEdgeCovariance:
                                      (20, 2), (30, 2), (30, 5)])
     def test_factor_reproduces_covariance(self, n, k):
         cov = edge_covariance(n, k)
-        factor = sx._vertex_factor(n, k)
+        factor, ends = sx._vertex_factor(n, k)
         # the residual grows with the dropped columns where d < m: 3.1e-12 at
         # (30, 2), a 62nd of the bound
         m = n * (n + 1)
@@ -282,9 +313,35 @@ class TestEdgeCovariance:
         assert np.all(np.diff(pivots) > 0)
         assert np.all(factor[pivots, np.arange(factor.shape[1])] > 0.0)
         assert np.all(factor[np.arange(len(factor))[:, None] < pivots] == 0.0)
+        assert np.array_equal(ends, np.searchsorted(pivots, np.arange(n, m + 1, n)))
         if factor.shape[1] == len(cov):
             # without pivoting the factor is the Cholesky factor: no basis is chosen
             assert np.max(np.abs(factor - np.linalg.cholesky(cov))) <= 1e-12 * np.max(np.abs(cov))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_in_place_factor_equals_copied(self, n):
+        # compacting in place moves the same bits as copying a[:, kept]: 10
+        # of 12 columns at (3, 3), 36 of 72 at (8, 2), all at (4, 4)
+        for k in range(2, 9):
+            factor, ends = sx._vertex_factor(n, k)
+            expected, expected_ends = copied_factor(n, k)
+            assert np.array_equal(factor, expected), (n, k)
+            assert np.array_equal(ends, expected_ends), (n, k)
+
+    @pytest.mark.parametrize("n, k", [(30, 5), (30, 2)])
+    def test_factor_holds_one_array(self, n, k):
+        # the factor is a view of the factored covariance, its kept columns
+        # moved to the front at (30, 2), where 465 of 930 are dropped; with
+        # the edge table, 1.05 (n(n+1))^2 words
+        m = n * (n + 1)
+        tracemalloc.start()
+        try:
+            factor, _ = sx._vertex_factor(n, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert factor.shape == (m, min(coefficient_count(n, k), m))
+        assert peak <= 1.15 * 8 * m * m
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_design_rank_is_the_lesser_count(self, n):
@@ -298,7 +355,7 @@ class TestEdgeCovariance:
             d = coefficient_count(n, k)
             scaled = sx._design_matrix(n, k) * np.sqrt(coefficient_variances(n, k))
             assert np.linalg.matrix_rank(scaled) == min(d, m), (n, k)
-            assert sx._vertex_factor(n, k).shape[1] == min(d, m), (n, k)
+            assert sx._vertex_factor(n, k)[0].shape[1] == min(d, m), (n, k)
             if n >= 2:
                 assert (tv_exact(n, k) is None) == (d < m), (n, k)
 
@@ -421,9 +478,9 @@ class TestEdgeCovariance:
 
     def test_budget_checked_before_eigh(self, monkeypatch):
         # the union factors its covariance with no eigh, and checks the budget
-        # before the covariance is built: at (70, 3) its two 4970 x 4970
-        # arrays do not fit; at (47, 5) they do, but the factor and one
-        # 6250-trial chunk's arrays (269 MB) do not, while 6000 trials fit
+        # before the covariance is built: at (76, 3) its 5852 x 5852 array
+        # does not fit; at (70, 3) it fits with 10 trials, and at (47, 5)
+        # with 6000, but not with one 6250-trial chunk's arrays (270 MB)
         def no_eigh(*args):
             raise AssertionError("eigh ran")
 
@@ -435,12 +492,32 @@ class TestEdgeCovariance:
         with pytest.raises(ResourceBudgetError, match=r"budget"):
             edge_covariance(200, 3)
         monkeypatch.setattr(sx, "edge_covariance", no_covariance)
-        with pytest.raises(ResourceBudgetError, match=r"2 x 4970 x 4970 edge-covariance arrays"):
-            estimate_union_probability(70, 3, 10, seed=1)
-        with pytest.raises(ResourceBudgetError, match=r"6250 x \(2 x 2256 \+ 48\) chunk arrays"):
+        with pytest.raises(ResourceBudgetError, match=r"5852 x 5852 edge-covariance array, its "
+                                                      r"5852 x 77 edge table and one chunk's"):
+            estimate_union_probability(76, 3, 1, seed=1)
+        with pytest.raises(ResourceBudgetError, match=r"6250 x \(2 x 2256 \+ 48\) arrays"):
             estimate_union_probability(47, 5, 10**6, seed=1)
-        with pytest.raises(AssertionError, match="the covariance was built"):
-            estimate_union_probability(47, 5, 6000, seed=1)
+        for n, k, trials in ((70, 3, 10), (47, 5, 6000)):
+            with pytest.raises(AssertionError, match="the covariance was built"):
+                estimate_union_probability(n, k, trials, seed=1)
+
+    def test_union_walls(self, monkeypatch):
+        # the covariance with its edge table and one chunk's arrays: n = 75
+        # fits up to 55 trials, n = 76 at no trial count, and full 6250-trial
+        # chunks stop at n = 46 for k = 5; read without building anything
+        class Counted(Exception):
+            pass
+
+        def record(need, what):
+            raise Counted(need)
+
+        monkeypatch.setattr(sx, "check_bytes", record)
+        budget = equicorrelated.MEMORY_BUDGET_BYTES
+        for n, k, trials, fits in ((75, 3, 10, True), (75, 3, 55, True), (75, 3, 56, False),
+                                   (76, 3, 1, False), (46, 5, 10**6, True), (47, 5, 10**6, False)):
+            with pytest.raises(Counted) as counted:
+                estimate_union_probability(n, k, trials, seed=1)
+            assert (counted.value.args[0] <= budget) == fits, (n, k, trials)
 
 
 class TestRhoEpsilon:
@@ -867,7 +944,7 @@ class TestUnionProbability:
         # each trial draws one normal; at even k both vertices are maxima
         # exactly when the one coefficient is positive
         n, k, seed, trials = 1, 600, 7, 50_000
-        assert sx._vertex_factor(n, k).shape == (2, 1)
+        assert sx._vertex_factor(n, k)[0].shape == (2, 1)
         sizes = counted_normals(monkeypatch)
         rep = estimate_union_probability(n, k, trials, seed=seed, threads=2)
         union, vertex, normals = replay_union(n, k, trials, seed)
@@ -876,15 +953,16 @@ class TestUnionProbability:
 
     def test_peak_memory_cache_sized(self, monkeypatch):
         # 50k trials at (10, 5): tracemalloc peaks at 1.7 MiB on one thread
-        # and 3.7 MiB on two, within the figure the budget check counts (the
-        # covariance arrays, or the factor and one chunk's arrays: 11.3 MiB)
+        # and 3.7 MiB on two, within the figure the budget counts (the
+        # covariance with its edge table, and a chunk's arrays for each chunk
+        # in flight: 11.1 MiB a chunk)
         n, k, trials, seed = 10, 5, 50_000, 3
         m = n * (n + 1)
-        figure = 8 * max(2 * m * m, m * m + sx.CHUNK_SIZE * (2 * m + n + 1))
-        monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", figure - 1)
+        fixed, chunk = 8 * m * (m + n + 1), 8 * sx.CHUNK_SIZE * (2 * m + n + 1)
+        monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", fixed + chunk - 1)
         with pytest.raises(ResourceBudgetError):
             estimate_union_probability(n, k, trials, seed=seed)
-        monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", figure)
+        monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", fixed + 2 * chunk)
         estimate_union_probability(n, k, 1_000, seed=seed, threads=2)  # first-call imports
         for threads in (1, 2):
             tracemalloc.start()
@@ -893,7 +971,27 @@ class TestUnionProbability:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= min(figure, threads * 2.5 * 2**20)
+            assert peak <= min(fixed + threads * chunk, threads * 2.5 * 2**20)
+
+    def test_chunks_in_flight_fit_the_budget(self, monkeypatch):
+        # a budget that holds the covariance and one chunk runs the chunks one
+        # at a time at any thread count, with the same draws; one that holds
+        # two runs two at once
+        n, k, trials, seed = 4, 4, 30_000, 5
+        m = n * (n + 1)
+        fixed, chunk = 8 * m * (m + n + 1), 8 * sx.CHUNK_SIZE * (2 * m + n + 1)
+        whole = estimate_union_probability(n, k, trials, seed=seed, threads=1)
+        original, in_flight = sx._map_ordered, []
+
+        def recorded(fn, n_chunks, threads):
+            in_flight.append(threads)
+            return original(fn, n_chunks, threads)
+
+        monkeypatch.setattr(sx, "_map_ordered", recorded)
+        for held, threads, expected in ((1, 2, 1), (1, 8, 1), (2, 8, 2), (9, 8, 5)):
+            monkeypatch.setattr(equicorrelated, "MEMORY_BUDGET_BYTES", fixed + held * chunk)
+            assert estimate_union_probability(n, k, trials, seed=seed, threads=threads) == whole
+            assert in_flight.pop() == expected, (held, threads)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n, k", [(1, 3), (2, 5), (3, 3), (4, 4), (8, 2)])
