@@ -194,7 +194,7 @@ def _steck_log_peak(n: int, sqrt_s: float):
 # LATTICE_BLOCK indices; the 120 points of the benchmark grid keep 0.34 MB of it
 _LATTICE: dict[tuple, tuple[int, np.ndarray]] = {}
 LATTICE_BLOCK = 64
-LATTICE_CACHE_BYTES = 2**21  # the cap of the whole lattice, both rules together
+LATTICE_CACHE_BYTES = 2**23  # the whole lattice's cap: fits the 5.6 MB (1e8, 0.99999) reads
 
 
 def _lattice(rows, width: int, level: int, first: int, last: int) -> np.ndarray:

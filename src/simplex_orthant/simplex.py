@@ -266,35 +266,29 @@ def _derivative_rows(exponents: np.ndarray, point: np.ndarray, directions: np.nd
     return out
 
 
-def _design_rows(geom: SimplexGeometry, k: int, vertices) -> np.ndarray:
-    """Derivative-functional rows for each edge direction at the given vertices.
-
-    Row order: the first vertex's edges 0..n-1, then the next vertex's, ...
-    """
-    exponents = multi_index_table(geom.n, k)
-    return np.concatenate([
-        _derivative_rows(exponents, geom.embedded[vertex], edge_frame(geom, vertex).directions)
-        for vertex in vertices
-    ])
-
-
 def _design_matrix(n: int, k: int) -> np.ndarray:
     """Rows of derivative functionals for every (vertex, edge direction) pair.
 
-    Multiplying a coefficient vector by this matrix evaluates all (n+1)*n
-    unnormalized edge derivatives at once.  The n(n+1) x d table is checked
-    against the memory budget before any row is built.
+    Row order: vertex 0's edges 0..n-1, then vertex 1's, ...  Multiplying a
+    coefficient vector by this matrix evaluates all (n+1)*n unnormalized
+    edge derivatives at once.  The n(n+1) x d table is checked against the
+    memory budget before any row is built.
     """
     m, d = n * (n + 1), coefficient_count(n, k)
     check_bytes(8 * m * d, f"{m} x d={d} coefficient table for (n={n}, k={k})")
-    return _design_rows(build_geometry(n), k, range(n + 1))
+    geom, exponents = build_geometry(n), multi_index_table(n, k)
+    design = np.empty((m, d))
+    for vertex in range(n + 1):
+        design[vertex * n : (vertex + 1) * n] = _derivative_rows(
+            exponents, geom.embedded[vertex], edge_frame(geom, vertex).directions)
+    return design
 
 
 def edge_covariance(n: int, k: int) -> np.ndarray:
     """Covariance of the edge derivatives at every vertex, from exact inner products.
 
     Row p = i n + j is the edge at vertex i toward its j-th other vertex l, as
-    in `_design_rows`.  Entry ((a, v), (b, w)) is the dual inner product
+    in `_design_matrix`.  Entry ((a, v), (b, w)) is the dual inner product
     k <v,w><a,b>^(k-1) + (k^2-k) <v,b><a,w><a,b>^(k-2).  With E the 0/+-1 table
     of rows e_i - e_l, 2 <v_p, v_q> = (E E^T)_pq, sqrt(2) <v_p, a_j> = E_pj and
     <a_i, a_j> = [i = j] - 1/(n+1): the first term is E E^T scaled blockwise,
@@ -338,24 +332,27 @@ def edge_correlations(n: int, k: int) -> tuple[float, float, float]:
     return rho, sign * ((k - 1) * n + k + 1) / scale, -sign / scale
 
 
-def _vertex_factor(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(L, ends): L L^T = edge_covariance(n, k), L lower block-triangular in vertex order.
+def _vertex_factor(cov: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(L, ends): L L^T = cov, L lower block-triangular in blocks of n rows.
 
-    A pivot-free Cholesky, one vertex's n columns at a time, in place in the
-    covariance.  It drops each column whose pivot is at most FACTOR_TOL
-    times the largest variance, so L is unique (no basis is chosen) and has
-    one column per unit of rank, min(d, n(n+1)) for d = C(n+k-1, k), also
-    where the covariance is singular (10 of 12 at (3, 3)).  For n <= 12 and
-    k = 2..8 the kept pivots exceed 0.11 of that variance, the dropped 3e-13.
-    The kept columns then move to the front of that array, so L is a view of
-    it, and ends[v] counts the columns of vertices 0..v, all that v's rows use.
-    The residual max |L L^T - C| / max |C| is a few eps where d >= n(n+1)
-    (1.7e-15 at (30, 5)).  Where d < n(n+1) each dropped column leaves its
-    Schur residue, so it grows with n: 3.0e-14 at (8, 2), 2.8e-13 at
-    (12, 2), 9.1e-13 at (20, 2), 3.1e-12 at (30, 2), all under (n(n+1))^2 eps.
+    A pivot-free Cholesky of the m x m covariance, m a multiple of n, one
+    block's n columns at a time, in place in `cov`.  It drops each column
+    whose pivot is at most FACTOR_TOL times the largest variance, so L is
+    unique (no basis is chosen) and has one column per unit of rank.  The
+    kept columns then move to the front of `cov`, so L is a view of it, and
+    ends[v] counts the columns of blocks 0..v, all that block v's rows use.
+
+    The union factors edge_covariance(n, k), whose blocks are the vertices,
+    of rank min(d, n(n+1)) for d = C(n+k-1, k), also where it is singular
+    (10 of 12 at (3, 3)).  For n <= 12 and k = 2..8 the kept pivots exceed
+    0.11 of that variance, the dropped 3e-13.  The residual
+    max |L L^T - C| / max |C| is a few eps where d >= n(n+1) (1.7e-15 at
+    (30, 5)).  Where d < n(n+1) each dropped column leaves its Schur residue,
+    so it grows with n: 3.0e-14 at (8, 2), 2.8e-13 at (12, 2), 9.1e-13 at
+    (20, 2), 3.1e-12 at (30, 2), all under (n(n+1))^2 eps.
+    `gradient_correlations` factors its coefficient Gram, of full rank.
     """
-    m = n * (n + 1)
-    a = edge_covariance(n, k)
+    a, m = cov, len(cov)
     tol = FACTOR_TOL * float(a.diagonal().max())
     kept = []
     with _one_blas_thread():
@@ -474,7 +471,7 @@ def estimate_union_probability(
     spare = check_bytes(fixed + chunk, f"{m} x {m} edge-covariance array, its {m} x {n + 1} edge "
                         f"table and one chunk's {sizes[0]} x (2 x {w} + {n + 1}) arrays "
                         f"for (n={n}, k={k})")
-    factor, ends = _vertex_factor(n, k)
+    factor, ends = _vertex_factor(edge_covariance(n, k), n)
     parts = _map_ordered(lambda c: _union_hits(factor, ends, n, seed, c, sizes[c]),
                          len(sizes), min(threads, len(sizes), 1 + spare // chunk))
     union_hits, vertex_hits = (sum(counts) for counts in zip(*parts))
@@ -506,10 +503,10 @@ def gradient_correlations(
     scatter is B S B^T with S that of the z_t: a Wishart_d(trials - 1, I)
     matrix.  So one Bartlett factor from chunk_generator(seed, 0) stands in
     for the trials x d normals.  Where d > m = n(n+1), B = F Q with F the
-    Cholesky factor of B B^T and Q's rows orthonormal, and Q S Q^T is
-    Wishart_m(trials - 1, I): the factor is min(d, m) square at most,
-    whatever `trials` is.  `threads` must be positive but changes neither
-    the result nor the cost.
+    `_vertex_factor` of B B^T, factored in place, and Q's rows orthonormal,
+    and Q S Q^T is Wishart_m(trials - 1, I): the Bartlett factor is
+    min(d, m) square at most, whatever `trials` is.  `threads` must be
+    positive but changes neither the result nor the cost.
     """
     check_degree(n, k)
     if trials < 2:
@@ -519,16 +516,16 @@ def gradient_correlations(
     m, d = n * (n + 1), coefficient_count(n, k)
     w = min(d, m)
     cols = min(w, trials - 1)
-    # B, where d > m its Gram matrix and their factor, the Bartlett factor,
+    # B, where d > m its Gram matrix factored in place, the Bartlett factor,
     # G = F L, and the scatter with its scale
-    arrays = m * d + (2 * m * m if d > m else 0) + w * cols + m * cols + 2 * m * m
+    arrays = m * d + (m * m if d > m else 0) + w * cols + m * cols + 2 * m * m
     check_bytes(8 * arrays, f"{m} x d={d} design and {m} x {m} scatter arrays for (n={n}, k={k})")
     design = _design_matrix(n, k)
     design *= np.sqrt(coefficient_variances(n, k))
     with _one_blas_thread():
-        factor = design if d <= m else np.linalg.cholesky(design @ design.T)
+        factor = design if d <= m else _vertex_factor(design @ design.T, n)[0]
         del design
-        g = factor @ _bartlett_factor(chunk_generator(seed, 0), w, trials - 1)
+        g = factor @ _bartlett_factor(chunk_generator(seed, 0), factor.shape[1], trials - 1)
         del factor
         scatter = g @ g.T
     del g

@@ -221,7 +221,8 @@ def suite_simplex() -> list[dict]:
     # see _vertex_factor
     ok, detail = True, []
     for n, k in ((3, 3), (4, 4), (8, 2)):  # singular at (3, 3) and (8, 2)
-        cov, (factor, _) = simplex.edge_covariance(n, k), simplex._vertex_factor(n, k)
+        cov = simplex.edge_covariance(n, k)
+        factor, _ = simplex._vertex_factor(cov.copy(), n)
         worst = float(np.max(np.abs(factor @ factor.T - cov)) / np.max(np.abs(cov)))
         ok &= worst <= 1e-12 and factor.shape[1] == min(simplex.coefficient_count(n, k), n * n + n)
         detail.append(f"(n={n},k={k}): {factor.shape[1]} columns, "
@@ -233,9 +234,9 @@ def suite_simplex() -> list[dict]:
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     var = simplex.coefficient_variances(3, 3)
     geom = simplex.build_geometry(3)
-    base = simplex._design_rows(geom, 3, [0])
-    rotated = simplex._derivative_rows(simplex.multi_index_table(3, 3), q @ geom.embedded[0],
-                                       simplex.edge_frame(geom, 0).directions @ q.T)
+    exponents, frame = simplex.multi_index_table(3, 3), simplex.edge_frame(geom, 0).directions
+    base = simplex._derivative_rows(exponents, geom.embedded[0], frame)
+    rotated = simplex._derivative_rows(exponents, q @ geom.embedded[0], frame @ q.T)
     dev = float(np.max(np.abs((base * var) @ base.T - (rotated * var) @ rotated.T)))
     checks.append(_check("rotation_invariance", dev <= 1e-12,
                          f"max |R var R^T - rotated| = {dev:.3e}"))

@@ -522,6 +522,11 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify"], capsys)
         assert code == 0 and set(json.loads(out)["suites"]) == set(verify.SUITES)
 
+    def test_unknown_suite_raises(self):
+        # the CLI's --suite choices reject it first; run_all itself names it
+        with pytest.raises(ValueError, match=r"unknown suites: \['nonsense'\]"):
+            verify.run_all(["lemma_inverse", "nonsense"])
+
     def test_injected_fault_exit_3(self, capsys, monkeypatch):
         # a sign-flipped beta in the closed-form inverse must fail the suite
         original = equicorrelated.inverse_diag_offdiag
@@ -553,11 +558,12 @@ class TestVerifyCommand:
     def test_wrong_union_factor_exit_3(self, capsys, monkeypatch):
         # a factor that drops the last kept column loses rank and no longer
         # reproduces the edge covariance; its column ends stay consistent, so
-        # the union still runs on it
+        # the union still runs on it.  gradient_law's (5, 4) Gram is factored
+        # by it too, but the entries that check reads use no dropped column
         original = simplex._vertex_factor
 
-        def short_factor(n, k):
-            factor, ends = original(n, k)
+        def short_factor(cov, n):
+            factor, ends = original(cov, n)
             return factor[:, :-1], ends.clip(max=factor.shape[1] - 1)
 
         monkeypatch.setattr(simplex, "_vertex_factor", short_factor)

@@ -66,6 +66,12 @@ class TestInverse:
         pair = inverse_diag_offdiag(EquicorrelatedSpec(n=7, rho=0.0))
         assert (pair.alpha, pair.beta) == (1.0, 0.0)
 
+    def test_one_by_one(self):
+        # the 1 x 1 matrix [1] is its own inverse at any admissible rho
+        for rho in (-0.5, 0.0, 0.7):
+            pair = inverse_diag_offdiag(EquicorrelatedSpec(n=1, rho=rho))
+            assert (pair.alpha, pair.beta) == (1.0, 0.0)
+
     def test_three_by_three(self):
         pair = inverse_diag_offdiag(EquicorrelatedSpec(n=3, rho=0.5))
         assert pair.alpha == pytest.approx(1.5, rel=1e-13)

@@ -161,6 +161,12 @@ def test_phi_lin_inequality():
     assert normal.pdf_of_quantile(1.0) == 0.0
 
 
+@pytest.mark.parametrize("u", [-1e-12, 1.0 + 1e-12, math.nan, [0.5, 2.0]])
+def test_profile_outside_unit_interval_raises(u):
+    with pytest.raises(ValueError, match=r"pdf_of_quantile requires u in \[0, 1\]"):
+        normal.pdf_of_quantile(u)
+
+
 def test_profile_concavity():
     us = np.linspace(1e-6, 1.0 - 1e-6, 2001)
     profile = normal.pdf_of_quantile(us)

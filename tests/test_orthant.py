@@ -6,6 +6,7 @@ the implementation under test.
 """
 
 import csv
+import functools
 import json
 import math
 import os
@@ -341,6 +342,25 @@ class TestSteckLattice:
         assert all(steck_quadrature(n, rho) == value for (n, rho), value in grid.items())
         monkeypatch.setattr(orthant, "_LATTICE", {})
         assert steck_quadrature(10**8, 0.999999) == extreme
+
+    def test_warm_call_near_rho_one_builds_nothing(self, monkeypatch):
+        # (1e8, 0.99999) reads 5.6 MB of lattice, within the cap: a repeat
+        # builds no level (under a 2 MiB cap each call rebuilt two) and
+        # returns the same bytes
+        builds, rows = [], orthant._steck_rows
+
+        @functools.wraps(rows)
+        def counted(x):
+            builds.append(len(x))
+            return rows(x)
+
+        monkeypatch.setattr(orthant, "_LATTICE", {})
+        monkeypatch.setattr(orthant, "_steck_rows", counted)
+        first = steck_quadrature(10**8, 0.99999)
+        assert builds and self.lattice_bytes() > 2**21
+        builds.clear()
+        assert steck_quadrature(10**8, 0.99999) == first
+        assert builds == []
 
     def test_build_past_budget_raises(self, monkeypatch):
         monkeypatch.setattr(orthant, "_LATTICE", {})

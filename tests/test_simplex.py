@@ -61,7 +61,7 @@ def coefficient_matrix(n: int, k: int) -> np.ndarray:
 
 
 def edge_index(n: int, i: int, l: int) -> int:
-    """Row of the edge derivative at vertex i toward vertex l, in `_design_rows` order."""
+    """Row of the edge derivative at vertex i toward vertex l, in `_design_matrix` order."""
     return i * n + l - (l > i)
 
 
@@ -98,7 +98,7 @@ def replay_union(n: int, k: int, trials: int, seed: int) -> tuple[int, int, int]
     computed for all rows, and a row counts at the first vertex where all n
     of them are positive.
     """
-    factor, _ = sx._vertex_factor(n, k)
+    factor, _ = sx._vertex_factor(edge_covariance(n, k), n)
     # the columns that vertices 0..v use
     ends = [np.count_nonzero(np.any(factor[: (v + 1) * n] != 0.0, axis=0)) for v in range(n + 1)]
     union = vertex = normals = 0
@@ -296,7 +296,7 @@ class TestEdgeCovariance:
                                      (20, 2), (30, 2), (30, 5)])
     def test_factor_reproduces_covariance(self, n, k):
         cov = edge_covariance(n, k)
-        factor, ends = sx._vertex_factor(n, k)
+        factor, ends = sx._vertex_factor(cov.copy(), n)
         # the residual grows with the dropped columns where d < m: 3.1e-12 at
         # (30, 2), a 62nd of the bound
         m = n * (n + 1)
@@ -323,7 +323,7 @@ class TestEdgeCovariance:
         # compacting in place moves the same bits as copying a[:, kept]: 10
         # of 12 columns at (3, 3), 36 of 72 at (8, 2), all at (4, 4)
         for k in range(2, 9):
-            factor, ends = sx._vertex_factor(n, k)
+            factor, ends = sx._vertex_factor(edge_covariance(n, k), n)
             expected, expected_ends = copied_factor(n, k)
             assert np.array_equal(factor, expected), (n, k)
             assert np.array_equal(ends, expected_ends), (n, k)
@@ -336,7 +336,7 @@ class TestEdgeCovariance:
         m = n * (n + 1)
         tracemalloc.start()
         try:
-            factor, _ = sx._vertex_factor(n, k)
+            factor, _ = sx._vertex_factor(edge_covariance(n, k), n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -355,7 +355,7 @@ class TestEdgeCovariance:
             d = coefficient_count(n, k)
             scaled = sx._design_matrix(n, k) * np.sqrt(coefficient_variances(n, k))
             assert np.linalg.matrix_rank(scaled) == min(d, m), (n, k)
-            assert sx._vertex_factor(n, k)[0].shape[1] == min(d, m), (n, k)
+            assert sx._vertex_factor(edge_covariance(n, k), n)[0].shape[1] == min(d, m), (n, k)
             if n >= 2:
                 assert (tv_exact(n, k) is None) == (d < m), (n, k)
 
@@ -794,7 +794,19 @@ class TestDirectionalDerivative:
             for vertex in range(n + 1)
             for direction in edge_frame(geom, vertex).directions
         ]
-        assert np.array_equal(sx._design_rows(geom, k, range(n + 1)), rows)
+        assert np.array_equal(sx._design_matrix(n, k), rows)
+
+    def test_design_filled_in_place(self):
+        # each vertex's rows go straight into the one m x d array: 1.08 of
+        # it at (30, 2), where concatenating the vertices' blocks took 2.04
+        m, d = 930, coefficient_count(30, 2)
+        tracemalloc.start()
+        try:
+            sx._design_matrix(30, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * m * d
 
     def test_domain(self):
         p = sample_polynomial(3, 3, seed=0)
@@ -810,6 +822,12 @@ class TestHomogeneity:
         rng = np.random.Generator(np.random.Philox(key=5))
         x = rng.standard_normal(4)
         assert p(t * x) == pytest.approx(t**5 * p(x), rel=1e-10, abs=1e-10)
+
+    def test_point_of_wrong_dimension_raises(self):
+        p = sample_polynomial(4, 5, seed=11)
+        for x in ([1.0, 2.0, 3.0], np.ones((1, 4))):
+            with pytest.raises(ValueError, match="point must have dimension 4"):
+                p(x)
 
 
 class TestIsVertexMax:
@@ -878,10 +896,10 @@ class TestVertexProbability:
         rng = np.random.Generator(np.random.Philox(key=77))
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         var = coefficient_variances(3, 3)
-        geom = build_geometry(3)
-        base = sx._design_rows(geom, 3, [0])
-        rotated = sx._derivative_rows(multi_index_table(3, 3), q @ geom.embedded[0],
-                                      edge_frame(geom, 0).directions @ q.T)
+        geom, exponents = build_geometry(3), multi_index_table(3, 3)
+        frame = edge_frame(geom, 0).directions
+        base = sx._derivative_rows(exponents, geom.embedded[0], frame)
+        rotated = sx._derivative_rows(exponents, q @ geom.embedded[0], frame @ q.T)
         assert np.max(np.abs(base - rotated)) > 0.1
         cov, cov_rotated = (base * var) @ base.T, (rotated * var) @ rotated.T
         assert np.max(np.abs(cov - cov_rotated)) <= 1e-12
@@ -944,7 +962,7 @@ class TestUnionProbability:
         # each trial draws one normal; at even k both vertices are maxima
         # exactly when the one coefficient is positive
         n, k, seed, trials = 1, 600, 7, 50_000
-        assert sx._vertex_factor(n, k)[0].shape == (2, 1)
+        assert sx._vertex_factor(edge_covariance(n, k), n)[0].shape == (2, 1)
         sizes = counted_normals(monkeypatch)
         rep = estimate_union_probability(n, k, trials, seed=seed, threads=2)
         union, vertex, normals = replay_union(n, k, trials, seed)
@@ -1070,6 +1088,31 @@ class TestGradientCorrelations:
     def test_domain(self, k):
         with pytest.raises(ValueError, match=r"k >= 2"):
             gradient_correlations(3, k, 1000, seed=1)
+
+    def test_no_lapack_on_a_result_path(self, monkeypatch):
+        # where d > m the coefficient Gram B B^T is factored by the union's
+        # `_vertex_factor`, within 1e-15 of the correlations through LAPACK's
+        # Cholesky factor; neither they nor the union call numpy.linalg.cholesky
+        trials, seed = 20_000, 3
+        expected = {}
+        with equicorrelated._one_blas_thread():
+            for n, k in ((2, 6), (4, 5), (10, 5)):
+                scaled = coefficient_matrix(n, k)
+                bartlett = sx._bartlett_factor(sx.chunk_generator(seed, 0), len(scaled), trials - 1)
+                g = np.linalg.cholesky(scaled @ scaled.T) @ bartlett
+                scatter = g @ g.T
+                scale = np.sqrt(np.diag(scatter))
+                expected[n, k] = scatter / np.outer(scale, scale)
+        union = estimate_union_probability(4, 4, 20_000, seed=5)
+
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("numpy.linalg.cholesky was called")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_lapack)
+        for (n, k), lapack in expected.items():
+            corr = gradient_correlations(n, k, trials, seed=seed)
+            assert np.max(np.abs(corr - lapack)) <= 1e-15, (n, k)
+        assert estimate_union_probability(4, 4, 20_000, seed=5) == union
 
     def test_wide_rows_run_in_bounded_memory(self):
         # at (30, 2) a 50k-row chunk of its 930 derivatives took 372 MB and was
@@ -1211,8 +1254,9 @@ class TestGradientCorrelations:
 
     def test_peak_memory_block_sized(self):
         # 50k trials at (10, 5): the 110 x 2002 design and its build, the
-        # 110-square Gram, Cholesky and Bartlett factors and the scatter peak
-        # at 3.5 MiB, at any trial count; 512-row blocks of coefficient draws
+        # 110-square Gram (its own factor), the Bartlett factor and the
+        # scatter peak at 2.3 MiB (3.5 with the design's blocks concatenated
+        # and a LAPACK factor), at any trial count; 512-row blocks of coefficient draws
         # took 10.1 MiB, and the whole-chunk derivative array 59.3 MiB
         gradient_correlations(3, 3, 1_000, seed=1)  # first-call imports
         tracemalloc.start()
