@@ -16,15 +16,10 @@ chunk streams and chunk map here serve it and the simplex union alike.
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import math
 import numbers
 import os
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -60,8 +55,8 @@ class EquicorrelatedSpec:
 
 def check_domain(n: int, rho: float) -> None:
     """Raise unless n is a positive integer and -1/(n-1) < rho < 1."""
-    if int(n) != n or n < 1:
-        raise ValueError("dimension n must be a positive integer")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"dimension n must be a positive integer, got {n!r}")
     lo = -1.0 / (n - 1) if n > 1 else -math.inf
     if not (lo < rho < 1.0):
         raise ValueError(
@@ -133,61 +128,6 @@ def _chunk_sizes(trials: int, chunk_size: int) -> list[int]:
     return [min(chunk_size, trials - c * chunk_size) for c in range(n_chunks)]
 
 
-@lru_cache(maxsize=None)
-def _openblas():
-    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or None.
-
-    None where numpy links another BLAS (MKL, Accelerate) or none is found.
-    """
-    libs = os.path.dirname(np.__file__) + ".libs"
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:
-            continue
-        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
-
-
-_BLAS_LOCK = threading.Lock()
-_blas_maps = 0  # chunk maps running now, in any thread
-_blas_saved = 0  # the OpenBLAS thread count before the first of them
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS at one thread while any chunk map runs, then restore it.
-
-    Chunks are the unit of parallelism: BLAS threads inside concurrent chunks
-    would compete with the chunk threads for the cores.  One BLAS thread in
-    every mode also fixes how each matmul rounds, so neither `threads` nor
-    the host's default BLAS thread count changes a result.
-    """
-    global _blas_maps, _blas_saved
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    with _BLAS_LOCK:
-        if _blas_maps == 0:
-            _blas_saved = get()
-            set_(1)
-        _blas_maps += 1
-    try:
-        yield
-    finally:
-        with _BLAS_LOCK:
-            _blas_maps -= 1
-            if _blas_maps == 0:
-                set_(_blas_saved)
-
-
 # one executor per thread count, kept for the process: threads made per map
 # raced the last map's exits, and each racer's new glibc arena stayed resident
 _POOLS = {}
@@ -198,13 +138,12 @@ def _map_ordered(fn, n_chunks: int, threads: int) -> list:
     """[fn(0), ..., fn(n_chunks - 1)], evaluated on up to `threads` threads."""
     if threads < 1:
         raise ValueError("threads must be positive")
-    with _one_blas_thread():
-        if threads == 1 or n_chunks <= 1:
-            return [fn(c) for c in range(n_chunks)]
-        from concurrent.futures import ThreadPoolExecutor
+    if threads == 1 or n_chunks <= 1:
+        return [fn(c) for c in range(n_chunks)]
+    from concurrent.futures import ThreadPoolExecutor
 
-        pool = _POOLS.get(threads) or _POOLS.setdefault(threads, ThreadPoolExecutor(threads))
-        return list(pool.map(fn, range(n_chunks)))
+    pool = _POOLS.get(threads) or _POOLS.setdefault(threads, ThreadPoolExecutor(threads))
+    return list(pool.map(fn, range(n_chunks)))
 
 
 def hit_rate(hits: int, trials: int) -> tuple[float, float]:

@@ -25,9 +25,14 @@ the closed form.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -38,7 +43,6 @@ from .equicorrelated import (
     ResourceBudgetError,  # re-exported: the error of this module's budget checks
     _chunk_sizes,
     _map_ordered,
-    _one_blas_thread,
     check_bytes,
     chunk_generator,
     hit_rate,
@@ -135,8 +139,8 @@ def helmert_basis(n: int) -> np.ndarray:
 
 def build_geometry(n: int) -> SimplexGeometry:
     """Vertices e_i - z of the simplex, at embedding[:, i] in R^n: its rows are orthogonal to 1."""
-    if int(n) != n or n < 1:
-        raise ValueError("n must be a positive integer")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     embedding = helmert_basis(n)
     return SimplexGeometry(n=n, vertices=np.eye(n + 1) - 1.0 / (n + 1),
                            embedding=embedding, embedded=embedding.T)
@@ -332,6 +336,55 @@ def edge_correlations(n: int, k: int) -> tuple[float, float, float]:
     return rho, sign * ((k - 1) * n + k + 1) / scale, -sign / scale
 
 
+@lru_cache(maxsize=None)
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or None.
+
+    Looked up in numpy's loaded `_multiarray_umath`, which links its BLAS; None
+    where numpy links another BLAS (MKL, Accelerate) or the OS has no RTLD_NOLOAD.
+    """
+    try:
+        from numpy._core import _multiarray_umath as core
+
+        lib = ctypes.CDLL(core.__file__, mode=os.RTLD_NOLOAD)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (ImportError, AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+_BLAS_LOCK = threading.Lock()
+_blas_users = 0  # pinned calls running now, in any thread
+_blas_saved = 0  # the OpenBLAS thread count before the first of them
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread while any pinned call runs, then restore it.
+
+    The union's factor and chunks and `gradient_correlations`' products are
+    the only results that pass through BLAS.  One BLAS thread fixes how each
+    product rounds, so neither `threads` nor the host's default BLAS thread
+    count changes a result, and no BLAS thread competes with the chunk threads.
+    """
+    global _blas_users, _blas_saved
+    get, set_ = _openblas() or (lambda: 0, lambda count: None)  # no OpenBLAS: nothing to pin
+    with _BLAS_LOCK:
+        if _blas_users == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas_users -= 1
+            if _blas_users == 0:
+                set_(_blas_saved)
+
+
 def _vertex_factor(cov: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(L, ends): L L^T = cov, L lower block-triangular in blocks of n rows.
 
@@ -351,28 +404,28 @@ def _vertex_factor(cov: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     so it grows with n: 3.0e-14 at (8, 2), 2.8e-13 at (12, 2), 9.1e-13 at
     (20, 2), 3.1e-12 at (30, 2), all under (n(n+1))^2 eps.
     `gradient_correlations` factors its coefficient Gram, of full rank.
+    Its panel products call BLAS, so both callers hold `_one_blas_thread`.
     """
     a, m = cov, len(cov)
     tol = FACTOR_TOL * float(a.diagonal().max())
     kept = []
-    with _one_blas_thread():
-        for lo in range(0, m, n):
-            hi = lo + n
-            panel = a[lo:, lo:hi]
-            for j in range(n):
-                pivot = panel[j, j]
-                if pivot <= tol:
-                    panel[:, j] = 0.0
-                    continue
-                kept.append(lo + j)
-                column = panel[j:, j]
-                column /= math.sqrt(pivot)
-                panel[j + 1 :, j + 1 :] -= np.outer(column[1:], column[1 : n - j])
-            panel[np.triu_indices(n, 1)] = 0.0
-            a[:lo, lo:hi] = 0.0
-            # the later vertices' lower blocks, one vertex's rows at a time
-            for r in range(hi, m, n):
-                a[r : r + n, hi : r + n] -= a[r : r + n, lo:hi] @ a[hi : r + n, lo:hi].T
+    for lo in range(0, m, n):
+        hi = lo + n
+        panel = a[lo:, lo:hi]
+        for j in range(n):
+            pivot = panel[j, j]
+            if pivot <= tol:
+                panel[:, j] = 0.0
+                continue
+            kept.append(lo + j)
+            column = panel[j:, j]
+            column /= math.sqrt(pivot)
+            panel[j + 1 :, j + 1 :] -= np.outer(column[1:], column[1 : n - j])
+        panel[np.triu_indices(n, 1)] = 0.0
+        a[:lo, lo:hi] = 0.0
+        # the later vertices' lower blocks, one vertex's rows at a time
+        for r in range(hi, m, n):
+            a[r : r + n, hi : r + n] -= a[r : r + n, lo:hi] @ a[hi : r + n, lo:hi].T
     kept = np.array(kept)
     for p in np.flatnonzero(kept != np.arange(len(kept))):  # after a dropped pivot
         a[:, p] = a[:, kept[p]]
@@ -463,6 +516,9 @@ def estimate_union_probability(
     whether a call fits.
     """
     check_degree(n, k)
+    if threads < 1:
+        raise ValueError("threads must be positive")
+    chunk_generator(seed, 0)  # a bad seed fails here, before any array is built
     m, w = n * (n + 1), min(coefficient_count(n, k), n * (n + 1))
     sizes = _chunk_sizes(trials, CHUNK_SIZE)
     # the covariance with its edge table, then for each chunk in flight its normals
@@ -471,9 +527,11 @@ def estimate_union_probability(
     spare = check_bytes(fixed + chunk, f"{m} x {m} edge-covariance array, its {m} x {n + 1} edge "
                         f"table and one chunk's {sizes[0]} x (2 x {w} + {n + 1}) arrays "
                         f"for (n={n}, k={k})")
-    factor, ends = _vertex_factor(edge_covariance(n, k), n)
-    parts = _map_ordered(lambda c: _union_hits(factor, ends, n, seed, c, sizes[c]),
-                         len(sizes), min(threads, len(sizes), 1 + spare // chunk))
+    cov = edge_covariance(n, k)  # an integer product, exact on any BLAS thread count
+    with _one_blas_thread():
+        factor, ends = _vertex_factor(cov, n)
+        parts = _map_ordered(lambda c: _union_hits(factor, ends, n, seed, c, sizes[c]),
+                             len(sizes), min(threads, len(sizes), 1 + spare // chunk))
     union_hits, vertex_hits = (sum(counts) for counts in zip(*parts))
     p_hat, se = hit_rate(union_hits, trials)
     vertex_hat, vertex_se = hit_rate(vertex_hits, trials)
@@ -520,12 +578,13 @@ def gradient_correlations(
     # G = F L, and the scatter with its scale
     arrays = m * d + (m * m if d > m else 0) + w * cols + m * cols + 2 * m * m
     check_bytes(8 * arrays, f"{m} x d={d} design and {m} x {m} scatter arrays for (n={n}, k={k})")
+    rng = chunk_generator(seed, 0)  # a bad seed fails here, before any array is built
     design = _design_matrix(n, k)
     design *= np.sqrt(coefficient_variances(n, k))
     with _one_blas_thread():
         factor = design if d <= m else _vertex_factor(design @ design.T, n)[0]
         del design
-        g = factor @ _bartlett_factor(chunk_generator(seed, 0), factor.shape[1], trials - 1)
+        g = factor @ _bartlett_factor(rng, factor.shape[1], trials - 1)
         del factor
         scatter = g @ g.T
     del g

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplex_orthant import equicorrelated
+from simplex_orthant import equicorrelated, simplex
 from simplex_orthant.equicorrelated import (
     EquicorrelatedSpec,
     chain_law,
@@ -18,7 +18,7 @@ from simplex_orthant.equicorrelated import (
     orthant_hits,
     tv_bound_frobenius,
 )
-from simplex_orthant.orthant import best_estimate, monte_carlo
+from simplex_orthant.orthant import best_estimate, monte_carlo, theorem_bounds
 from simplex_orthant.simplex import rho_n
 
 
@@ -27,6 +27,7 @@ class TestSpecValidation:
         EquicorrelatedSpec(n=3, rho=-0.45)
         EquicorrelatedSpec(n=2, rho=0.99)
         EquicorrelatedSpec(n=1, rho=-5.0)  # 1x1 matrix is always [1]
+        assert covariance_matrix(EquicorrelatedSpec(n=np.int64(3), rho=0.2)).shape == (3, 3)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -35,6 +36,15 @@ class TestSpecValidation:
             EquicorrelatedSpec(n=2, rho=1.0)
         with pytest.raises(ValueError):
             EquicorrelatedSpec(n=0, rho=0.5)
+
+    @pytest.mark.parametrize("n", [3.0, np.float64(4), math.inf, math.nan])
+    def test_rejects_non_integer_n(self, n):
+        # one integer rule, check_degree's: a float n equal to an integer is
+        # refused too, and inf and nan raise ValueError, not OverflowError
+        for call in (lambda: EquicorrelatedSpec(n, 0.2), lambda: theorem_bounds(n, 0.7),
+                     lambda: monte_carlo(n, 0.4, 1000, 1)):
+            with pytest.raises(ValueError, match="dimension n must be a positive integer"):
+                call()
 
 
 class TestCovariance:
@@ -278,7 +288,7 @@ class TestChunkStreams:
 @pytest.fixture
 def openblas_at_two():
     """OpenBLAS's (get, set) pair, set to 2 threads and restored afterwards."""
-    blas = equicorrelated._openblas()
+    blas = simplex._openblas()
     if blas is None:
         pytest.skip("numpy does not use a scipy-openblas build")
     get, set_ = blas
@@ -290,23 +300,51 @@ def openblas_at_two():
         set_(before)
 
 
+def run_before_union_chunks(monkeypatch, before):
+    """Make every union chunk call before(seed, chunk) ahead of its hits."""
+    union_hits = simplex._union_hits
+
+    def chunk(factor, ends, n, seed, c, size):
+        before(seed, c)
+        return union_hits(factor, ends, n, seed, c, size)
+
+    monkeypatch.setattr(simplex, "_union_hits", chunk)
+
+
 class TestChunkMap:
+    # the BLAS pin is the union's and gradient_correlations', not the chunk map's
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_one_blas_thread_inside_restored_after(self, openblas_at_two, threads):
-        seen = equicorrelated._map_ordered(lambda c: openblas_at_two(), 4, threads)
+    def test_one_blas_thread_inside_restored_after(self, openblas_at_two, monkeypatch, threads):
+        seen = []
+        run_before_union_chunks(monkeypatch, lambda seed, c: seen.append(openblas_at_two()))
+        simplex.estimate_union_probability(2, 3, 4 * simplex.CHUNK_SIZE, seed=1, threads=threads)
         assert seen == [1, 1, 1, 1]
         assert openblas_at_two() == 2
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_restored_when_a_chunk_raises(self, openblas_at_two, threads):
-        def chunk(c):
+    def test_restored_when_a_chunk_raises(self, openblas_at_two, monkeypatch, threads):
+        def before(seed, c):
             if c == 2:
                 raise RuntimeError("chunk failed")
-            return c
 
+        run_before_union_chunks(monkeypatch, before)
         with pytest.raises(RuntimeError, match="chunk failed"):
-            equicorrelated._map_ordered(chunk, 4, threads)
+            simplex.estimate_union_probability(2, 3, 4 * simplex.CHUNK_SIZE, seed=1,
+                                               threads=threads)
         assert openblas_at_two() == 2
+
+    def test_orthant_sampler_calls_no_blas(self, monkeypatch):
+        # orthant_hits multiplies no matrices, so neither the orthant Monte
+        # Carlo nor the vertex frequency reads or sets the BLAS thread count;
+        # the union, which does, is the control
+        calls = []
+        monkeypatch.setattr(simplex, "_openblas", lambda: (lambda: calls.append("get") or 2,
+                                                           lambda count: calls.append(count)))
+        monte_carlo(3, 0.4, 3 * equicorrelated.CHUNK_SIZE, seed=1, threads=2)
+        simplex.estimate_vertex_probability(3, 3, 3 * equicorrelated.CHUNK_SIZE, seed=1, threads=2)
+        assert calls == []
+        simplex.estimate_union_probability(2, 3, 1000, seed=1, threads=2)
+        assert calls == ["get", 1, 2]
 
     def test_threads_outlive_the_map(self):
         # a map's threads stay for the next map on as many threads, so no
@@ -317,38 +355,36 @@ class TestChunkMap:
         again = equicorrelated._map_ordered(lambda c: threading.get_ident(), 8, 2)
         assert set(again) <= alive
 
-    def test_overlapping_maps_in_two_threads(self, openblas_at_two):
-        # map b starts inside map a and ends after it: a's exit must neither
-        # restore the count under b nor leave b to restore a's setting
+    def test_overlapping_maps_in_two_threads(self, openblas_at_two, monkeypatch):
+        # union b (seed 2) starts inside union a's chunk and ends after it: a's
+        # exit must neither restore the count under b nor leave b to restore a's setting
         a_in, b_in, a_done = threading.Event(), threading.Event(), threading.Event()
         results = {}
 
-        def chunk_a(c):
-            a_in.set()
-            b_in.wait(10)
-            return openblas_at_two()
-
-        def chunk_b(c):
-            b_in.set()
-            a_done.wait(10)
-            return openblas_at_two()
+        def before(seed, c):
+            if seed == 1:
+                a_in.set()
+                b_in.wait(10)
+            else:
+                b_in.set()
+                a_done.wait(10)
+            results[seed] = openblas_at_two()
 
         def run_a():
-            results["a"] = equicorrelated._map_ordered(chunk_a, 1, 1)
+            simplex.estimate_union_probability(2, 3, 1000, seed=1)
             a_done.set()
 
-        def run_b():
-            results["b"] = equicorrelated._map_ordered(chunk_b, 1, 1)
-
+        run_before_union_chunks(monkeypatch, before)
         thread_a = threading.Thread(target=run_a)
         thread_a.start()
         a_in.wait(10)
-        thread_b = threading.Thread(target=run_b)
+        thread_b = threading.Thread(
+            target=lambda: simplex.estimate_union_probability(2, 3, 1000, seed=2))
         thread_b.start()
         thread_a.join(10)
         thread_b.join(10)
         assert not thread_a.is_alive() and not thread_b.is_alive()
-        assert results == {"a": [1], "b": [1]}
+        assert results == {1: 1, 2: 1}
         assert openblas_at_two() == 2
 
     @pytest.mark.parametrize("threads", [0, -3])

@@ -1,5 +1,6 @@
 """Simplex geometry, the polynomial ensemble, and the vertex-maximum experiments."""
 
+import ctypes
 import math
 import os
 import subprocess
@@ -129,7 +130,7 @@ def copied_factor(n: int, k: int):
     a = edge_covariance(n, k)
     tol = sx.FACTOR_TOL * float(a.diagonal().max())
     kept = []
-    with equicorrelated._one_blas_thread():
+    with sx._one_blas_thread():
         for lo in range(0, m, n):
             hi = lo + n
             panel = a[lo:, lo:hi]
@@ -174,7 +175,7 @@ class TestGeometry:
         assert np.allclose(geom.vertices, [[0.5, -0.5], [-0.5, 0.5]])
         assert np.allclose(np.sum(geom.vertices**2, axis=1), 0.5)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, np.int64(5)])
     def test_invariants(self, n):
         geom = build_geometry(n)
         assert np.allclose(geom.vertices.sum(axis=0), 0.0, atol=1e-12)
@@ -208,6 +209,11 @@ class TestGeometry:
     def test_domain(self):
         with pytest.raises(ValueError):
             build_geometry(0)
+
+    @pytest.mark.parametrize("n", [3.0, np.float64(4), math.inf, math.nan])
+    def test_non_integer_n_raises(self, n):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            build_geometry(n)
 
 
 class TestEdgeFrame:
@@ -323,7 +329,8 @@ class TestEdgeCovariance:
         # compacting in place moves the same bits as copying a[:, kept]: 10
         # of 12 columns at (3, 3), 36 of 72 at (8, 2), all at (4, 4)
         for k in range(2, 9):
-            factor, ends = sx._vertex_factor(edge_covariance(n, k), n)
+            with sx._one_blas_thread():  # as the union factors it
+                factor, ends = sx._vertex_factor(edge_covariance(n, k), n)
             expected, expected_ends = copied_factor(n, k)
             assert np.array_equal(factor, expected), (n, k)
             assert np.array_equal(ends, expected_ends), (n, k)
@@ -1082,6 +1089,20 @@ class TestUnionProbability:
         with pytest.raises(ValueError):
             estimate_union_probability(2, 5, 0, seed=0)
 
+    def test_bad_seed_or_threads_fail_before_any_array(self, monkeypatch):
+        # both calls check their seed and threads before the covariance,
+        # factor or design is built (0.3-0.7 s at these sizes)
+        def refuse(*args):
+            raise AssertionError("an array was built before the arguments were checked")
+
+        for name in ("edge_covariance", "_vertex_factor", "_design_matrix"):
+            monkeypatch.setattr(sx, name, refuse)
+        for seed, threads, match in ((-1, 1, "seed must be"), (0, 0, "threads must be positive")):
+            with pytest.raises(ValueError, match=match):
+                estimate_union_probability(40, 5, 6250, seed=seed, threads=threads)
+            with pytest.raises(ValueError, match=match):
+                gradient_correlations(20, 4, 20_000, seed=seed, threads=threads)
+
 
 class TestGradientCorrelations:
     @pytest.mark.parametrize("k", [0, 1])
@@ -1095,7 +1116,7 @@ class TestGradientCorrelations:
         # Cholesky factor; neither they nor the union call numpy.linalg.cholesky
         trials, seed = 20_000, 3
         expected = {}
-        with equicorrelated._one_blas_thread():
+        with sx._one_blas_thread():
             for n, k in ((2, 6), (4, 5), (10, 5)):
                 scaled = coefficient_matrix(n, k)
                 bartlett = sx._bartlett_factor(sx.chunk_generator(seed, 0), len(scaled), trials - 1)
@@ -1207,7 +1228,7 @@ class TestGradientCorrelations:
         design = sx._design_matrix(n, k)
         sigma = np.sqrt(coefficient_variances(n, k))
         total = cross = z_total = z_cross = 0.0
-        with equicorrelated._one_blas_thread():
+        with sx._one_blas_thread():
             for chunk, size in enumerate(equicorrelated._chunk_sizes(trials, sx.CHUNK_SIZE)):
                 z = sx.chunk_generator(1, chunk).standard_normal((size, len(sigma)))
                 z_total = z_total + z.sum(axis=0)
@@ -1367,10 +1388,19 @@ class TestBlasThreadInvariance:
             )
 
         vertex, union, corr, cov = run()
-        monkeypatch.setattr(equicorrelated, "_openblas", lambda: None)
+        monkeypatch.setattr(sx, "_openblas", lambda: None)
         vertex_plain, union_plain, corr_plain, cov_plain = run()
         assert vertex == vertex_plain and union == union_plain
         assert np.array_equal(corr, corr_plain) and np.array_equal(cov, cov_plain)
+
+    def test_no_setter_without_its_symbols(self, monkeypatch):
+        # None, not an error, where the lookup fails: no RTLD_NOLOAD, or a
+        # loaded numpy extension that does not link scipy-openblas
+        monkeypatch.delattr(os, "RTLD_NOLOAD", raising=False)
+        assert sx._openblas.__wrapped__() is None
+        monkeypatch.undo()
+        monkeypatch.setattr(ctypes, "CDLL", lambda path, mode: object())
+        assert sx._openblas.__wrapped__() is None
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_nonpositive_threads_raise(self, threads):
